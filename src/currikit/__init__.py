@@ -55,7 +55,6 @@ from .tokenizer import (
     BYTE_FALLBACK,
     EOT_TEXT,
     TokenizerSpec,
-    TokenSequence,
     count_tokens,
     decode,
     encode,

@@ -1,11 +1,12 @@
 """Fixed-size token-block construction.
 
 Every training block holds exactly 262,144 token ids (64 sequences of
-4,096, the context window). Records are encoded, terminated with the
-end-of-text id, and appended to a carry buffer; whenever the buffer
-reaches the block size a block is emitted and the remainder carries over,
-so records may straddle sequence and block boundaries. The final partial
-buffer is discarded and its size reported, never padded.
+4,096, the context window). Every packer feeds one loop: each record is
+encoded, terminated with the end-of-text id and copied into a preallocated
+``uint32`` block buffer; a full buffer becomes the next block's ids and the
+rest of the record carries over into a fresh buffer, so records may
+straddle sequence and block boundaries. The final partial buffer is
+discarded and its size reported, never padded.
 
 Parallel segments are rendered as two labeled lines::
 
@@ -137,7 +138,10 @@ class PackReport:
     tokens_in: int = 0  # ids entering the buffer, separators included
     blocks: int = 0
     discarded_tokens: int = 0  # final partial buffer, set when input runs dry
-    pending_tokens: int = 0  # live carry buffer; left over if a stream is abandoned
+    # Ids read but in no block yet: the buffer's fill, or right after a block
+    # that ends mid-record, the record's tail not yet copied into the buffer.
+    # Left over if a stream is abandoned.
+    pending_tokens: int = 0
     en_first: int = 0  # direction draws landing English-first
     replacement_token_delta: int = 0  # replacement minus original SEA-side tokens
 
@@ -167,49 +171,33 @@ def direction_draw(seed: int, language_code: str, pair_index: int) -> Direction:
     return Direction.EN_FIRST if bit == 0 else Direction.SEA_FIRST
 
 
-class _Assembler:
-    """Carry-over buffer that slices exact blocks off a token stream."""
+def _pack(
+    records: Iterable[tuple[str, str, int]],
+    kind: BlockKind,
+    spec: TokenizerSpec,
+    seed_used: int,
+    report: PackReport,
+) -> Iterator[TokenBlock]:
+    """The one packing loop: ``(text, source_id, ordinal)`` records -> blocks.
 
-    def __init__(self, kind: BlockKind, spec: TokenizerSpec, seed_used: int, report: PackReport):
-        self.kind = kind
-        self.spec = spec
-        self.seed_used = seed_used
-        self.report = report
-        self.buffer: list[int] = []
-        # (source_id, ordinal, remaining token count) runs covering the buffer
-        self.segments: list[list] = []
-
-    def add(self, ids: list[int], source_id: str, ordinal: int) -> Iterator[TokenBlock]:
-        self.buffer.extend(ids)
-        self.segments.append([source_id, ordinal, len(ids)])
-        self.report.records += 1
-        self.report.tokens_in += len(ids)
-        while len(self.buffer) >= BLOCK_TOKENS:
-            yield self._emit()
-        self.report.pending_tokens = len(self.buffer)
-
-    def _emit(self) -> TokenBlock:
-        ids = np.array(self.buffer[:BLOCK_TOKENS], dtype=np.uint32)
-        del self.buffer[:BLOCK_TOKENS]
-        spans = self._take_spans(BLOCK_TOKENS)
-        self.report.blocks += 1
-        self.report.pending_tokens = len(self.buffer)
-        return TokenBlock(
-            ids=ids,
-            kind=self.kind,
-            tokenizer_id=self.spec.id,
-            checksum=block_checksum(ids),
-            provenance=spans,
-            seed_used=self.seed_used,
-        )
-
-    def _take_spans(self, count: int) -> tuple[ProvenanceSpan, ...]:
-        spans: list[ProvenanceSpan] = []
-        taken = 0
-        while taken < count:
-            source_id, ordinal, remaining = self.segments[0]
-            use = min(remaining, count - taken)
-            taken += use
+    Each record is encoded, terminated with the end-of-text id and copied
+    into a preallocated block buffer; a full buffer becomes a block's ids
+    and a fresh one is allocated. Consecutive records of one source whose
+    ordinals repeat or step by one share a provenance span.
+    """
+    buffer = np.empty(BLOCK_TOKENS, dtype=np.uint32)
+    fill = 0
+    spans: list[ProvenanceSpan] = []
+    for text, source_id, ordinal in records:
+        ids = np.append(encode(text, spec), spec.eot_id)
+        report.records += 1
+        report.tokens_in += len(ids)
+        placed = 0
+        while placed < len(ids):
+            take = min(len(ids) - placed, BLOCK_TOKENS - fill)
+            buffer[fill : fill + take] = ids[placed : placed + take]
+            fill += take
+            placed += take
             if spans and spans[-1].source_id == source_id and spans[-1].last_ordinal in (
                 ordinal,
                 ordinal - 1,
@@ -217,17 +205,30 @@ class _Assembler:
                 spans[-1] = ProvenanceSpan(source_id, spans[-1].first_ordinal, ordinal)
             else:
                 spans.append(ProvenanceSpan(source_id, ordinal, ordinal))
-            if use == remaining:
-                self.segments.pop(0)
-            else:
-                self.segments[0][2] = remaining - use
-        return tuple(spans)
+            if fill == BLOCK_TOKENS:
+                report.blocks += 1
+                report.pending_tokens = len(ids) - placed
+                yield TokenBlock(
+                    ids=buffer,
+                    kind=kind,
+                    tokenizer_id=spec.id,
+                    checksum=block_checksum(buffer),
+                    provenance=tuple(spans),
+                    seed_used=seed_used,
+                )
+                buffer = np.empty(BLOCK_TOKENS, dtype=np.uint32)
+                fill = 0
+                spans = []
+        report.pending_tokens = fill
+    report.discarded_tokens = fill
+    report.pending_tokens = 0
 
-    def finish(self) -> None:
-        self.report.discarded_tokens = len(self.buffer)
-        self.report.pending_tokens = 0
-        self.buffer.clear()
-        self.segments.clear()
+
+def _documents(docs: Iterable[Document], code: str | None) -> Iterator[tuple[str, str, int]]:
+    for doc in docs:
+        if code is not None and doc.language.code != code:
+            raise ValueError(f"document language {doc.language.code} in a {code} stream")
+        yield doc.text, doc.source_id, doc.ordinal
 
 
 def pack_monolingual(
@@ -237,18 +238,9 @@ def pack_monolingual(
     report: PackReport | None = None,
 ) -> Iterator[TokenBlock]:
     """Pack one language's documents, end-of-text separated, into blocks."""
-    tag = language(lang)
+    code = language(lang).code
     report = report if report is not None else PackReport()
-    asm = _Assembler(BlockKind.monolingual(tag.code), spec, 0, report)
-    for doc in docs:
-        if doc.language.code != tag.code:
-            raise ValueError(
-                f"document language {doc.language.code} in a {tag.code} stream"
-            )
-        ids = encode(doc.text, spec).ids
-        ids.append(spec.eot_id)
-        yield from asm.add(ids, doc.source_id, doc.ordinal)
-    asm.finish()
+    return _pack(_documents(docs, code), BlockKind.monolingual(code), spec, 0, report)
 
 
 def pack_replay(
@@ -258,12 +250,20 @@ def pack_replay(
 ) -> Iterator[TokenBlock]:
     """Pack replay documents; identical mechanics, kind = replay."""
     report = report if report is not None else PackReport()
-    asm = _Assembler(BlockKind.replay(), spec, 0, report)
-    for doc in docs:
-        ids = encode(doc.text, spec).ids
-        ids.append(spec.eot_id)
-        yield from asm.add(ids, doc.source_id, doc.ordinal)
-    asm.finish()
+    return _pack(_documents(docs, None), BlockKind.replay(), spec, 0, report)
+
+
+def _pair_records(
+    pairs: Iterable[SentencePair], code: str, seed: int, label_style: str, report: PackReport
+) -> Iterator[tuple[str, str, int]]:
+    """Render pairs in their drawn direction, counting English-first draws."""
+    for index, pair in enumerate(pairs):
+        if pair.sea_language.code != code:
+            raise ValueError(f"pair language {pair.sea_language.code} in a {code} stream")
+        direction = direction_draw(seed, code, index)
+        if direction is Direction.EN_FIRST:
+            report.en_first += 1
+        yield format_pair(pair, direction, label_style), pair.source_id, pair.ordinal
 
 
 def pack_parallel(
@@ -275,21 +275,10 @@ def pack_parallel(
     report: PackReport | None = None,
 ) -> Iterator[TokenBlock]:
     """Pack formatted sentence pairs with per-pair direction randomization."""
-    tag = language(sea_lang)
+    code = language(sea_lang).code
     report = report if report is not None else PackReport()
-    asm = _Assembler(BlockKind.parallel(tag.code), spec, seed, report)
-    for index, pair in enumerate(pairs):
-        if pair.sea_language.code != tag.code:
-            raise ValueError(
-                f"pair language {pair.sea_language.code} in a {tag.code} stream"
-            )
-        direction = direction_draw(seed, tag.code, index)
-        if direction is Direction.EN_FIRST:
-            report.en_first += 1
-        ids = encode(format_pair(pair, direction, label_style), spec).ids
-        ids.append(spec.eot_id)
-        yield from asm.add(ids, pair.source_id, pair.ordinal)
-    asm.finish()
+    records = _pair_records(pairs, code, seed, label_style, report)
+    return _pack(records, BlockKind.parallel(code), spec, seed, report)
 
 
 _SENTENCE_END = re.compile(r"(?<=[.!?。！？។။])\s*")
@@ -300,9 +289,27 @@ def split_sentences(text: str) -> list[str]:
     return [s.strip() for s in _SENTENCE_END.split(text) if s.strip()]
 
 
-def _sentence_supply(docs: Iterable[Document]) -> Iterator[str]:
-    for doc in docs:
-        yield from split_sentences(doc.text)
+def _substituted(
+    pairs: Iterable[SentencePair],
+    sea_docs: Iterable[Document],
+    code: str,
+    spec: TokenizerSpec,
+    report: PackReport,
+) -> Iterator[SentencePair]:
+    """Each pair with its SEA side swapped for the next unused sentence."""
+    supply = (sentence for doc in sea_docs for sentence in split_sentences(doc.text))
+    for index, pair in enumerate(pairs):
+        try:
+            substitute = next(supply)
+        except StopIteration:
+            raise ShortfallError(
+                f"replacement text for {code} exhausted after {index} pairs",
+                {"pairs_substituted": index},
+            ) from None
+        report.replacement_token_delta += count_tokens(substitute, spec) - count_tokens(
+            pair.sea_text, spec
+        )
+        yield replace(pair, sea_text=substitute)
 
 
 def pack_replacement(
@@ -321,26 +328,8 @@ def pack_replacement(
     Substitution is sentence-for-sentence with no length matching; the
     resulting SEA-side token delta is recorded in the report.
     """
-    tag = language(sea_lang)
+    code = language(sea_lang).code
     report = report if report is not None else PackReport()
-    asm = _Assembler(BlockKind.replacement(tag.code), spec, seed, report)
-    supply = _sentence_supply(sea_docs)
-    for index, pair in enumerate(pairs):
-        try:
-            substitute = next(supply)
-        except StopIteration:
-            raise ShortfallError(
-                f"replacement text for {tag.code} exhausted after {index} pairs",
-                {"pairs_substituted": index},
-            ) from None
-        report.replacement_token_delta += count_tokens(substitute, spec) - count_tokens(
-            pair.sea_text, spec
-        )
-        swapped = replace(pair, sea_text=substitute)
-        direction = direction_draw(seed, tag.code, index)
-        if direction is Direction.EN_FIRST:
-            report.en_first += 1
-        ids = encode(format_pair(swapped, direction, label_style), spec).ids
-        ids.append(spec.eot_id)
-        yield from asm.add(ids, pair.source_id, pair.ordinal)
-    asm.finish()
+    swapped = _substituted(pairs, sea_docs, code, spec, report)
+    records = _pair_records(swapped, code, seed, label_style, report)
+    return _pack(records, BlockKind.replacement(code), spec, seed, report)

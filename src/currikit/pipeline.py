@@ -14,13 +14,12 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .corpus import (
     CorpusSource,
     Document,
     SampleReport,
-    SentencePair,
     load_corpus_config,
     read_monolingual,
     read_parallel,
@@ -91,25 +90,19 @@ def infer_language_set(
     return sort_codes(langs)
 
 
-def _mono_documents(
+def _sampled_documents(
     group: list[CorpusSource], lang: str, blocks_needed: int, spec: TokenizerSpec
 ) -> Iterator[Document]:
-    readers = [
-        read_monolingual(s.path, lang, source_id=s.source_id) for s in group
-    ]
+    """Documents drawn token-uniformly across the group, one block beyond need."""
+    readers = [read_monolingual(s.path, lang, source_id=s.source_id) for s in group]
     budget = (blocks_needed + 1) * BLOCK_TOKENS
     return sample_uniform(readers, budget, spec, SampleReport())
 
 
-def _parallel_pairs(group: list[CorpusSource], lang: str) -> Iterator[SentencePair]:
+def _chained(reader: Callable, group: list[CorpusSource], lang: str) -> Iterator:
+    """The group's records read file after file, in configuration order."""
     return itertools.chain.from_iterable(
-        read_parallel(s.path, lang, source_id=s.source_id) for s in group
-    )
-
-
-def _substitution_documents(group: list[CorpusSource], lang: str) -> Iterator[Document]:
-    return itertools.chain.from_iterable(
-        read_monolingual(s.path, lang, source_id=s.source_id) for s in group
+        reader(s.path, lang, source_id=s.source_id) for s in group
     )
 
 
@@ -159,24 +152,20 @@ def compile_corpus(
         reports[key] = report
         kind_name, _, lang = key.partition(":")
         if kind_name == "replay":
-            docs = sample_uniform(
-                [read_monolingual(s.path, "en", source_id=s.source_id) for s in replay],
-                (count + 1) * BLOCK_TOKENS,
-                spec,
-                SampleReport(),
+            streams[key] = pack_replay(
+                _sampled_documents(replay, "en", count, spec), spec, report
             )
-            streams[key] = pack_replay(docs, spec, report)
         elif kind_name == "monolingual":
             if lang not in mono:
                 raise CompileError(f"no monolingual sources for language {lang}")
             streams[key] = pack_monolingual(
-                _mono_documents(mono[lang], lang, count, spec), lang, spec, report
+                _sampled_documents(mono[lang], lang, count, spec), lang, spec, report
             )
         elif kind_name == "parallel":
             if lang not in parallel:
                 raise CompileError(f"no parallel sources for language {lang}")
             streams[key] = pack_parallel(
-                _parallel_pairs(parallel[lang], lang), lang, spec, seed,
+                _chained(read_parallel, parallel[lang], lang), lang, spec, seed,
                 label_style, report,
             )
         else:  # replacement
@@ -187,8 +176,8 @@ def compile_corpus(
                     f"replacement needs monolingual {lang} text for substitution"
                 )
             streams[key] = pack_replacement(
-                _parallel_pairs(parallel[lang], lang),
-                _substitution_documents(mono[lang], lang),
+                _chained(read_parallel, parallel[lang], lang),
+                _chained(read_monolingual, mono[lang], lang),
                 lang, spec, seed, label_style, report,
             )
 

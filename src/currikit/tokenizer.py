@@ -8,6 +8,11 @@ are loadable, immutable specs. Two kinds are supported:
 * ``bpe_file`` -- a vocabulary file with a token-to-id table (plus merge
   rules kept as provenance); encoding is greedy longest-match against the
   table. See ``load_vocab`` for the line format.
+
+``encode`` returns a 1-D numpy id array (``uint8`` for ``byte_fallback``,
+``uint32`` for ``bpe_file``), so packers copy it into their block buffers
+without a per-id Python loop. Every id lies in ``[0, 2**32)``, the range of
+the ``uint32`` block format.
 """
 
 from __future__ import annotations
@@ -15,11 +20,14 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
+
+import numpy as np
 
 EOT_TEXT = "<|endoftext|>"
 
 BYTE_FALLBACK_VOCAB = 257  # 256 byte values + 1 end-of-text id
+ID_LIMIT = 2**32  # block files store ids as uint32
 
 
 class TokenizerError(ValueError):
@@ -35,7 +43,8 @@ class TokenizerSpec:
     """Immutable description of one tokenizer.
 
     For ``bpe_file`` specs, ``pieces`` holds the id -> token-string table;
-    it is runtime payload, not part of the spec identity.
+    it is runtime payload, not part of the spec identity. ``piece_ids`` and
+    ``max_piece_len`` are derived from it.
     """
 
     id: str
@@ -44,6 +53,7 @@ class TokenizerSpec:
     kind: str  # "byte_fallback" | "bpe_file"
     pieces: Mapping[int, str] | None = field(default=None, compare=False, repr=False)
     piece_ids: Mapping[str, int] | None = field(default=None, compare=False, repr=False)
+    max_piece_len: int = field(default=0, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("byte_fallback", "bpe_file"):
@@ -64,15 +74,7 @@ class TokenizerSpec:
                 object.__setattr__(
                     self, "piece_ids", {p: i for i, p in self.pieces.items()}
                 )
-
-
-@dataclass
-class TokenSequence:
-    ids: list[int]
-    tokenizer_id: str
-
-    def __len__(self) -> int:
-        return len(self.ids)
+            object.__setattr__(self, "max_piece_len", max(map(len, self.piece_ids)))
 
 
 BYTE_FALLBACK = TokenizerSpec(
@@ -80,18 +82,15 @@ BYTE_FALLBACK = TokenizerSpec(
 )
 
 
-def encode(text: str, spec: TokenizerSpec = BYTE_FALLBACK) -> TokenSequence:
-    """Encode UTF-8 text to token ids. Pure and deterministic per spec."""
+def encode(text: str, spec: TokenizerSpec = BYTE_FALLBACK) -> np.ndarray:
+    """Encode UTF-8 text to a 1-D id array. Pure and deterministic per spec."""
     if spec.kind == "byte_fallback":
-        ids = list(text.encode("utf-8"))
-    else:
-        ids = _greedy_encode(text, spec)
-    return TokenSequence(ids=ids, tokenizer_id=spec.id)
+        return np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    return np.array(_greedy_encode(text, spec), dtype=np.uint32)
 
 
-def decode(seq: TokenSequence | list[int], spec: TokenizerSpec = BYTE_FALLBACK) -> str:
+def decode(ids: Sequence[int] | np.ndarray, spec: TokenizerSpec = BYTE_FALLBACK) -> str:
     """Decode token ids back to text; the eot id renders as its marker text."""
-    ids = seq.ids if isinstance(seq, TokenSequence) else seq
     for i in ids:
         if not 0 <= i < spec.vocab_size:
             raise TokenizerError(
@@ -110,25 +109,29 @@ def decode(seq: TokenSequence | list[int], spec: TokenizerSpec = BYTE_FALLBACK) 
         parts.append(run.decode("utf-8"))
         return "".join(parts)
     assert spec.pieces is not None
-    return "".join(EOT_TEXT if i == spec.eot_id else spec.pieces[i] for i in ids)
+    try:
+        return "".join(EOT_TEXT if i == spec.eot_id else spec.pieces[i] for i in ids)
+    except KeyError as exc:
+        raise TokenizerError(
+            f"token id {exc.args[0]} has no entry in tokenizer {spec.id!r}"
+        ) from None
 
 
 def count_tokens(text: str, spec: TokenizerSpec = BYTE_FALLBACK) -> int:
     """Number of ids ``encode`` would produce (raw text, no separators)."""
     if spec.kind == "byte_fallback":
         return len(text.encode("utf-8"))
-    return len(encode(text, spec).ids)
+    return len(encode(text, spec))
 
 
 def _greedy_encode(text: str, spec: TokenizerSpec) -> list[int]:
     table = spec.piece_ids
     assert table is not None
-    max_len = max(len(p) for p in table)
     ids: list[int] = []
     pos = 0
     n = len(text)
     while pos < n:
-        for length in range(min(max_len, n - pos), 0, -1):
+        for length in range(min(spec.max_piece_len, n - pos), 0, -1):
             candidate = text[pos : pos + length]
             if candidate in table:
                 ids.append(table[candidate])
@@ -154,8 +157,9 @@ def load_vocab(path: str | os.PathLike[str]) -> TokenizerSpec:
         token <id> <json-string>         # one or more
 
     Token strings are JSON-escaped so whitespace and control characters are
-    representable. ``vocab_size`` is max id + 1; if the eot id has no table
-    entry the literal marker text is synthesized for it.
+    representable. Ids must lie in ``[0, 2**32)``. ``vocab_size`` is max
+    id + 1, so ids may be sparse; if the eot id has no table entry the
+    literal marker text is synthesized for it.
     """
     pieces: dict[int, str] = {}
     name: str | None = None
@@ -172,12 +176,12 @@ def load_vocab(path: str | os.PathLike[str]) -> TokenizerSpec:
         if tag == "name":
             name = rest.strip()
         elif tag == "eot":
-            eot_id = _parse_int(rest, path, "eot")
+            eot_id = _parse_id(rest, path, "eot")
         elif tag == "merge":
             _parse_merge(rest, path)  # validated, retained only as provenance
         elif tag == "token":
             tid_text, _, piece_json = rest.partition(" ")
-            tid = _parse_int(tid_text, path, "token id")
+            tid = _parse_id(tid_text, path, "token id")
             piece = _parse_json_string(piece_json, path)
             if tid in pieces:
                 raise TokenizerError(f"{path}: duplicate token id {tid}")
@@ -196,7 +200,6 @@ def load_vocab(path: str | os.PathLike[str]) -> TokenizerSpec:
         eot_id=eot_id,
         kind="bpe_file",
         pieces=pieces,
-        piece_ids={piece: i for i, piece in pieces.items()},
     )
 
 
@@ -209,11 +212,14 @@ def resolve_spec(ref: str) -> TokenizerSpec:
     raise UnknownTokenizerError(f"unknown tokenizer: {ref!r} (not a name or file)")
 
 
-def _parse_int(text: str, path: object, what: str) -> int:
+def _parse_id(text: str, path: object, what: str) -> int:
     try:
-        return int(text.strip())
+        value = int(text.strip())
     except ValueError:
         raise TokenizerError(f"{path}: bad {what}: {text!r}") from None
+    if not 0 <= value < ID_LIMIT:
+        raise TokenizerError(f"{path}: {what} {value} outside [0, 2**32)")
+    return value
 
 
 def _parse_json_string(text: str, path: object) -> str:

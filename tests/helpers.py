@@ -1,5 +1,8 @@
 """Small factories shared across test modules."""
 
+import hashlib
+from pathlib import Path
+
 from currikit.corpus import Document, SentencePair, language
 from currikit.tokenizer import EOT_TEXT
 
@@ -32,3 +35,13 @@ def parse_segment(segment):
     label_a, _, text_a = first.partition(": ")
     label_b, _, text_b = second.partition(": ")
     return (label_a, text_a), (label_b, text_b)
+
+
+def tree_digest(directory):
+    """sha256 over the names and bytes of every file under a directory."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(directory).rglob("*")):
+        if path.is_file():
+            digest.update(path.name.encode())
+            digest.update(path.read_bytes())
+    return digest.hexdigest()

@@ -8,9 +8,7 @@ determinism, direction balance, BLEU and bootstrap behavior, aggregation
 arithmetic, budget arithmetic, and ablation fidelity.
 """
 
-import hashlib
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -28,7 +26,7 @@ from currikit.shards import BLOCK_BYTES, audit_shards
 from currikit.synthetic import write_corpus
 from currikit.tokenizer import BYTE_FALLBACK
 from bleu_oracle import oracle_bleu
-from helpers import decode_segments, make_doc, make_pair, parse_segment
+from helpers import decode_segments, make_doc, make_pair, parse_segment, tree_digest
 
 
 def _pass(number, name):
@@ -117,15 +115,6 @@ def test_c04_ordering_monotonicity_100_seeds():
     _pass(4, "parallel-first/-last batch monotonicity over 100 seeds")
 
 
-def _tree_digest(directory):
-    digest = hashlib.sha256()
-    for path in sorted(Path(directory).rglob("*")):
-        if path.is_file():
-            digest.update(path.name.encode())
-            digest.update(path.read_bytes())
-    return digest.hexdigest()
-
-
 def test_c05_compilation_determinism(tmp_path):
     """Same inputs and seed: byte-identical trees. New seed: new batch order."""
     config = write_corpus(
@@ -138,7 +127,7 @@ def test_c05_compilation_determinism(tmp_path):
     )
     compile_corpus(out_dir=tmp_path / "a", **kwargs)
     compile_corpus(out_dir=tmp_path / "b", **kwargs)
-    assert _tree_digest(tmp_path / "a") == _tree_digest(tmp_path / "b")
+    assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
 
     schedule_kwargs = dict(
         strategy=Strategy.MIXED, token_budget=32 * BLOCK_TOKENS,

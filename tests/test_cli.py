@@ -176,3 +176,17 @@ def test_compile_writes_run_config(compiled):
     assert echo["strategy"] == "parallel-only"
     assert echo["seed"] == 7
     assert echo["batch_size_blocks"] == 4
+
+
+def test_compile_rejects_vocab_id_outside_uint32(corpus, tmp_path, capsys):
+    vocab = tmp_path / "negative.vocab"
+    vocab.write_text('bpe-vocab-v1\neot 1\ntoken -1 "a"\n', encoding="utf-8")
+    code = main([
+        "compile", "--config", str(corpus), "--strategy", "parallel-only",
+        "--budget-tokens", "1048576", "--batch-blocks", "4",
+        "--tokenizer", str(vocab), "--out", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "token id -1" in err
+    assert err.count("\n") == 1

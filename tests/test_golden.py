@@ -6,9 +6,7 @@ Each case compiles a fixed synthetic corpus at a fixed seed, batch 4 and
 output byte, including the manifest's accounting, changes a digest.
 """
 
-import hashlib
 import json
-from pathlib import Path
 
 import pytest
 
@@ -16,6 +14,7 @@ from currikit.packing import BLOCK_TOKENS
 from currikit.pipeline import compile_corpus
 from currikit.schedule import Strategy
 from currikit.synthetic import write_corpus
+from helpers import tree_digest
 
 SEED = 13
 VOCAB_NAME = "golden.vocab"
@@ -77,17 +76,8 @@ def corpus(tmp_path_factory):
     return root, config
 
 
-def _tree_digest(directory):
-    digest = hashlib.sha256()
-    for path in sorted(Path(directory).rglob("*")):
-        if path.is_file():
-            digest.update(path.relative_to(directory).as_posix().encode())
-            digest.update(path.read_bytes())
-    return digest.hexdigest()
-
-
 @pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_compiled_tree_digest(corpus, tmp_path, case):
+def test_compiledtree_digest(corpus, tmp_path, case):
     root, config = corpus
     strategy, _, tokenizer = case.partition("/")
     tokenizer_ref = str(root / VOCAB_NAME) if tokenizer else "byte_fallback"
@@ -98,4 +88,4 @@ def test_compiled_tree_digest(corpus, tmp_path, case):
     )
     assert result.manifest.n_blocks == 4
     assert result.manifest.strategy is Strategy(strategy)
-    assert _tree_digest(tmp_path / "out") == GOLDEN[case]
+    assert tree_digest(tmp_path / "out") == GOLDEN[case]

@@ -181,6 +181,70 @@ def test_block_checksum_and_provenance():
     assert blocks[1].provenance[0].first_ordinal == 3  # carry-over continues record 3
 
 
+def _stream_ids(texts):
+    out = []
+    for t in texts:
+        out.extend(t.encode("utf-8"))
+        out.append(SPEC.eot_id)
+    return out
+
+
+def _spans(block):
+    return [(s.source_id, s.first_ordinal, s.last_ordinal) for s in block.provenance]
+
+
+def test_record_longer_than_two_blocks():
+    texts = ["a" * 100, "b" * (2 * BLOCK_TOKENS + 500), "c" * BLOCK_TOKENS]
+    docs = [make_doc(t, ordinal=i, source="s") for i, t in enumerate(texts)]
+    report = PackReport()
+    blocks = list(pack_monolingual(docs, "id", SPEC, report=report))
+    assert len(blocks) == 3
+    got = np.concatenate([b.ids for b in blocks])
+    assert got.tolist() == _stream_ids(texts)[: 3 * BLOCK_TOKENS]
+    assert [_spans(b) for b in blocks] == [
+        [("s", 0, 1)], [("s", 1, 1)], [("s", 1, 2)],
+    ]
+    assert report.discarded_tokens == report.tokens_in - 3 * BLOCK_TOKENS == 603
+
+
+def test_end_of_text_alone_spills_into_next_block():
+    docs = [
+        make_doc("m" * BLOCK_TOKENS, ordinal=0, source="s"),
+        make_doc("n" * (BLOCK_TOKENS - 2), ordinal=1, source="s"),
+    ]
+    report = PackReport()
+    blocks = list(pack_monolingual(docs, "id", SPEC, report=report))
+    assert len(blocks) == 2
+    assert (blocks[0].ids == ord("m")).all()
+    assert blocks[1].ids[0] == blocks[1].ids[-1] == SPEC.eot_id
+    assert (blocks[1].ids[1:-1] == ord("n")).all()
+    assert [_spans(b) for b in blocks] == [[("s", 0, 0)], [("s", 0, 1)]]
+    assert report.discarded_tokens == 0
+
+
+def test_ordinal_gap_and_source_switch_split_spans():
+    docs = [
+        make_doc("x" * 10, ordinal=0, source="a"),
+        make_doc("x" * 10, ordinal=1, source="a"),
+        make_doc("x" * 10, ordinal=3, source="a"),  # gap
+        make_doc("x" * 10, ordinal=4, source="b"),  # source switch
+        make_doc("x" * (BLOCK_TOKENS - 45), ordinal=5, source="b"),
+    ]
+    blocks = list(pack_monolingual(docs, "id", SPEC))
+    assert len(blocks) == 1
+    assert _spans(blocks[0]) == [("a", 0, 1), ("a", 3, 3), ("b", 4, 5)]
+
+
+def test_unused_tokens_of_stream_abandoned_mid_record():
+    docs = [make_doc("z" * (BLOCK_TOKENS + 1000), ordinal=0), make_doc("tail", ordinal=1)]
+    report = PackReport()
+    stream = pack_monolingual(docs, "id", SPEC, report=report)
+    next(stream)
+    assert report.blocks == 1
+    assert report.unused_tokens == 1001  # the record's tail and its end-of-text id
+    assert report.tokens_in == report.blocks * BLOCK_TOKENS + report.unused_tokens
+
+
 def test_pack_determinism():
     mk = lambda: [make_pair(f"en {i} words here.", f"sea {i} kata.", ordinal=i) for i in range(9000)]
     sums_a = [b.checksum for b in pack_parallel(mk(), "id", SPEC, seed=3)]

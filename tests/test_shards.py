@@ -1,7 +1,5 @@
-import hashlib
 import itertools
 import json
-from pathlib import Path
 
 import pytest
 
@@ -20,7 +18,7 @@ from currikit.shards import (
 )
 from currikit.synthetic import write_corpus
 from currikit.tokenizer import BYTE_FALLBACK
-from helpers import make_doc, make_pair
+from helpers import make_doc, make_pair, tree_digest
 
 
 def _make_stream(name, lang, count, seed):
@@ -80,20 +78,11 @@ def test_iter_block_ids_roundtrip(small_corpus):
     assert all(len(a) == BLOCK_TOKENS for a in arrays)
 
 
-def _tree_digest(directory):
-    digest = hashlib.sha256()
-    for path in sorted(Path(directory).rglob("*")):
-        if path.is_file():
-            digest.update(path.name.encode())
-            digest.update(path.read_bytes())
-    return digest.hexdigest()
-
-
 def test_rewrite_is_byte_identical(tmp_path):
     manifest = build_schedule(Strategy.MULTILINGUAL, 4 * BLOCK_TOKENS, ["id"], 4, seed=2)
     write_shards(_block_streams(manifest), manifest, tmp_path / "a")
     write_shards(_block_streams(manifest), manifest, tmp_path / "b")
-    assert _tree_digest(tmp_path / "a") == _tree_digest(tmp_path / "b")
+    assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
 
 
 def test_kind_mismatch_names_position_and_leaves_no_manifest(tmp_path):

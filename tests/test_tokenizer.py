@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,11 +18,13 @@ from currikit.tokenizer import (
 
 
 def test_encode_empty():
-    assert encode("", BYTE_FALLBACK).ids == []
+    assert encode("", BYTE_FALLBACK).tolist() == []
 
 
 def test_encode_ascii_is_byte_identity():
-    assert encode("ab", BYTE_FALLBACK).ids == [97, 98]
+    ids = encode("ab", BYTE_FALLBACK)
+    assert ids.dtype == np.uint8
+    assert ids.tolist() == [97, 98]
 
 
 def test_decode_byte_identity():
@@ -55,7 +58,7 @@ def test_byte_fallback_round_trip(text):
 
 @given(st.text(), st.text())
 def test_byte_fallback_additivity(a, b):
-    assert encode(a).ids + encode(b).ids == encode(a + b).ids
+    assert encode(a).tolist() + encode(b).tolist() == encode(a + b).tolist()
 
 
 @given(st.lists(st.text(), max_size=20))
@@ -65,7 +68,7 @@ def test_count_additivity_over_concatenation(texts):
 
 @given(st.text())
 def test_encode_is_deterministic(text):
-    assert encode(text).ids == encode(text).ids
+    assert encode(text).tolist() == encode(text).tolist()
 
 
 def test_spec_invariants():
@@ -114,9 +117,10 @@ def test_load_vocab_fields(toy_vocab):
 
 
 def test_greedy_longest_match(toy_vocab):
-    assert encode("the", toy_vocab).ids == [3]
-    assert encode("th e", toy_vocab).ids == [2, 5, 4]
-    assert encode("teeth", toy_vocab).ids == [6, 4, 4, 2]
+    assert encode("the", toy_vocab).dtype == np.uint32
+    assert encode("the", toy_vocab).tolist() == [3]
+    assert encode("th e", toy_vocab).tolist() == [2, 5, 4]
+    assert encode("teeth", toy_vocab).tolist() == [6, 4, 4, 2]
 
 
 def test_bpe_round_trip_on_covered_text(toy_vocab):
@@ -159,12 +163,33 @@ def test_vocab_file_errors(tmp_path):
         "dup-id": 'bpe-vocab-v1\neot 2\ntoken 0 "a"\ntoken 0 "b"\n',
         "bad-tag": 'bpe-vocab-v1\neot 1\ntoken 0 "a"\nwhat 1 2\n',
         "empty-table": "bpe-vocab-v1\neot 1\n",
+        "negative-id": 'bpe-vocab-v1\neot 1\ntoken -1 "a"\n',
+        "id-past-uint32": 'bpe-vocab-v1\neot 1\ntoken 4294967296 "a"\n',
+        "eot-past-uint32": 'bpe-vocab-v1\neot 4294967296\ntoken 0 "a"\n',
     }
     for name, text in cases.items():
         path = tmp_path / f"{name}.vocab"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(TokenizerError):
             load_vocab(path)
+
+
+def test_load_vocab_accepts_largest_uint32_id(tmp_path):
+    path = tmp_path / "wide.vocab"
+    path.write_text('bpe-vocab-v1\neot 0\ntoken 4294967295 "a"\n', encoding="utf-8")
+    spec = load_vocab(path)
+    assert spec.vocab_size == 2**32
+    assert encode("aa", spec).tolist() == [4294967295, 4294967295]
+
+
+def test_decode_rejects_id_missing_from_sparse_table(tmp_path):
+    path = tmp_path / "sparse.vocab"
+    path.write_text('bpe-vocab-v1\neot 0\ntoken 1 "a"\ntoken 4 "b"\n', encoding="utf-8")
+    spec = load_vocab(path)
+    assert spec.vocab_size == 5
+    assert decode([1, 4, 0], spec) == f"ab{EOT_TEXT}"
+    with pytest.raises(TokenizerError, match="no entry"):
+        decode([1, 2], spec)
 
 
 def test_resolve_spec(tmp_path):
