@@ -37,10 +37,14 @@ def parse_segment(segment):
     return (label_a, text_a), (label_b, text_b)
 
 
-def tree_digest(directory):
-    """sha256 over the names and bytes of every file under a directory."""
+def tree_digest(directory, pattern="*"):
+    """sha256 over the names and bytes of the files under a directory.
+
+    Files are taken in name order; ``pattern`` limits them to one glob, so
+    ``"block_*.bin"`` covers the block files in position order.
+    """
     digest = hashlib.sha256()
-    for path in sorted(Path(directory).rglob("*")):
+    for path in sorted(Path(directory).rglob(pattern)):
         if path.is_file():
             digest.update(path.name.encode())
             digest.update(path.read_bytes())

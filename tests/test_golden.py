@@ -4,6 +4,10 @@ Each case compiles a fixed synthetic corpus at a fixed seed, batch 4 and
 4 blocks, then hashes every file of the tree (block files, block records,
 ``run_config.json`` and ``manifest.json``). A change that alters any
 output byte, including the manifest's accounting, changes a digest.
+
+``GOLDEN_BLOCKS`` hashes only the ``block_*.bin`` files in position order:
+the token ids themselves. A change to the record or manifest format re-pins
+``GOLDEN`` but must leave these digests as they are.
 """
 
 import json
@@ -58,6 +62,38 @@ GOLDEN = {
 }
 
 
+GOLDEN_BLOCKS = {
+    "multilingual": (
+        "01ccf906dab2cc2a7b0c58c5e445c780"
+        "eaa8a5413d92e6adcb8bc7a95b81bb50"
+    ),
+    "mixed": (
+        "6c50d3b127599574d8efabe8b819ef4d"
+        "71090f449d4a220bd3b3b6e4b126a26d"
+    ),
+    "parallel-first": (
+        "69f4fd58ce1924b1fd651b3c6ce15546"
+        "73659efc5a94635517bf2d38ae0dcdd1"
+    ),
+    "parallel-last": (
+        "0aa11fb3a4405380e3eb748fb404f4ca"
+        "60e77c07de601a62b019f00f5cd2a3e6"
+    ),
+    "parallel-only": (
+        "ca31c1d305f869ae79c2364a8a215801"
+        "3cddec67256c53c2767cf266f7e3026c"
+    ),
+    "multilingual-replacement": (
+        "ba48281577a76e6078d880569ce6bf32"
+        "4facc9990c36a32b7e4958b04c5ac849"
+    ),
+    "multilingual-replacement/bpe": (
+        "12cb12755a4ee2ce3e46d8b40d622e30"
+        "9cb0c6514fb07b571b2bb4e27e43e419"
+    ),
+}
+
+
 def _write_vocab(path):
     pieces = [chr(c) for c in range(32, 127)] + ["\n"] + list(_VOCAB_WORDS)
     lines = ["bpe-vocab-v1", "name golden-bpe", "eot 0"]
@@ -88,4 +124,5 @@ def test_compiledtree_digest(corpus, tmp_path, case):
     )
     assert result.manifest.n_blocks == 4
     assert result.manifest.strategy is Strategy(strategy)
+    assert tree_digest(tmp_path / "out", "block_*.bin") == GOLDEN_BLOCKS[case]
     assert tree_digest(tmp_path / "out") == GOLDEN[case]
