@@ -27,7 +27,10 @@ from .packing import BLOCK_TOKENS, SEQUENCES_PER_BLOCK, BlockKind
 REPLAY_DIVISOR = 4  # one block in four is replay, in every batch
 MAX_PERMUTATION_ATTEMPTS = 1_000
 
-MANIFEST_FORMAT = "curriculum-manifest-v1"
+# v2 records each block checksum as "blake2b-64:<hex>"; v1 trees, whose
+# records hold bare FNV-1a hex, can still be read and audited.
+MANIFEST_FORMAT = "curriculum-manifest-v2"
+MANIFEST_FORMAT_V1 = "curriculum-manifest-v1"
 MANIFEST_NAME = "manifest.json"
 
 
@@ -97,6 +100,8 @@ class CurriculumManifest:
     tokenizer_id: str
     leftover_tokens: int = 0
     metadata: dict = field(default_factory=dict)
+    # The format this manifest was read as; to_json always writes MANIFEST_FORMAT.
+    format: str = MANIFEST_FORMAT
 
     @property
     def n_blocks(self) -> int:
@@ -154,7 +159,7 @@ class CurriculumManifest:
     @classmethod
     def from_json(cls, text: str) -> "CurriculumManifest":
         doc = json.loads(text)
-        if doc.get("format") != MANIFEST_FORMAT:
+        if doc.get("format") not in (MANIFEST_FORMAT, MANIFEST_FORMAT_V1):
             raise ValueError(f"not a curriculum manifest: format={doc.get('format')!r}")
         entries = [
             ScheduleEntry(
@@ -174,6 +179,7 @@ class CurriculumManifest:
             leftover_tokens=doc.get("leftover_tokens", 0),
             tokenizer_id=doc["tokenizer_id"],
             metadata=doc.get("metadata", {}),
+            format=doc["format"],
         )
 
 

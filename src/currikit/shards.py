@@ -4,6 +4,12 @@ One file per block (little-endian uint32 ids, exactly 1,048,576 bytes),
 one sidecar record per block with its checksum and provenance, and the
 manifest written last as the commit marker: a directory containing a
 manifest is guaranteed to contain every block it names.
+
+The manifest's format fixes the checksum algorithm of every record. A v2
+record holds ``"blake2b-64:<hex>"``, the 64-bit BLAKE2b of the block file
+(``b2sum -l 64`` prints the same hex); a v1 record holds the bare hex of
+the file's 64-bit FNV-1a. Compiles write v2 only; ``audit`` verifies both,
+and a record whose algorithm disagrees with its manifest fails.
 """
 
 from __future__ import annotations
@@ -17,8 +23,9 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .corpus import LANGUAGES, SEA_CODES
-from .packing import BLOCK_TOKENS, TokenBlock, fnv1a64
+from .packing import BLOCK_TOKENS, TokenBlock, block_checksum, fnv1a64
 from .schedule import (
+    MANIFEST_FORMAT_V1,
     MANIFEST_NAME,
     CurriculumManifest,
     Violation,
@@ -55,13 +62,24 @@ class ShardLayout:
         return self.directory / f"block_{position:08d}.meta.json"
 
 
+def _checksum_field(checksum: int) -> str:
+    return f"blake2b-64:{checksum:016x}"
+
+
+def _expected_checksum(manifest_format: str, data: bytes) -> str:
+    """The checksum field a clean compile records for a block file's bytes."""
+    if manifest_format == MANIFEST_FORMAT_V1:
+        return f"{fnv1a64(data):016x}"
+    return _checksum_field(block_checksum(np.frombuffer(data, dtype="<u4")))
+
+
 def _block_record(position: int, block: TokenBlock) -> str:
     doc = {
         "position": position,
         "kind": block.kind.name,
         "language": block.kind.language,
         "tokenizer_id": block.tokenizer_id,
-        "checksum": f"{block.checksum:016x}",
+        "checksum": _checksum_field(block.checksum),
         "seed_used": block.seed_used,
         "provenance": [
             {"source": s.source_id, "first": s.first_ordinal, "last": s.last_ordinal}
@@ -100,7 +118,7 @@ def write_shards(
                 f"{block.kind.key()}, manifest wants {entry.kind.key()}",
                 position,
             )
-        layout.block_path(position).write_bytes(block.ids.astype("<u4").tobytes())
+        layout.block_path(position).write_bytes(block.ids.astype("<u4", copy=False))
         layout.record_path(position).write_text(
             _block_record(position, block), encoding="utf-8"
         )
@@ -199,13 +217,24 @@ def audit_shards(directory: str | os.PathLike[str]) -> AuditReport:
         if not rec_path.exists():
             report.checksum_failures.append(BlockFailure(rec_path.name, "missing record"))
             continue
-        record = json.loads(rec_path.read_text(encoding="utf-8"))
-        actual = fnv1a64(bin_path.read_bytes())
-        if f"{actual:016x}" != record.get("checksum"):
+        try:
+            record = json.loads(rec_path.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+            report.checksum_failures.append(
+                BlockFailure(rec_path.name, f"unreadable record: {exc}")
+            )
+            continue
+        if not isinstance(record, dict):
+            report.checksum_failures.append(
+                BlockFailure(rec_path.name, "record is not a JSON object")
+            )
+            continue
+        actual = _expected_checksum(manifest.format, bin_path.read_bytes())
+        if actual != record.get("checksum"):
             report.checksum_failures.append(
                 BlockFailure(
                     bin_path.name,
-                    f"checksum {actual:016x} != recorded {record.get('checksum')}",
+                    f"checksum {actual} != recorded {record.get('checksum')}",
                 )
             )
         if record.get("kind") != entry.kind.name or record.get("language") != entry.kind.language:

@@ -52,6 +52,22 @@ def test_audit_fails_on_corruption(compiled, tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("content", ["[]", "{not json"])
+def test_audit_reports_corrupt_block_record(compiled, tmp_path, capsys, content):
+    import shutil
+
+    broken = tmp_path / "broken"
+    shutil.copytree(compiled, broken)
+    (broken / "block_00000001.meta.json").write_text(content, encoding="utf-8")
+    assert main(["audit", "--dir", str(broken)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "blocks checked: 12" in captured.out
+    assert "checksum/size failures: 1" in captured.out
+    assert "  block_00000001.meta.json: " in captured.out
+    assert "audit: FAIL" in captured.out
+
+
 def test_stats_compiled_dir(compiled, capsys):
     assert main(["stats", "--dir", str(compiled)]) == 0
     out = capsys.readouterr().out

@@ -32,32 +32,32 @@ _VOCAB_WORDS = (
 
 GOLDEN = {
     "multilingual": (
-        "fc97cfdb588eefc86624988789ab8cd6"
-        "417729924eb05e300eeeac55579ad405"
+        "15035f96fe7f962e30770fee7c5a4654"
+        "fc6d2af23b4083d0d1eea7b97200a437"
     ),
     "mixed": (
-        "081713640b372307d05368a27330e1e2"
-        "8641e0d70223e83f35a33402e10f1bb9"
+        "49f019295debab4407bb197458b499a7"
+        "2a67d849215c740e781f7129c5b6b8fa"
     ),
     "parallel-first": (
-        "9318ab924d16f77d98e65aea490070b8"
-        "bd40e4b1832e7118fc8be5dd1b5747e3"
+        "4c519d3baeb67fe109ab5e8c49f8ff97"
+        "af8e8b7d4571a78dd0244eb3625944c4"
     ),
     "parallel-last": (
-        "4cd061e001d44e3eabae7b1745906f62"
-        "c3178a071158bb6a21f514577653c385"
+        "f9c5932d6baef242595be728cc1735ad"
+        "eba513d25f77a506610df4b07e536afd"
     ),
     "parallel-only": (
-        "73f7419321e055fab9fced8e7359bb7c"
-        "e3441a9bc2b8871de11a449de53e251d"
+        "2fdb7a3a9991b68de44ee7f2d4944080"
+        "1f8039c2f0601b56ab36ae2d008acd31"
     ),
     "multilingual-replacement": (
-        "d14f670fc66f7e11d24f2f2fecd262f6"
-        "9ac59e733c98e15a1ed73f61fcea9c09"
+        "5a428a3dd9ff6e7fd8befcf951d8912c"
+        "873db2c43eb86d720704fe3297c2c72a"
     ),
     "multilingual-replacement/bpe": (
-        "31a08c0fc6d9ff8f821f7cd8793fe385"
-        "460a8183f78ff1a698c9178f05626c44"
+        "cb4910777ed9bd97a59facd27d29862d"
+        "73202549c8a4955bd84369e58078f064"
     ),
 }
 

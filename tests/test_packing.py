@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -11,6 +12,7 @@ from currikit.packing import (
     BlockKind,
     Direction,
     PackReport,
+    block_checksum,
     direction_draw,
     fnv1a64,
     format_pair,
@@ -45,6 +47,13 @@ def test_fnv1a64_reference_values():
     assert fnv1a64(b"") == 0xCBF29CE484222325
     assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
     assert fnv1a64(b"foobar") == 0x85944171F73967E8
+
+
+def test_block_checksum_reference_values():
+    # 64-bit BLAKE2b (RFC 7693); each value matches `b2sum -l 64` of the bytes
+    assert hashlib.blake2b(b"abc", digest_size=8).hexdigest() == "d8bb14d833d59559"
+    assert block_checksum(np.zeros(BLOCK_TOKENS, dtype=np.uint32)) == 0xCCD4145DD510BCA9
+    assert block_checksum(np.arange(BLOCK_TOKENS, dtype=np.uint32)) == 0x5DB2F02C66496908
 
 
 def test_format_pair_both_directions():

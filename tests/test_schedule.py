@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -149,6 +150,23 @@ def test_manifest_json_round_trip():
     assert again.to_json() == m.to_json()
     assert again.entries == m.entries
     assert again.strategy is Strategy.PARALLEL_LAST
+
+
+def test_from_json_reads_v1_and_v2_and_writes_v2():
+    m = build_schedule(Strategy.MIXED, blocks_budget(8), ["id"], 4, seed=5)
+    text = m.to_json()
+    assert json.loads(text)["format"] == "curriculum-manifest-v2"
+    assert CurriculumManifest.from_json(text).format == "curriculum-manifest-v2"
+    v1 = CurriculumManifest.from_json(
+        text.replace('"curriculum-manifest-v2"', '"curriculum-manifest-v1"')
+    )
+    assert v1.format == "curriculum-manifest-v1"
+    assert v1.entries == m.entries
+    assert v1.to_json() == text
+    with pytest.raises(ValueError):
+        CurriculumManifest.from_json(
+            text.replace('"curriculum-manifest-v2"', '"curriculum-manifest-v3"')
+        )
 
 
 def test_validate_self_consistency_all_strategies():

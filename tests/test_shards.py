@@ -1,9 +1,16 @@
+import hashlib
 import itertools
 import json
 
 import pytest
 
-from currikit.packing import BLOCK_TOKENS, pack_monolingual, pack_parallel, pack_replay
+from currikit.packing import (
+    BLOCK_TOKENS,
+    fnv1a64,
+    pack_monolingual,
+    pack_parallel,
+    pack_replay,
+)
 from currikit.pipeline import compile_corpus
 from currikit.schedule import Strategy, build_schedule
 from currikit.shards import (
@@ -134,6 +141,73 @@ def test_audit_flags_flipped_byte(tmp_path):
         f.block_file == victim.name and "checksum" in f.reason
         for f in report.checksum_failures
     )
+
+
+def test_block_record_checksum_is_b2sum_of_block_file(small_corpus):
+    for position in range(8):
+        record = json.loads(small_corpus.record_path(position).read_text())
+        data = small_corpus.block_path(position).read_bytes()
+        expected = hashlib.blake2b(data, digest_size=8).hexdigest()
+        assert record["checksum"] == f"blake2b-64:{expected}"
+
+
+def _set_record_checksum(layout, position, checksum):
+    path = layout.record_path(position)
+    record = json.loads(path.read_text())
+    record["checksum"] = checksum
+    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+
+
+def _write_v1_tree(directory, seed):
+    """Compile 4 blocks, then rewrite the tree into its v1 form."""
+    manifest = build_schedule(Strategy.MULTILINGUAL, 4 * BLOCK_TOKENS, ["id"], 4, seed=seed)
+    layout = write_shards(_block_streams(manifest), manifest, directory)
+    for e in manifest.entries:
+        data = layout.block_path(e.position).read_bytes()
+        _set_record_checksum(layout, e.position, f"{fnv1a64(data):016x}")
+    doc = json.loads(layout.manifest_path.read_text())
+    doc["format"] = "curriculum-manifest-v1"
+    layout.manifest_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return layout
+
+
+def test_audit_passes_v1_tree(tmp_path):
+    layout = _write_v1_tree(tmp_path / "v1", seed=10)
+    assert read_manifest(layout.directory).format == "curriculum-manifest-v1"
+    report = audit_shards(layout.directory)
+    assert report.passed
+    assert report.blocks_checked == 4
+
+
+def test_audit_flags_flipped_byte_in_v1_tree(tmp_path):
+    layout = _write_v1_tree(tmp_path / "v1", seed=11)
+    victim = layout.block_path(3)
+    data = bytearray(victim.read_bytes())
+    data[5] ^= 0x01
+    victim.write_bytes(bytes(data))
+    report = audit_shards(layout.directory)
+    assert not report.passed
+    assert [f.block_file for f in report.checksum_failures] == [victim.name]
+
+
+def test_audit_flags_v1_record_under_v2_manifest(tmp_path):
+    manifest = build_schedule(Strategy.MULTILINGUAL, 4 * BLOCK_TOKENS, ["id"], 4, seed=12)
+    layout = write_shards(_block_streams(manifest), manifest, tmp_path / "mixed")
+    victim = layout.block_path(1)
+    _set_record_checksum(layout, 1, f"{fnv1a64(victim.read_bytes()):016x}")
+    report = audit_shards(layout.directory)
+    assert not report.passed
+    assert [f.block_file for f in report.checksum_failures] == [victim.name]
+
+
+def test_audit_flags_v2_record_under_v1_manifest(tmp_path):
+    layout = _write_v1_tree(tmp_path / "mixed", seed=13)
+    victim = layout.block_path(2)
+    blake = hashlib.blake2b(victim.read_bytes(), digest_size=8).hexdigest()
+    _set_record_checksum(layout, 2, f"blake2b-64:{blake}")
+    report = audit_shards(layout.directory)
+    assert not report.passed
+    assert [f.block_file for f in report.checksum_failures] == [victim.name]
 
 
 def test_audit_missing_manifest_raises(tmp_path):
