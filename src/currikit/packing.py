@@ -96,10 +96,7 @@ _MASK64 = (1 << 64) - 1
 
 
 def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a, the block checksum of v1 trees; used only to audit them.
-
-    A pure-Python loop over every byte: about 200 ms per block.
-    """
+    """64-bit FNV-1a, the block checksum of v1 trees; used only to audit them."""
     h = FNV_OFFSET
     for b in data:
         h = ((h ^ b) * FNV_PRIME) & _MASK64

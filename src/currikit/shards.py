@@ -219,7 +219,7 @@ def audit_shards(directory: str | os.PathLike[str]) -> AuditReport:
             continue
         try:
             record = json.loads(rec_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+        except ValueError as exc:  # not JSON, or not UTF-8
             report.checksum_failures.append(
                 BlockFailure(rec_path.name, f"unreadable record: {exc}")
             )

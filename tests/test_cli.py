@@ -52,13 +52,13 @@ def test_audit_fails_on_corruption(compiled, tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("content", ["[]", "{not json"])
+@pytest.mark.parametrize("content", [b"[]", b"{not json", b"\xff\xfe"])
 def test_audit_reports_corrupt_block_record(compiled, tmp_path, capsys, content):
     import shutil
 
     broken = tmp_path / "broken"
     shutil.copytree(compiled, broken)
-    (broken / "block_00000001.meta.json").write_text(content, encoding="utf-8")
+    (broken / "block_00000001.meta.json").write_bytes(content)
     assert main(["audit", "--dir", str(broken)]) == 1
     captured = capsys.readouterr()
     assert captured.err == ""

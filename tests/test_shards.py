@@ -159,7 +159,7 @@ def _set_record_checksum(layout, position, checksum):
 
 
 def _write_v1_tree(directory, seed):
-    """Compile 4 blocks, then rewrite the tree into its v1 form."""
+    """Write 4 blocks, then rewrite the tree into its v1 form."""
     manifest = build_schedule(Strategy.MULTILINGUAL, 4 * BLOCK_TOKENS, ["id"], 4, seed=seed)
     layout = write_shards(_block_streams(manifest), manifest, directory)
     for e in manifest.entries:
