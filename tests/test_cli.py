@@ -206,3 +206,41 @@ def test_compile_rejects_vocab_id_outside_uint32(corpus, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "token id -1" in err
     assert err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def partial_corpus(tmp_path_factory):
+    """``id`` has every source kind; ``th`` has parallel text only."""
+    root = tmp_path_factory.mktemp("partial")
+    config = write_corpus(
+        root, languages=("id", "th"), n_pairs=40, n_docs=4, sentences_per_doc=4, seed=3
+    )
+    sources = json.loads(config.read_text())["sources"]
+    return [{**s, "path": str(root / s["path"])} for s in sources if s["path"] != "mono_th.txt"]
+
+
+@pytest.mark.parametrize(
+    "strategy, languages, dropped, wanted",
+    [
+        ("mixed", [], "monolingual", "no language has the source kinds required by mixed"),
+        ("mixed", ["--languages", "id,th"], None, "monolingual"),
+        ("multilingual-replacement", ["--languages", "id,th"], None, "monolingual"),
+    ],
+)
+def test_compile_reports_missing_source_kind(
+    partial_corpus, tmp_path, capsys, strategy, languages, dropped, wanted
+):
+    config = tmp_path / "corpus.json"
+    sources = [s for s in partial_corpus if s["kind"] != dropped]
+    config.write_text(json.dumps({"sources": sources}), encoding="utf-8")
+    code = main([
+        "compile", "--config", str(config), "--strategy", strategy,
+        "--budget-tokens", "1048576", "--batch-blocks", "4", "--out", str(tmp_path / "out"),
+        *languages,
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert wanted in err
+    if languages:
+        assert " th" in err

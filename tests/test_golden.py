@@ -8,15 +8,23 @@ output byte, including the manifest's accounting, changes a digest.
 ``GOLDEN_BLOCKS`` hashes only the ``block_*.bin`` files in position order:
 the token ids themselves. A change to the record or manifest format re-pins
 ``GOLDEN`` but must leave these digests as they are.
+
+``GOLDEN_SCHEDULES`` hashes the kind sequence of many built schedules per
+strategy, without compiling: every batch size, several seeds and language
+sets of 1, 2 and 10 codes, at 37 batches each, so the phase transition,
+per-kind language cycling and the mixed run carried across batches all
+show up in the digest.
 """
 
+import hashlib
 import json
 
 import pytest
 
+from currikit.corpus import SEA_CODES
 from currikit.packing import BLOCK_TOKENS
 from currikit.pipeline import compile_corpus
-from currikit.schedule import Strategy
+from currikit.schedule import Strategy, build_schedule
 from currikit.synthetic import write_corpus
 from helpers import tree_digest
 
@@ -126,3 +134,55 @@ def test_compiledtree_digest(corpus, tmp_path, case):
     assert result.manifest.strategy is Strategy(strategy)
     assert tree_digest(tmp_path / "out", "block_*.bin") == GOLDEN_BLOCKS[case]
     assert tree_digest(tmp_path / "out") == GOLDEN[case]
+
+
+GOLDEN_SCHEDULES = {
+    "multilingual": (
+        "c58352136eef44fde937ec25ae617d7a"
+        "f4db9b1d1cb595ce6d390207ff5ea244"
+    ),
+    "mixed": (
+        "30938009658c82486d94c7b266944fb5"
+        "3ddadcce0c7a29bb286d14b140d8915b"
+    ),
+    "parallel-first": (
+        "024184648b8826c8652ea3511102e4d5"
+        "e0d5e9e706515ef8e3b33f210b1f4e24"
+    ),
+    "parallel-last": (
+        "c89ff572bdc6fc676a22b783f2da6369"
+        "179d202ed21effbafdbacbe07554b71b"
+    ),
+    "parallel-only": (
+        "bfaaec4181c6864bd551111c53b9c03c"
+        "860fa709b10c8cc654e76512ceeef26a"
+    ),
+    "multilingual-replacement": (
+        "4158bc64e03bbe85aaf7728ae27694ba"
+        "84a848059b7c4975145fabee59cfc200"
+    ),
+}
+
+SCHEDULE_BATCHES = 37
+SCHEDULE_SEEDS = (0, 1, 7)
+SCHEDULE_LANGUAGE_SETS = (("id",), ("id", "th"), SEA_CODES)
+
+
+def schedule_digest(strategy):
+    """sha256 over the kind key of every entry of every schedule in the grid."""
+    digest = hashlib.sha256()
+    for batch in (4, 8, 16):
+        for seed in SCHEDULE_SEEDS:
+            for langs in SCHEDULE_LANGUAGE_SETS:
+                m = build_schedule(
+                    strategy, SCHEDULE_BATCHES * batch * BLOCK_TOKENS, langs, batch, seed
+                )
+                assert m.n_blocks == SCHEDULE_BATCHES * batch
+                digest.update(f"batch {batch} seed {seed} {','.join(langs)}\n".encode())
+                digest.update("".join(f"{e.kind.key()}\n" for e in m.entries).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("strategy", sorted(GOLDEN_SCHEDULES))
+def test_schedule_digest(strategy):
+    assert schedule_digest(strategy) == GOLDEN_SCHEDULES[strategy]

@@ -199,11 +199,12 @@ def test_validate_flags_interleave_violation():
     for e in entries[lo + 1 : hi]:
         if e.kind.name == "monolingual":
             bad = _mutate(bad, e.position, BlockKind.parallel("id"))
-    violations = validate_schedule(bad)
-    rules = {v.rule for v in violations}
-    assert "interleave" in rules
-    interleave = next(v for v in violations if v.rule == "interleave")
-    assert hi in interleave.positions or lo + 1 in interleave.positions
+    interleave = [v for v in validate_schedule(bad) if v.rule == "interleave"]
+    assert len(interleave) == 1
+    assert interleave[0].positions == (lo + 1, hi)
+    assert interleave[0].detail == (
+        f"run before position {hi} has 0 monolingual and {hi - lo - 1} parallel blocks"
+    )
 
 
 def test_validate_flags_kind_domain_violation():
