@@ -35,11 +35,19 @@ from .packing import (
     pack_replacement,
     pack_replay,
 )
-from .schedule import CurriculumManifest, Strategy, build_schedule
+from .schedule import STRATEGY_KINDS, CurriculumManifest, Strategy, build_schedule
 from .shards import ShardLayout, write_shards
 from .tokenizer import TokenizerSpec, resolve_spec
 
 RUN_CONFIG_NAME = "run_config.json"
+
+# The source kinds each non-replay block kind is read from; replacement
+# substitutes monolingual text into parallel pairs.
+_SOURCE_KINDS = {
+    "monolingual": ("monolingual",),
+    "parallel": ("parallel",),
+    "replacement": ("parallel", "monolingual"),
+}
 
 
 class CompileError(RuntimeError):
@@ -53,35 +61,28 @@ class CompileResult:
     reports: dict[str, PackReport] = field(default_factory=dict)
 
 
-def _group_sources(sources: list[CorpusSource]):
-    mono: dict[str, list[CorpusSource]] = {}
-    parallel: dict[str, list[CorpusSource]] = {}
+def _group_sources(
+    sources: list[CorpusSource],
+) -> tuple[dict[str, dict[str, list[CorpusSource]]], list[CorpusSource]]:
+    """Monolingual and parallel sources by kind, then language; and replay sources."""
+    by_kind: dict[str, dict[str, list[CorpusSource]]] = {"monolingual": {}, "parallel": {}}
     replay: list[CorpusSource] = []
     for src in sources:
-        if src.kind == "monolingual":
-            assert src.language is not None
-            mono.setdefault(src.language, []).append(src)
-        elif src.kind == "parallel":
-            assert src.language is not None
-            parallel.setdefault(src.language, []).append(src)
-        else:
+        if src.kind == "replay":
             replay.append(src)
-    return mono, parallel, replay
+        else:
+            assert src.language is not None
+            by_kind[src.kind].setdefault(src.language, []).append(src)
+    return by_kind, replay
 
 
 def infer_language_set(
     strategy: Strategy, sources: list[CorpusSource]
 ) -> list[str]:
     """Languages that have every source kind the strategy schedules."""
-    mono, parallel, _ = _group_sources(sources)
-    if strategy is Strategy.MULTILINGUAL:
-        langs = set(mono)
-    elif strategy is Strategy.PARALLEL_ONLY:
-        langs = set(parallel)
-    elif strategy is Strategy.MULTILINGUAL_REPLACEMENT:
-        langs = set(parallel) & set(mono)
-    else:  # mixed, parallel-first, parallel-last
-        langs = set(mono) & set(parallel)
+    by_kind, _ = _group_sources(sources)
+    needed = {k for name in STRATEGY_KINDS[strategy] for k in _SOURCE_KINDS[name]}
+    langs = set.intersection(*(set(by_kind[k]) for k in needed))
     langs.discard("en")
     if not langs:
         raise CompileError(
@@ -129,7 +130,8 @@ def compile_corpus(
     spec = resolve_spec(tokenizer_ref)
     if not isinstance(sources, list):
         sources = load_corpus_config(sources)
-    mono, parallel, replay = _group_sources(sources)
+    by_kind, replay = _group_sources(sources)
+    mono, parallel = by_kind["monolingual"], by_kind["parallel"]
     if not replay:
         raise CompileError("every strategy interleaves replay data; none configured")
     language_set = (
@@ -151,30 +153,23 @@ def compile_corpus(
         report = PackReport()
         reports[key] = report
         kind_name, _, lang = key.partition(":")
+        for source_kind in _SOURCE_KINDS.get(kind_name, ()):
+            if lang not in by_kind[source_kind]:
+                raise CompileError(f"no {source_kind} sources for language {lang}")
         if kind_name == "replay":
             streams[key] = pack_replay(
                 _sampled_documents(replay, "en", count, spec), spec, report
             )
         elif kind_name == "monolingual":
-            if lang not in mono:
-                raise CompileError(f"no monolingual sources for language {lang}")
             streams[key] = pack_monolingual(
                 _sampled_documents(mono[lang], lang, count, spec), lang, spec, report
             )
         elif kind_name == "parallel":
-            if lang not in parallel:
-                raise CompileError(f"no parallel sources for language {lang}")
             streams[key] = pack_parallel(
                 _chained(read_parallel, parallel[lang], lang), lang, spec, seed,
                 label_style, report,
             )
         else:  # replacement
-            if lang not in parallel:
-                raise CompileError(f"no parallel sources for language {lang}")
-            if lang not in mono:
-                raise CompileError(
-                    f"replacement needs monolingual {lang} text for substitution"
-                )
             streams[key] = pack_replacement(
                 _chained(read_parallel, parallel[lang], lang),
                 _chained(read_monolingual, mono[lang], lang),

@@ -1,7 +1,9 @@
 """Curriculum schedules: ordered block kinds per strategy.
 
-A schedule is built batch by batch. Every batch holds exactly one replay
-block per four blocks, the remaining slots are filled from a global
+``STRATEGY_KINDS`` is the one place that says which non-replay kinds a
+strategy schedules and in which phase order; building and validation both
+read it. A schedule is built batch by batch. Every batch holds exactly one
+replay block per four blocks, the remaining slots are filled from a global
 strategy-specific kind sequence, and the order inside each batch is
 randomized with keyed draws. For the mixed strategy, permutations are
 redrawn (bounded, then a constructive fallback) until every run of
@@ -18,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import rng
 from .corpus import sort_codes
@@ -43,20 +45,18 @@ class Strategy(str, Enum):
     MULTILINGUAL_REPLACEMENT = "multilingual-replacement"
 
 
-# Which non-replay kinds a strategy schedules.
-_USES_MONOLINGUAL = {
-    Strategy.MULTILINGUAL,
-    Strategy.MIXED,
-    Strategy.PARALLEL_FIRST,
-    Strategy.PARALLEL_LAST,
+# The non-replay kind names each strategy schedules, in phase order. Mixed
+# alternates its two kinds; the other two-kind strategies schedule the first
+# kind in the first half of the schedule and the second kind after it, in
+# equal numbers.
+STRATEGY_KINDS: dict[Strategy, tuple[str, ...]] = {
+    Strategy.MULTILINGUAL: ("monolingual",),
+    Strategy.MIXED: ("monolingual", "parallel"),
+    Strategy.PARALLEL_FIRST: ("parallel", "monolingual"),
+    Strategy.PARALLEL_LAST: ("monolingual", "parallel"),
+    Strategy.PARALLEL_ONLY: ("parallel",),
+    Strategy.MULTILINGUAL_REPLACEMENT: ("replacement",),
 }
-_USES_PARALLEL = {
-    Strategy.MIXED,
-    Strategy.PARALLEL_FIRST,
-    Strategy.PARALLEL_LAST,
-    Strategy.PARALLEL_ONLY,
-}
-_EQUAL_RATIO = {Strategy.MIXED, Strategy.PARALLEL_FIRST, Strategy.PARALLEL_LAST}
 
 
 class SizingError(ValueError):
@@ -183,75 +183,46 @@ class CurriculumManifest:
         )
 
 
-def _cycle(codes: Sequence[str]):
-    i = 0
-    while True:
-        yield codes[i % len(codes)]
-        i += 1
-
-
 def _non_replay_kinds(strategy: Strategy, total: int, langs: Sequence[str]) -> list[BlockKind]:
-    """The global, pre-shuffle sequence of non-replay kinds."""
-    mono = _cycle(langs)
-    par = _cycle(langs)
-    if strategy is Strategy.MULTILINGUAL:
-        return [BlockKind.monolingual(next(mono)) for _ in range(total)]
-    if strategy is Strategy.PARALLEL_ONLY:
-        return [BlockKind.parallel(next(par)) for _ in range(total)]
-    if strategy is Strategy.MULTILINGUAL_REPLACEMENT:
-        return [BlockKind.replacement(next(par)) for _ in range(total)]
+    """The global, pre-shuffle sequence of non-replay kinds.
+
+    Each kind name takes its languages round-robin from its own counter.
+    """
+    names = STRATEGY_KINDS[strategy]
     if strategy is Strategy.MIXED:
-        out = []
-        for j in range(total):
-            if j % 2 == 0:
-                out.append(BlockKind.monolingual(next(mono)))
-            else:
-                out.append(BlockKind.parallel(next(par)))
-        return out
-    if strategy is Strategy.PARALLEL_FIRST:
-        head = (total + 1) // 2
-        return [BlockKind.parallel(next(par)) for _ in range(head)] + [
-            BlockKind.monolingual(next(mono)) for _ in range(total - head)
-        ]
-    if strategy is Strategy.PARALLEL_LAST:
-        head = (total + 1) // 2
-        return [BlockKind.monolingual(next(mono)) for _ in range(head)] + [
-            BlockKind.parallel(next(par)) for _ in range(total - head)
-        ]
-    raise ValueError(f"unhandled strategy {strategy}")
+        sequence = [names[j % 2] for j in range(total)]
+    else:
+        head = (total + 1) // 2 if len(names) == 2 else total
+        sequence = [names[0]] * head + [names[-1]] * (total - head)
+    used = dict.fromkeys(names, 0)
+    out = []
+    for name in sequence:
+        out.append(BlockKind(name, langs[used[name] % len(langs)]))
+        used[name] += 1
+    return out
 
 
-@dataclass
-class _RunState:
-    """Open run of non-replay kinds since the last replay block."""
+def _short_runs(kinds: Iterable[BlockKind]) -> Iterator[tuple[int, int, int, int]]:
+    """Runs between two replay blocks that lack a monolingual or a parallel block.
 
-    mono: int = 0
-    parallel: int = 0
-    bounded: bool = False  # True once any replay block has been seen
-
-    def copy(self) -> "_RunState":
-        return _RunState(self.mono, self.parallel, self.bounded)
-
-
-def _scan_mixed(order: Sequence[BlockKind], state: _RunState) -> tuple[bool, _RunState]:
-    """Check the inter-replay run constraint over one batch, given the open run."""
-    s = state.copy()
-    for kind in order:
+    Yields ``(opening, closing, monolingual, parallel)`` per such run: the
+    indexes of its two replay blocks and the run's block counts. Blocks
+    before the first replay block close no run.
+    """
+    opening: int | None = None
+    mono = par = 0
+    for i, kind in enumerate(kinds):
         if kind.name == "replay":
-            if s.bounded and (s.mono == 0 or s.parallel == 0):
-                return False, s
-            s.mono = s.parallel = 0
-            s.bounded = True
+            if opening is not None and (mono == 0 or par == 0):
+                yield opening, i, mono, par
+            opening, mono, par = i, 0, 0
         elif kind.name == "monolingual":
-            s.mono += 1
+            mono += 1
         else:
-            s.parallel += 1
-    return True, s
+            par += 1
 
 
-def _mixed_fallback(
-    base: Sequence[BlockKind], state: _RunState, batch_index: int
-) -> list[BlockKind]:
+def _mixed_fallback(base: Sequence[BlockKind], batch_index: int) -> list[BlockKind]:
     """Deterministic batch order that always satisfies the run constraint.
 
     Lays the batch out as replay-terminated groups of three non-replay
@@ -301,9 +272,8 @@ def build_schedule(
     langs = sort_codes(language_set)
     if not langs:
         raise ValueError("language_set must not be empty")
-    if strategy in _USES_PARALLEL or strategy is Strategy.MULTILINGUAL_REPLACEMENT:
-        if "en" in langs:
-            raise ValueError("English is implicit; language_set lists SEA languages")
+    if "en" in langs and STRATEGY_KINDS[strategy] != ("monolingual",):
+        raise ValueError("English is implicit; language_set lists SEA languages")
     if batch_size_blocks < REPLAY_DIVISOR or batch_size_blocks % REPLAY_DIVISOR:
         raise SizingError(
             f"batch_size_blocks must be a positive multiple of {REPLAY_DIVISOR}, "
@@ -322,28 +292,23 @@ def build_schedule(
     kinds = _non_replay_kinds(strategy, n_batches * non_replay_per_batch, langs)
 
     entries: list[ScheduleEntry] = []
-    run = _RunState()
+    open_run: list[BlockKind] = []  # mixed: the last replay block and all after it
     for b in range(n_batches):
         chunk = kinds[b * non_replay_per_batch : (b + 1) * non_replay_per_batch]
         base = [BlockKind.replay()] * replay_per_batch + chunk
-        order: list[BlockKind] | None = None
         for attempt in range(MAX_PERMUTATION_ATTEMPTS):
-            candidate = rng.shuffled(base, seed, "batch", b, attempt)
-            if strategy is not Strategy.MIXED:
-                order = candidate
+            order = rng.shuffled(base, seed, "batch", b, attempt)
+            if strategy is not Strategy.MIXED or next(_short_runs(open_run + order), None) is None:
                 break
-            ok, next_run = _scan_mixed(candidate, run)
-            if ok:
-                order = candidate
-                run = next_run
-                break
-        if order is None:
-            order = _mixed_fallback(base, run, b)
-            ok, run = _scan_mixed(order, run)
-            if not ok:
+        else:
+            order = _mixed_fallback(base, b)
+            if next(_short_runs(open_run + order), None) is not None:
                 raise ConstraintError(
                     f"batch {b} fallback violates the interleave constraint", b
                 )
+        if strategy is Strategy.MIXED:
+            last_replay = max(i for i, k in enumerate(order) if k.name == "replay")
+            open_run = order[last_replay:]
         start = b * batch_size_blocks
         entries.extend(
             ScheduleEntry(position=start + i, kind=k, batch_index=b)
@@ -402,7 +367,7 @@ def validate_schedule(manifest: CurriculumManifest) -> list[Violation]:
                 )
             )
 
-    allowed = _allowed_kind_names(strategy)
+    allowed = STRATEGY_KINDS[strategy]
     for e in entries:
         if e.kind.name != "replay" and e.kind.name not in allowed:
             v.append(
@@ -421,7 +386,7 @@ def validate_schedule(manifest: CurriculumManifest) -> list[Violation]:
 
     mono = sum(1 for e in entries if e.kind.name == "monolingual")
     par = sum(1 for e in entries if e.kind.name == "parallel")
-    if strategy in _EQUAL_RATIO and abs(mono - par) > 1:
+    if len(allowed) == 2 and abs(mono - par) > 1:
         v.append(
             Violation(
                 "equal-ratio", (), f"{mono} monolingual vs {par} parallel blocks"
@@ -429,54 +394,24 @@ def validate_schedule(manifest: CurriculumManifest) -> list[Violation]:
         )
 
     if strategy is Strategy.MIXED:
-        v.extend(_interleave_violations(entries))
+        for opening, closing, run_mono, run_par in _short_runs(e.kind for e in entries):
+            end = entries[closing].position
+            v.append(
+                Violation(
+                    "interleave",
+                    (entries[opening].position + 1, end),
+                    f"run before position {end} has "
+                    f"{run_mono} monolingual and {run_par} parallel blocks",
+                )
+            )
     if strategy in (Strategy.PARALLEL_FIRST, Strategy.PARALLEL_LAST):
         v.extend(_phase_violations(manifest))
     v.extend(_language_balance_violations(manifest))
     return v
 
 
-def _allowed_kind_names(strategy: Strategy) -> set[str]:
-    allowed = set()
-    if strategy in _USES_MONOLINGUAL:
-        allowed.add("monolingual")
-    if strategy in _USES_PARALLEL:
-        allowed.add("parallel")
-    if strategy is Strategy.MULTILINGUAL_REPLACEMENT:
-        allowed.add("replacement")
-    return allowed
-
-
-def _interleave_violations(entries: Sequence[ScheduleEntry]) -> list[Violation]:
-    out = []
-    run_start: int | None = None
-    mono = par = 0
-    bounded = False
-    for e in entries:
-        if e.kind.name == "replay":
-            if bounded and (mono == 0 or par == 0):
-                span = (run_start, e.position) if run_start is not None else (e.position,)
-                out.append(
-                    Violation(
-                        "interleave",
-                        tuple(p for p in span if p is not None),
-                        f"run before position {e.position} has "
-                        f"{mono} monolingual and {par} parallel blocks",
-                    )
-                )
-            mono = par = 0
-            bounded = True
-            run_start = e.position + 1
-        elif e.kind.name == "monolingual":
-            mono += 1
-        else:
-            par += 1
-    return out
-
-
 def _phase_violations(manifest: CurriculumManifest) -> list[Violation]:
-    first = manifest.strategy is Strategy.PARALLEL_FIRST
-    early, late = ("parallel", "monolingual") if first else ("monolingual", "parallel")
+    early, late = STRATEGY_KINDS[manifest.strategy]
     last_early_batch = -1
     first_late_batch = None
     for b, group in enumerate(manifest.batches()):

@@ -231,12 +231,24 @@ def test_validate_flags_phase_violation():
 def test_mixed_fallback_unsatisfiable_batch():
     # A hand-made degenerate batch: all non-replay entries monolingual.
     # The builder never produces this, so drive the fallback directly.
-    from currikit.schedule import _RunState, _mixed_fallback
+    from currikit.schedule import _mixed_fallback
 
     base = [BlockKind.replay()] * 2 + [BlockKind.monolingual("id")] * 6
     with pytest.raises(ConstraintError) as err:
-        _mixed_fallback(base, _RunState(), batch_index=5)
+        _mixed_fallback(base, batch_index=5)
     assert err.value.batch_index == 5
+
+
+def test_mixed_fallback_closes_the_carried_run():
+    from currikit.schedule import _mixed_fallback, _short_runs
+
+    mono, par, replay = BlockKind.monolingual("id"), BlockKind.parallel("id"), BlockKind.replay()
+    open_run = [replay, mono, mono]  # no parallel block since the last replay
+    base = [replay] * 2 + [mono, par] * 3
+    assert next(_short_runs(open_run + base)) == (0, 3, 2, 0)
+    order = _mixed_fallback(base, batch_index=0)
+    assert sorted(order, key=BlockKind.key) == sorted(base, key=BlockKind.key)
+    assert list(_short_runs(open_run + order)) == []
 
 
 @settings(max_examples=30, deadline=None)
