@@ -158,29 +158,35 @@ class CurriculumManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "CurriculumManifest":
+        """Parse a manifest; raises ``ValueError`` for any text a compile could not write."""
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("not a curriculum manifest: not a JSON object")
         if doc.get("format") not in (MANIFEST_FORMAT, MANIFEST_FORMAT_V1):
             raise ValueError(f"not a curriculum manifest: format={doc.get('format')!r}")
-        entries = [
-            ScheduleEntry(
-                position=e["position"],
-                kind=BlockKind(e["kind"], e.get("language")),
-                batch_index=e["batch"],
+        try:
+            entries = [
+                ScheduleEntry(
+                    position=e["position"],
+                    kind=BlockKind(e["kind"], e.get("language")),
+                    batch_index=e["batch"],
+                )
+                for e in doc["entries"]
+            ]
+            return cls(
+                strategy=Strategy(doc["strategy"]),
+                seed=doc["seed"],
+                batch_size_blocks=doc["batch_size_blocks"],
+                entries=entries,
+                language_set=list(doc["language_set"]),
+                token_budget=doc["token_budget"],
+                leftover_tokens=doc.get("leftover_tokens", 0),
+                tokenizer_id=doc["tokenizer_id"],
+                metadata=doc.get("metadata", {}),
+                format=doc["format"],
             )
-            for e in doc["entries"]
-        ]
-        return cls(
-            strategy=Strategy(doc["strategy"]),
-            seed=doc["seed"],
-            batch_size_blocks=doc["batch_size_blocks"],
-            entries=entries,
-            language_set=list(doc["language_set"]),
-            token_budget=doc["token_budget"],
-            leftover_tokens=doc.get("leftover_tokens", 0),
-            tokenizer_id=doc["tokenizer_id"],
-            metadata=doc.get("metadata", {}),
-            format=doc["format"],
-        )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed curriculum manifest: {exc!r}") from None
 
 
 def _non_replay_kinds(strategy: Strategy, total: int, langs: Sequence[str]) -> list[BlockKind]:

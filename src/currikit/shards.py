@@ -139,7 +139,10 @@ def read_manifest(directory: str | os.PathLike[str]) -> CurriculumManifest:
     path = Path(directory) / MANIFEST_NAME
     if not path.exists():
         raise LayoutError(f"{directory} has no {MANIFEST_NAME}; not a compiled corpus")
-    return CurriculumManifest.from_json(path.read_text(encoding="utf-8"))
+    try:
+        return CurriculumManifest.from_json(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, not JSON, or not a manifest
+        raise LayoutError(f"{path}: {exc}") from None
 
 
 def iter_block_ids(directory: str | os.PathLike[str]) -> Iterator[np.ndarray]:

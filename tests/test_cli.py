@@ -68,6 +68,20 @@ def test_audit_reports_corrupt_block_record(compiled, tmp_path, capsys, content)
     assert "audit: FAIL" in captured.out
 
 
+@pytest.mark.parametrize("command", ["audit", "stats"])
+@pytest.mark.parametrize(
+    "content", [b'{"format": "curriculum-manifest-v2"}', b"[]", b"{not json"]
+)
+def test_corrupt_manifest_is_one_error_line(tmp_path, capsys, command, content):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_bytes(content)
+    assert main([command, "--dir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(manifest) in captured.err
+
+
 def test_stats_compiled_dir(compiled, capsys):
     assert main(["stats", "--dir", str(compiled)]) == 0
     out = capsys.readouterr().out
