@@ -17,6 +17,7 @@ manifest, never padded.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -200,12 +201,8 @@ def _non_replay_kinds(strategy: Strategy, total: int, langs: Sequence[str]) -> l
     else:
         head = (total + 1) // 2 if len(names) == 2 else total
         sequence = [names[0]] * head + [names[-1]] * (total - head)
-    used = dict.fromkeys(names, 0)
-    out = []
-    for name in sequence:
-        out.append(BlockKind(name, langs[used[name] % len(langs)]))
-        used[name] += 1
-    return out
+    languages = {name: itertools.cycle(langs) for name in names}
+    return [BlockKind(name, next(languages[name])) for name in sequence]
 
 
 def _short_runs(kinds: Iterable[BlockKind]) -> Iterator[tuple[int, int, int, int]]:
