@@ -187,45 +187,57 @@ def _pack(
 ) -> Iterator[TokenBlock]:
     """The one packing loop: ``(text, source_id, ordinal)`` records -> blocks.
 
-    Each record is encoded, terminated with the end-of-text id and copied
-    into a preallocated block buffer; a full buffer becomes a block's ids
-    and a fresh one is allocated. Consecutive records of one source whose
+    Each record's ids are copied into a preallocated block buffer and its
+    end-of-text id is written after them; a full buffer becomes a block's
+    ids and a fresh one is allocated. Consecutive records of one source whose
     ordinals repeat or step by one share a provenance span.
     """
     buffer = np.empty(BLOCK_TOKENS, dtype=np.uint32)
     fill = 0
-    spans: list[ProvenanceSpan] = []
+    closed: list[tuple[str, int, int]] = []  # this block's finished spans
+    span_source: str | None = None  # the open span, None before a block's first record
+    span_first = span_last = 0
     for text, source_id, ordinal in records:
-        ids = np.append(encode(text, spec), spec.eot_id)
+        ids = encode(text, spec)
+        size = len(ids) + 1  # with the end-of-text id
         report.records += 1
-        report.tokens_in += len(ids)
+        report.tokens_in += size
+        if span_source == source_id and span_last in (ordinal, ordinal - 1):
+            span_last = ordinal
+        else:
+            if span_source is not None:
+                closed.append((span_source, span_first, span_last))
+            span_source, span_first, span_last = source_id, ordinal, ordinal
         placed = 0
-        while placed < len(ids):
+        while True:
             take = min(len(ids) - placed, BLOCK_TOKENS - fill)
             buffer[fill : fill + take] = ids[placed : placed + take]
             fill += take
             placed += take
-            if spans and spans[-1].source_id == source_id and spans[-1].last_ordinal in (
-                ordinal,
-                ordinal - 1,
-            ):
-                spans[-1] = ProvenanceSpan(source_id, spans[-1].first_ordinal, ordinal)
-            else:
-                spans.append(ProvenanceSpan(source_id, ordinal, ordinal))
-            if fill == BLOCK_TOKENS:
-                report.blocks += 1
-                report.pending_tokens = len(ids) - placed
-                yield TokenBlock(
-                    ids=buffer,
-                    kind=kind,
-                    tokenizer_id=spec.id,
-                    checksum=block_checksum(buffer),
-                    provenance=tuple(spans),
-                    seed_used=seed_used,
-                )
-                buffer = np.empty(BLOCK_TOKENS, dtype=np.uint32)
-                fill = 0
-                spans = []
+            if placed == len(ids) and fill < BLOCK_TOKENS:
+                buffer[fill] = spec.eot_id
+                fill += 1
+                placed += 1
+            if fill < BLOCK_TOKENS:
+                break
+            closed.append((span_source, span_first, span_last))
+            report.blocks += 1
+            report.pending_tokens = size - placed
+            yield TokenBlock(
+                ids=buffer,
+                kind=kind,
+                tokenizer_id=spec.id,
+                checksum=block_checksum(buffer),
+                provenance=tuple(ProvenanceSpan(*span) for span in closed),
+                seed_used=seed_used,
+            )
+            buffer = np.empty(BLOCK_TOKENS, dtype=np.uint32)
+            fill = 0
+            closed = []
+            if placed == size:
+                span_source = None
+                break
+            span_first = ordinal  # the record's rest opens the next block's span
         report.pending_tokens = fill
     report.discarded_tokens = fill
     report.pending_tokens = 0

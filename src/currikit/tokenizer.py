@@ -7,7 +7,9 @@ are loadable, immutable specs. Two kinds are supported:
   end-of-text marker. Lossless and self-contained, used by default.
 * ``bpe_file`` -- a vocabulary file with a token-to-id table (plus merge
   rules kept as provenance); encoding is greedy longest-match against the
-  table. See ``load_vocab`` for the line format.
+  table. The matcher is one compiled regular expression per spec, built on
+  first use (not at load) and kept on the spec; ``sre`` then finds each
+  longest piece in C. See ``load_vocab`` for the line format.
 
 ``encode`` returns a 1-D numpy id array (``uint8`` for ``byte_fallback``,
 ``uint32`` for ``bpe_file``), so packers copy it into their block buffers
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -43,8 +46,8 @@ class TokenizerSpec:
     """Immutable description of one tokenizer.
 
     For ``bpe_file`` specs, ``pieces`` holds the id -> token-string table;
-    it is runtime payload, not part of the spec identity. ``piece_ids`` and
-    ``max_piece_len`` are derived from it.
+    it is runtime payload, not part of the spec identity. ``piece_ids`` is
+    derived from it, and so is the longest-match pattern, built on first use.
     """
 
     id: str
@@ -53,7 +56,9 @@ class TokenizerSpec:
     kind: str  # "byte_fallback" | "bpe_file"
     pieces: Mapping[int, str] | None = field(default=None, compare=False, repr=False)
     piece_ids: Mapping[str, int] | None = field(default=None, compare=False, repr=False)
-    max_piece_len: int = field(default=0, init=False, compare=False, repr=False)
+    _pattern: re.Pattern[str] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.kind not in ("byte_fallback", "bpe_file"):
@@ -74,7 +79,6 @@ class TokenizerSpec:
                 object.__setattr__(
                     self, "piece_ids", {p: i for i, p in self.pieces.items()}
                 )
-            object.__setattr__(self, "max_piece_len", max(map(len, self.piece_ids)))
 
 
 BYTE_FALLBACK = TokenizerSpec(
@@ -86,7 +90,11 @@ def encode(text: str, spec: TokenizerSpec = BYTE_FALLBACK) -> np.ndarray:
     """Encode UTF-8 text to a 1-D id array. Pure and deterministic per spec."""
     if spec.kind == "byte_fallback":
         return np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    return np.array(_greedy_encode(text, spec), dtype=np.uint32)
+    pieces = _match_pieces(text, spec)
+    assert spec.piece_ids is not None
+    return np.fromiter(
+        map(spec.piece_ids.__getitem__, pieces), dtype=np.uint32, count=len(pieces)
+    )
 
 
 def decode(ids: Sequence[int] | np.ndarray, spec: TokenizerSpec = BYTE_FALLBACK) -> str:
@@ -118,31 +126,71 @@ def decode(ids: Sequence[int] | np.ndarray, spec: TokenizerSpec = BYTE_FALLBACK)
 
 
 def count_tokens(text: str, spec: TokenizerSpec = BYTE_FALLBACK) -> int:
-    """Number of ids ``encode`` would produce (raw text, no separators)."""
+    """Number of ids ``encode`` would produce (raw text, no separators).
+
+    Always equal to ``len(encode(text, spec))``, and raises the same error
+    for uncovered text, but builds no id array.
+    """
     if spec.kind == "byte_fallback":
         return len(text.encode("utf-8"))
-    return len(encode(text, spec))
+    return len(_match_pieces(text, spec))
 
 
-def _greedy_encode(text: str, spec: TokenizerSpec) -> list[int]:
-    table = spec.piece_ids
-    assert table is not None
-    ids: list[int] = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        for length in range(min(spec.max_piece_len, n - pos), 0, -1):
-            candidate = text[pos : pos + length]
-            if candidate in table:
-                ids.append(table[candidate])
-                pos += length
+def _match_pieces(text: str, spec: TokenizerSpec) -> list[str]:
+    """The greedy longest-match pieces of ``text``, in order.
+
+    ``findall`` skips text no piece covers, so the pieces cover ``text``
+    exactly when their lengths add up to it; otherwise the first gap is
+    reported.
+    """
+    pattern = spec._pattern
+    if pattern is None:
+        pattern = _longest_match_pattern(spec)
+        object.__setattr__(spec, "_pattern", pattern)
+    pieces = pattern.findall(text)
+    if sum(map(len, pieces)) != len(text):
+        pos = 0
+        for piece in pieces:
+            if not text.startswith(piece, pos):
                 break
-        else:
-            raise TokenizerError(
-                f"no token covers {text[pos]!r} at position {pos} "
-                f"(tokenizer {spec.id!r})"
-            )
-    return ids
+            pos += len(piece)
+        raise TokenizerError(
+            f"no token covers {text[pos]!r} at position {pos} "
+            f"(tokenizer {spec.id!r})"
+        )
+    return pieces
+
+
+def _longest_match_pattern(spec: TokenizerSpec) -> re.Pattern[str]:
+    """One alternation whose first matching branch is the longest piece.
+
+    Pieces are grouped by first character, then by second; below that the
+    remainders are listed longest first, the empty remainder (the two-char
+    piece itself) last, and a one-char piece is the empty branch after its
+    second-char groups. ``sre`` tries alternatives in order and nothing follows the
+    match, so the first branch that matches is the longest piece. Grouping
+    by prefix keeps the nesting at two groups whatever the piece length
+    (``sre`` hits its recursion limit at a few hundred nested groups).
+    """
+    assert spec.piece_ids is not None
+    tree: dict[str, dict[str, list[str]]] = {}
+    for piece in spec.piece_ids:
+        seconds = tree.setdefault(piece[0], {})
+        if len(piece) > 1:
+            seconds.setdefault(piece[1], []).append(piece[2:])
+    branches = []
+    for first, seconds in tree.items():
+        inner = [
+            re.escape(second)
+            + "(?:"
+            + "|".join(map(re.escape, sorted(rests, key=len, reverse=True)))
+            + ")"
+            for second, rests in seconds.items()
+        ]
+        if first in spec.piece_ids:
+            inner.append("")
+        branches.append(re.escape(first) + "(?:" + "|".join(inner) + ")")
+    return re.compile("|".join(branches))
 
 
 def load_vocab(path: str | os.PathLike[str]) -> TokenizerSpec:

@@ -4,7 +4,7 @@ import hashlib
 from pathlib import Path
 
 from currikit.corpus import Document, SentencePair, language
-from currikit.tokenizer import EOT_TEXT
+from currikit.tokenizer import EOT_TEXT, TokenizerError
 
 
 def make_doc(text, code="id", source="synthetic", ordinal=0):
@@ -49,3 +49,30 @@ def tree_digest(directory, pattern="*"):
             digest.update(path.name.encode())
             digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+def greedy_encode(text, spec):
+    """Reference ``bpe_file`` encoder: a per-position greedy longest match.
+
+    At each position every length from the longest piece down to 1 is looked
+    up in the table; the first hit is taken. ``encode`` and ``count_tokens``
+    must agree with it on ids, count and error message.
+    """
+    table = spec.piece_ids
+    max_len = max(map(len, table))
+    ids = []
+    pos = 0
+    n = len(text)
+    while pos < n:
+        for length in range(min(max_len, n - pos), 0, -1):
+            candidate = text[pos : pos + length]
+            if candidate in table:
+                ids.append(table[candidate])
+                pos += length
+                break
+        else:
+            raise TokenizerError(
+                f"no token covers {text[pos]!r} at position {pos} "
+                f"(tokenizer {spec.id!r})"
+            )
+    return ids

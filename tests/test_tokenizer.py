@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from currikit.tokenizer import (
@@ -15,6 +15,8 @@ from currikit.tokenizer import (
     load_vocab,
     resolve_spec,
 )
+
+from helpers import greedy_encode
 
 
 def test_encode_empty():
@@ -154,6 +156,116 @@ def load_vocab_cached():
 def test_bpe_uncovered_char_raises(toy_vocab):
     with pytest.raises(TokenizerError, match="no token covers"):
         encode("xyz", toy_vocab)
+
+
+def bpe_spec(pieces, name="direct"):
+    """A ``bpe_file`` spec built directly, not through ``load_vocab``."""
+    table = dict(enumerate(pieces, start=1))
+    return TokenizerSpec(
+        id=name, vocab_size=len(pieces) + 1, eot_id=0, kind="bpe_file", pieces=table
+    )
+
+
+def test_uncovered_char_message_and_position():
+    # "x" starts the piece "xy" but is not a piece itself.
+    spec = bpe_spec(["a", "xy", "ab", "abc"], name="holes")
+    assert encode("axyab", spec).tolist() == [1, 2, 3]
+    for text, pos in (("xa", 0), ("axa", 1), ("abcax", 4), ("ab\tc", 2)):
+        message = f"no token covers {text[pos]!r} at position {pos} (tokenizer 'holes')"
+        for fn in (encode, count_tokens):
+            with pytest.raises(TokenizerError) as info:
+                fn(text, spec)
+            assert str(info.value) == message
+
+
+def test_longest_match_falls_back_past_a_hole():
+    # "abc" is a piece but "ab" is not: "abd" must fall back to "a".
+    spec = bpe_spec(["a", "b", "c", "d", "abc"])
+    assert encode("abd", spec).tolist() == [1, 2, 4]
+    assert encode("abcab", spec).tolist() == [5, 1, 2]
+    assert count_tokens("abcab", spec) == 3
+
+
+def test_direct_spec_encodes():
+    spec = bpe_spec(["t", "h", "e", "th", "the", " "])
+    assert encode("the the", spec).tolist() == [5, 6, 5]
+    assert encode("tteh", spec).tolist() == [1, 1, 3, 2]
+    assert encode("", spec).tolist() == []
+    assert count_tokens("the the", spec) == 3
+
+
+def test_pieces_longer_than_the_nesting_limit():
+    # sre gives up at a few hundred nested groups; pieces may be far longer.
+    pieces = ["a" * k for k in range(1, 2001)] + ["b"]
+    spec = bpe_spec(pieces)
+    text = "a" * 2500 + "b"
+    assert encode(text, spec).tolist() == [2000, 500, 2001]
+    assert count_tokens(text, spec) == 3
+
+
+def test_equal_specs_stay_equal_after_encoding(tmp_path):
+    path = tmp_path / "toy.vocab"
+    path.write_text(VOCAB_TEXT, encoding="utf-8")
+    first, second = load_vocab(path), load_vocab(path)
+    encode("the cat", first)
+    assert first == second
+    assert hash(first) == hash(second)
+    assert repr(first) == repr(second)
+
+
+# Regex metacharacters, whitespace, a non-BMP character and the end-of-text
+# marker, so the matcher must escape every piece and count code points.
+UNITS = [*".^$*+?{}[]\\|()", " ", "\n", "\t", "a", "b", "c", "\U0001F600", EOT_TEXT]
+UNIT_CHARS = sorted(set("".join(UNITS)))
+unit_text = st.lists(st.sampled_from(UNITS), max_size=40).map("".join)
+
+
+@st.composite
+def vocab_and_text(draw, covering=True):
+    """A vocabulary over ``UNITS`` and a text to encode with it.
+
+    Longer pieces are random unit strings and random slices of the text, so
+    most match somewhere; their prefixes are often absent, leaving holes the
+    match must fall back past. Single characters all are pieces when
+    ``covering``, otherwise a random subset.
+    """
+    text = draw(unit_text)
+    units = st.lists(st.sampled_from(UNITS), min_size=1, max_size=5).map("".join)
+    pieces = set(draw(st.lists(units, max_size=30)))
+    for start, length in draw(
+        st.lists(st.tuples(st.integers(0, 40), st.integers(2, 14)), max_size=10)
+    ):
+        pieces.add(text[start : start + length] or "a")
+    if covering:
+        pieces.update(UNIT_CHARS)
+    else:
+        pieces.update(draw(st.sets(st.sampled_from(UNIT_CHARS), min_size=1)))
+    return bpe_spec(sorted(pieces), name="prop"), text
+
+
+@settings(max_examples=300, deadline=None)
+@given(vocab_and_text())
+def test_encode_matches_greedy_reference(case):
+    spec, text = case
+    expected = greedy_encode(text, spec)
+    assert encode(text, spec).tolist() == expected
+    assert count_tokens(text, spec) == len(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vocab_and_text(covering=False))
+def test_uncovered_text_fails_like_greedy_reference(case):
+    spec, text = case
+    try:
+        expected = greedy_encode(text, spec)
+    except TokenizerError as exc:
+        for fn in (encode, count_tokens):
+            with pytest.raises(TokenizerError) as info:
+                fn(text, spec)
+            assert str(info.value) == str(exc)
+    else:
+        assert encode(text, spec).tolist() == expected
+        assert count_tokens(text, spec) == len(expected)
 
 
 def test_vocab_file_errors(tmp_path):
