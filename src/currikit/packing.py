@@ -195,7 +195,7 @@ def _pack(
     buffer = np.empty(BLOCK_TOKENS, dtype=np.uint32)
     fill = 0
     closed: list[tuple[str, int, int]] = []  # this block's finished spans
-    span_source: str | None = None  # the open span, None before a block's first record
+    span_source: str | None = None  # open span; None until a record enters the block
     span_first = span_last = 0
     for text, source_id, ordinal in records:
         ids = encode(text, spec)

@@ -167,10 +167,11 @@ def _longest_match_pattern(spec: TokenizerSpec) -> re.Pattern[str]:
     Pieces are grouped by first character, then by second; below that the
     remainders are listed longest first, the empty remainder (the two-char
     piece itself) last, and a one-char piece is the empty branch after its
-    second-char groups. ``sre`` tries alternatives in order and nothing follows the
-    match, so the first branch that matches is the longest piece. Grouping
-    by prefix keeps the nesting at two groups whatever the piece length
-    (``sre`` hits its recursion limit at a few hundred nested groups).
+    second-char groups. ``sre`` tries alternatives in order and nothing
+    follows the match, so the first branch that matches is the longest
+    piece. Grouping by prefix keeps the nesting at two groups whatever the
+    piece length (``sre`` hits its recursion limit at a few hundred nested
+    groups).
     """
     assert spec.piece_ids is not None
     tree: dict[str, dict[str, list[str]]] = {}
