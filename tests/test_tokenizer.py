@@ -179,19 +179,13 @@ def test_uncovered_char_message_and_position():
 
 
 def test_longest_match_falls_back_past_a_hole():
-    # "abc" is a piece but "ab" is not: "abd" must fall back to "a".
+    # "abc" is a piece but "ab" is not: "abd" must fall back to "a". The spec
+    # is built directly, so the matcher cannot rely on ``load_vocab``.
     spec = bpe_spec(["a", "b", "c", "d", "abc"])
     assert encode("abd", spec).tolist() == [1, 2, 4]
     assert encode("abcab", spec).tolist() == [5, 1, 2]
-    assert count_tokens("abcab", spec) == 3
-
-
-def test_direct_spec_encodes():
-    spec = bpe_spec(["t", "h", "e", "th", "the", " "])
-    assert encode("the the", spec).tolist() == [5, 6, 5]
-    assert encode("tteh", spec).tolist() == [1, 1, 3, 2]
     assert encode("", spec).tolist() == []
-    assert count_tokens("the the", spec) == 3
+    assert count_tokens("abcab", spec) == 3
 
 
 def test_pieces_longer_than_the_nesting_limit():
