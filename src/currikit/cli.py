@@ -26,6 +26,17 @@ from .shards import audit_shards, shard_stats
 from .tokenizer import resolve_spec
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="currikit",
@@ -78,7 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hypotheses-a", required=True)
     p.add_argument("--hypotheses-b", required=True)
     p.add_argument("--references", required=True)
-    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--n", type=_positive_int, default=1000,
+                   help="bootstrap samples (at least 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=("default", "zh"), default="default")
     p.add_argument("--json", action="store_true")

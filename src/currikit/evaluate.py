@@ -24,6 +24,13 @@ from .corpus import SEA_CODES, LanguageTag, SentencePair, language
 
 MAX_NGRAM = 4
 
+# Length of a _sentence_stats row: correct and total n-grams, hyp_len, ref_len.
+STATS_WIDTH = 2 * MAX_NGRAM + 2
+
+# Bootstrap samples resampled together: one (BOOTSTRAP_CHUNK, n) int64 weight
+# matrix at a time, 512 KiB for 1,000 sentences.
+BOOTSTRAP_CHUNK = 64
+
 TOKENIZATION_MODES = ("default", "zh")
 
 
@@ -78,35 +85,50 @@ def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def _sentence_stats(hyp_tokens: Sequence[str], ref_tokens: Sequence[str]) -> list[int]:
-    """[correct_1..4, total_1..4, hyp_len, ref_len] for one sentence."""
+def _sentence_stats(
+    hyp_tokens: Sequence[str], ref_ngrams: Sequence[Counter], ref_len: int
+) -> list[int]:
+    """[correct_1..4, total_1..4, hyp_len, ref_len] for one sentence, given the
+    reference's n-gram counts for n = 1..4."""
     row = []
-    for n in range(1, MAX_NGRAM + 1):
+    for n, ref in enumerate(ref_ngrams, start=1):
         hyp = _ngram_counts(hyp_tokens, n)
-        ref = _ngram_counts(ref_tokens, n)
         row.append(sum(min(c, ref[g]) for g, c in hyp.items()))
     for n in range(1, MAX_NGRAM + 1):
         row.append(max(0, len(hyp_tokens) - n + 1))
     row.append(len(hyp_tokens))
-    row.append(len(ref_tokens))
+    row.append(ref_len)
     return row
 
 
 def _corpus_stats(
-    hypotheses: Sequence[str], references: Sequence[str], mode: str
+    references: Sequence[str], mode: str, *systems: Sequence[str]
 ) -> np.ndarray:
-    if len(hypotheses) != len(references):
-        raise ValueError(
-            f"{len(hypotheses)} hypotheses vs {len(references)} references"
-        )
-    if not hypotheses:
+    """Per-sentence statistics of each system, side by side.
+
+    Row i is the ``_sentence_stats`` of ``systems[0][i]``, then of
+    ``systems[1][i]`` and so on, against ``references[i]``. Each reference is
+    tokenized and counted once, however many systems are scored against it.
+    """
+    for hypotheses in systems:
+        if len(hypotheses) != len(references):
+            raise ValueError(
+                f"{len(hypotheses)} hypotheses vs {len(references)} references"
+            )
+    if not references:
         raise ValueError("empty corpus")
-    rows = []
-    for i, (hyp, ref) in enumerate(zip(hypotheses, references)):
+    stats = np.empty((len(references), STATS_WIDTH * len(systems)), dtype=np.int64)
+    for i, ref in enumerate(references):
         if not ref.strip():
             raise ValueError(f"reference sentence {i} is empty")
-        rows.append(_sentence_stats(tokenize(hyp, mode), tokenize(ref, mode)))
-    return np.array(rows, dtype=np.int64)
+        ref_tokens = tokenize(ref, mode)
+        ref_ngrams = [_ngram_counts(ref_tokens, n) for n in range(1, MAX_NGRAM + 1)]
+        row = []
+        for hypotheses in systems:
+            hyp_tokens = tokenize(hypotheses[i], mode)
+            row += _sentence_stats(hyp_tokens, ref_ngrams, len(ref_tokens))
+        stats[i] = row
+    return stats
 
 
 def _score_from_totals(totals: Sequence[int], mode: str) -> BleuScore:
@@ -142,8 +164,8 @@ def bleu(
 ) -> BleuScore:
     """Corpus-level BLEU: counts are pooled across sentences before division,
     and each hypothesis n-gram count is clipped at its reference count."""
-    stats = _corpus_stats(hypotheses, references, mode)
-    return _score_from_totals(stats.sum(axis=0), mode)
+    stats = _corpus_stats(references, mode, hypotheses)
+    return _score_from_totals(stats.sum(axis=0).tolist(), mode)
 
 
 @dataclass
@@ -187,18 +209,27 @@ def paired_bootstrap(
         raise ValueError("hypothesis and reference lists must have equal length")
     if len(references) < 2:
         raise ValueError("paired bootstrap needs at least 2 sentences")
-    stats_a = _corpus_stats(hyps_a, references, mode)
-    stats_b = _corpus_stats(hyps_b, references, mode)
+    stats = _corpus_stats(references, mode, hyps_a, hyps_b)
     n = len(references)
-    score_a = _score_from_totals(stats_a.sum(axis=0), mode).score
-    score_b = _score_from_totals(stats_b.sum(axis=0), mode).score
+
+    def scores(totals: list[int]) -> tuple[float, float]:
+        return (
+            _score_from_totals(totals[:STATS_WIDTH], mode).score,
+            _score_from_totals(totals[STATS_WIDTH:], mode).score,
+        )
+
+    score_a, score_b = scores(stats.sum(axis=0).tolist())
     worse_or_tied = 0
-    for s in range(n_samples):
-        idx = rng.indices_with_replacement(n, n, seed, "bootstrap", s)
-        sample_a = _score_from_totals(stats_a[idx].sum(axis=0), mode).score
-        sample_b = _score_from_totals(stats_b[idx].sum(axis=0), mode).score
-        if sample_a <= sample_b:
-            worse_or_tied += 1
+    # Row r of a chunk counts how often each sentence is drawn in sample
+    # start + r, so chunk @ stats is each sample's integer totals for both
+    # systems. One buffer serves every chunk.
+    weights = np.empty((min(BOOTSTRAP_CHUNK, n_samples), n), dtype=np.int64)
+    for start in range(0, n_samples, BOOTSTRAP_CHUNK):
+        chunk = weights[: n_samples - start]
+        for s, row in enumerate(chunk, start):
+            idx = rng.indices_with_replacement(n, n, seed, "bootstrap", s)
+            row[:] = np.bincount(idx, minlength=n)
+        worse_or_tied += sum(a <= b for a, b in map(scores, (chunk @ stats).tolist()))
     return SignificanceResult(
         delta=score_a - score_b,
         p_value=(1 + worse_or_tied) / (n_samples + 1),

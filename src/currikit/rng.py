@@ -9,9 +9,15 @@ output is stable across platforms and Python versions.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
-MASK64 = (1 << 64) - 1
+import numpy as np
+
+# splitmix64 (Steele et al., OOPSLA 2014): the golden-ratio increment and the
+# two multipliers of its output mix.
+GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 T = TypeVar("T")
 
@@ -25,20 +31,24 @@ def hash64(*key: object) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def _splitmix64(state: int) -> tuple[int, int]:
-    state = (state + 0x9E3779B97F4A7C15) & MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    return state, z ^ (z >> 31)
+def draws64(count: int, *key: object) -> np.ndarray:
+    """The first ``count`` 64-bit draws of the key's splitmix64 stream.
 
-
-def stream64(*key: object) -> Iterator[int]:
-    """Infinite stream of 64-bit values seeded by the key (splitmix64)."""
-    state = hash64(*key)
-    while True:
-        state, value = _splitmix64(state)
-        yield value
+    Draw i is ``mix(h + (i + 1) * GAMMA)`` modulo 2**64 with ``h = hash64(key)``:
+    a pure function of the key and the counter, computed for all i at once
+    (``uint64`` arithmetic wraps, which is the modulus).
+    """
+    if count < 0:
+        raise ValueError(f"cannot draw a negative count ({count})")
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= GAMMA
+    z += np.uint64(hash64(*key))
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def coin(*key: object) -> int:
@@ -55,9 +65,13 @@ def shuffled(items: Sequence[T], *key: object) -> list[T]:
     return out
 
 
-def indices_with_replacement(n: int, count: int, *key: object) -> list[int]:
-    """Draw `count` indices in [0, n) with replacement for the key."""
+def indices_with_replacement(n: int, count: int, *key: object) -> np.ndarray:
+    """Draw `count` indices in [0, n) with replacement for the key.
+
+    Index i is draw i of the key's stream modulo n, as an ``intp`` array.
+    """
     if n <= 0:
         raise ValueError("cannot draw indices from an empty range")
-    gen = stream64(*key)
-    return [next(gen) % n for _ in range(count)]
+    if n >= 1 << 63:
+        raise ValueError(f"cannot draw indices from a range of {n} (limit 2**63 - 1)")
+    return (draws64(count, *key) % np.uint64(n)).astype(np.intp)

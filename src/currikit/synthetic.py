@@ -37,8 +37,8 @@ def _tag(index: object) -> str:
 
 def _sentence(code: str, seed: int, index: object, words: int = 8) -> str:
     lex = _LEXICON[code]
-    draws = rng.stream64(seed, code, _tag(index))
-    picks = [lex[next(draws) % len(lex)] for _ in range(words)]
+    draws = rng.draws64(words, seed, code, _tag(index)) % len(lex)
+    picks = [lex[i] for i in draws.tolist()]
     picks.append(f"{code}-{_tag(index)}")
     return " ".join(picks).capitalize() + "."
 

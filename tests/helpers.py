@@ -4,6 +4,7 @@ import hashlib
 from pathlib import Path
 
 from currikit.corpus import Document, SentencePair, language
+from currikit.rng import hash64
 from currikit.tokenizer import EOT_TEXT, TokenizerError
 
 
@@ -76,3 +77,24 @@ def greedy_encode(text, spec):
                 f"(tokenizer {spec.id!r})"
             )
     return ids
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix_draws(count, *key):
+    """Reference for ``rng.draws64``: splitmix64 stepped one draw at a time.
+
+    The state starts at ``hash64(key)``; each step adds the golden-ratio
+    increment and mixes a copy of the state into the next value.
+    ``draws64`` and ``indices_with_replacement`` must agree with it.
+    """
+    state = hash64(*key)
+    out = []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        out.append(z ^ (z >> 31))
+    return out

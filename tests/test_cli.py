@@ -158,6 +158,15 @@ def test_signif_subcommand_deterministic(tmp_path, capsys):
     assert json.loads(first)["p_value"] == pytest.approx(1 / 1001)
 
 
+@pytest.mark.parametrize("n", ["0", "-3", "ten"])
+def test_signif_rejects_non_positive_n(n, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["signif", "--hypotheses-a", "a.txt", "--hypotheses-b", "b.txt",
+              "--references", "r.txt", "--n", n])
+    assert err.value.code == 2
+    assert "argument --n: expected a positive integer" in capsys.readouterr().err
+
+
 def test_prompts_subcommand(tmp_path, capsys):
     dev = tmp_path / "dev.tsv"
     test = tmp_path / "test.tsv"

@@ -168,6 +168,52 @@ def test_bootstrap_determinism():
     assert third.n_samples == 300  # same inputs, different draw sequence is fine
 
 
+_WORDS = ["river", "market", "morning", "quiet", "trade", "story", "city", "boat",
+          "rain", "light", "road", "house", "field", "song", "bread", "stone"]
+
+
+def _close_systems(n=40):
+    """Two systems that differ on different sentences: A loses a word or gets
+    one wrong, B gets one wrong or adds one, so neither wins every sample."""
+    refs, a, b = [], [], []
+    for i in range(n):
+        words = [_WORDS[(i * 7 + j * 3) % len(_WORDS)] for j in range(6 + i % 5)]
+        refs.append(" ".join(words) + ".")
+        wa = list(words)
+        if i % 3 == 0:
+            wa[1] = "xa"
+        if i % 4 == 1:
+            wa = wa[:-1]
+        a.append(" ".join(wa) + ".")
+        wb = list(words)
+        if i % 2 == 0:
+            wb[2] = "yb"
+        if i % 5 == 2:
+            wb.insert(0, "zb")
+        b.append(" ".join(wb) + ".")
+    return refs, a, b
+
+
+# (seed, n_samples) -> #{BLEU_A <= BLEU_B}, recorded with one stats[idx].sum()
+# per sample and one splitmix step per drawn index. 65 is not a multiple of
+# the resampling chunk.
+PINNED_WORSE_OR_TIED = {
+    (0, 1): 1, (1, 1): 0, (7, 1): 1,
+    (0, 65): 9, (7, 65): 8,
+    (0, 1000): 136, (7, 1000): 135,
+}
+
+
+@pytest.mark.parametrize("seed, n_samples", sorted(PINNED_WORSE_OR_TIED))
+def test_bootstrap_p_values_pinned(seed, n_samples):
+    refs, a, b = _close_systems()
+    result = paired_bootstrap(a, b, refs, n_samples=n_samples, seed=seed)
+    worse_or_tied = PINNED_WORSE_OR_TIED[seed, n_samples]
+    assert result.p_value == (1 + worse_or_tied) / (n_samples + 1)
+    assert result.score_a == 85.68121184887745
+    assert result.score_b == 81.31891507807974
+
+
 def test_bootstrap_input_errors():
     refs, a, b = _dominant_corpus(5)
     with pytest.raises(ValueError):
