@@ -21,7 +21,7 @@ from .evaluate import (
     read_lines,
 )
 from .pipeline import compile_corpus
-from .schedule import Strategy
+from .schedule import REPLAY_DIVISOR, Strategy
 from .shards import audit_shards, shard_stats
 from .tokenizer import resolve_spec
 
@@ -35,6 +35,37 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
+
+
+def _batch_blocks(text: str) -> int:
+    """argparse type for blocks per batch: a positive multiple of REPLAY_DIVISOR."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1 or value % REPLAY_DIVISOR:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive multiple of {REPLAY_DIVISOR}, got {text!r}"
+        )
+    return value
+
+
+def _inline_scores(text: str) -> dict[str, float]:
+    """argparse type for ``code=score`` items separated by commas, each code once."""
+    mapping: dict[str, float] = {}
+    for item in text.split(","):
+        code, _, value = item.partition("=")
+        code = code.strip()
+        try:
+            score = float(value)
+        except ValueError:
+            score = None
+        if not code or score is None:
+            raise argparse.ArgumentTypeError(f"expected code=score, got {item!r}")
+        if code in mapping:
+            raise argparse.ArgumentTypeError(f"{code!r} is scored twice, again in {item!r}")
+        mapping[code] = score
+    return mapping
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--strategy", required=True, choices=[s.value for s in Strategy]
     )
     p.add_argument("--budget-tokens", required=True, type=int)
-    p.add_argument("--batch-blocks", type=int, default=8,
+    p.add_argument("--batch-blocks", type=_batch_blocks, default=8,
                    help="blocks per optimizer step (8 or 16 in the studied regimes)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output corpus directory")
@@ -96,7 +127,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("aggregate", help="average per-language scores into a table row")
-    p.add_argument("--scores", help="inline scores: id=49.48,km=32.92,...")
+    p.add_argument("--scores", type=_inline_scores,
+                   help="inline scores: id=49.48,km=32.92,...")
     p.add_argument("--scores-json", help="JSON file mapping ISO codes to scores")
     p.add_argument("--label", default="model")
     p.add_argument("--json", action="store_true")
@@ -218,10 +250,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     if args.scores:
-        mapping = {}
-        for item in args.scores.split(","):
-            code, _, value = item.partition("=")
-            mapping[code.strip()] = float(value)
+        mapping = args.scores
     else:
         with open(args.scores_json, encoding="utf-8") as fh:
             mapping = json.load(fh)

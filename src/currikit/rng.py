@@ -9,7 +9,7 @@ output is stable across platforms and Python versions.
 from __future__ import annotations
 
 import hashlib
-from typing import Sequence, TypeVar
+from typing import Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -56,11 +56,29 @@ def coin(*key: object) -> int:
     return hash64(*key) & 1
 
 
+def swaps(n: int, *key: object) -> Iterator[tuple[int, int]]:
+    """The Fisher-Yates steps ``(i, j)`` of a keyed shuffle of ``n`` items.
+
+    ``i`` runs from ``n - 1`` down to 1 and ``j = hash64(*key, i) % (i + 1)``.
+    The key is absorbed once, as ``hash64`` absorbs it; each step copies that
+    state and absorbs only ``i``, which gives the same digest. Position ``i``
+    is final once its step is taken, so a caller may stop early without
+    changing any draw.
+    """
+    prefix = hashlib.blake2b(digest_size=8)
+    for part in key:
+        prefix.update(str(part).encode("utf-8"))
+        prefix.update(b"\x1f")
+    for i in range(n - 1, 0, -1):
+        h = prefix.copy()
+        h.update(b"%d\x1f" % i)
+        yield i, int.from_bytes(h.digest(), "little") % (i + 1)
+
+
 def shuffled(items: Sequence[T], *key: object) -> list[T]:
-    """Fisher-Yates shuffle driven by per-step keyed draws."""
+    """Fisher-Yates shuffle driven by per-step keyed draws (see ``swaps``)."""
     out = list(items)
-    for i in range(len(out) - 1, 0, -1):
-        j = hash64(*key, i) % (i + 1)
+    for i, j in swaps(len(out), *key):
         out[i], out[j] = out[j], out[i]
     return out
 

@@ -9,7 +9,9 @@ randomized with keyed draws. For the mixed strategy, permutations are
 redrawn (bounded, then a constructive fallback) until every run of
 non-replay blocks between two replay blocks contains at least one
 monolingual and one parallel block, measured on the final order across
-batch boundaries.
+batch boundaries. A redraw is abandoned as soon as the settled tail of its
+Fisher-Yates pass closes such a short run; every attempt has its own key,
+so cutting one short changes no later draw and no accepted order.
 
 Budgets are floored to whole batches; leftover tokens are reported on the
 manifest, never padded.
@@ -256,6 +258,45 @@ def _mixed_fallback(base: Sequence[BlockKind], batch_index: int) -> list[BlockKi
     return order
 
 
+def _mixed_order(
+    base: list[BlockKind], open_run: list[BlockKind], seed: int, batch_index: int
+) -> list[BlockKind]:
+    """The first keyed shuffle of ``base`` whose runs all hold both kinds.
+
+    Attempt ``a`` is the Fisher-Yates shuffle keyed ``(seed, "batch",
+    batch_index, a)``, accepted when ``open_run + order`` has no short run.
+    A pass is abandoned as soon as its settled tail closes a short run
+    between two of the batch's own replay blocks, which the full check
+    would reject too; the full check still decides every surviving pass,
+    including the run carried in as ``open_run``. After
+    ``MAX_PERMUTATION_ATTEMPTS`` rejections ``_mixed_fallback`` decides.
+    """
+    for attempt in range(MAX_PERMUTATION_ATTEMPTS):
+        order = list(base)
+        closed = False  # a replay block is settled to the right of position i
+        mono = par = 0  # blocks settled since the nearest such replay block
+        for i, j in rng.swaps(len(order), seed, "batch", batch_index, attempt):
+            order[i], order[j] = order[j], order[i]
+            name = order[i].name
+            if name == "replay":
+                if closed and not (mono and par):
+                    break
+                closed, mono, par = True, 0, 0
+            elif name == "monolingual":
+                mono += 1
+            else:
+                par += 1
+        else:
+            if next(_short_runs(open_run + order), None) is None:
+                return order
+    order = _mixed_fallback(base, batch_index)
+    if next(_short_runs(open_run + order), None) is not None:
+        raise ConstraintError(
+            f"batch {batch_index} fallback violates the interleave constraint", batch_index
+        )
+    return order
+
+
 def build_schedule(
     strategy: Strategy | str,
     token_budget: int,
@@ -299,19 +340,12 @@ def build_schedule(
     for b in range(n_batches):
         chunk = kinds[b * non_replay_per_batch : (b + 1) * non_replay_per_batch]
         base = [BlockKind.replay()] * replay_per_batch + chunk
-        for attempt in range(MAX_PERMUTATION_ATTEMPTS):
-            order = rng.shuffled(base, seed, "batch", b, attempt)
-            if strategy is not Strategy.MIXED or next(_short_runs(open_run + order), None) is None:
-                break
-        else:
-            order = _mixed_fallback(base, b)
-            if next(_short_runs(open_run + order), None) is not None:
-                raise ConstraintError(
-                    f"batch {b} fallback violates the interleave constraint", b
-                )
         if strategy is Strategy.MIXED:
+            order = _mixed_order(base, open_run, seed, b)
             last_replay = max(i for i, k in enumerate(order) if k.name == "replay")
             open_run = order[last_replay:]
+        else:
+            order = rng.shuffled(base, seed, "batch", b, 0)
         start = b * batch_size_blocks
         entries.extend(
             ScheduleEntry(position=start + i, kind=k, batch_index=b)

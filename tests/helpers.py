@@ -3,6 +3,7 @@
 import hashlib
 from pathlib import Path
 
+from currikit import rng, schedule
 from currikit.corpus import Document, SentencePair, language
 from currikit.rng import hash64
 from currikit.tokenizer import EOT_TEXT, TokenizerError
@@ -98,3 +99,30 @@ def splitmix_draws(count, *key):
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         out.append(z ^ (z >> 31))
     return out
+
+
+def scalar_swaps(n, *key):
+    """Reference for ``rng.swaps``: every Fisher-Yates step hashes its whole key.
+
+    Step ``i`` runs from ``n - 1`` down to 1 and swaps ``i`` with
+    ``hash64(*key, i) % (i + 1)``; ``rng.shuffled`` applies these steps.
+    """
+    return [(i, hash64(*key, i) % (i + 1)) for i in range(n - 1, 0, -1)]
+
+
+def whole_shuffle_mixed_order(base, open_run, seed, batch_index):
+    """Reference for ``schedule._mixed_order``: whole shuffles, full check.
+
+    Each attempt is a complete ``rng.shuffled`` pass judged by
+    ``_short_runs`` over the carried run and the new order, with the same
+    fallback after ``MAX_PERMUTATION_ATTEMPTS``. Returns ``(attempt,
+    order)``; ``attempt`` is None when the fallback decided.
+    """
+    for attempt in range(schedule.MAX_PERMUTATION_ATTEMPTS):
+        order = rng.shuffled(base, seed, "batch", batch_index, attempt)
+        if next(schedule._short_runs(open_run + order), None) is None:
+            return attempt, order
+    order = schedule._mixed_fallback(base, batch_index)
+    if next(schedule._short_runs(open_run + order), None) is not None:
+        raise schedule.ConstraintError("fallback violates the interleave constraint", batch_index)
+    return None, order

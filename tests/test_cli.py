@@ -210,6 +210,31 @@ def test_aggregate_subcommand_json_file(tmp_path, capsys):
     assert "1.50" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "scores, message",
+    [
+        ("id=abc", "expected code=score, got 'id=abc'"),
+        ("id", "expected code=score, got 'id'"),
+        ("id=1,id=2", "'id' is scored twice, again in 'id=2'"),
+    ],
+)
+def test_aggregate_rejects_bad_inline_scores(scores, message, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["aggregate", "--scores", scores])
+    assert err.value.code == 2
+    assert f"argument --scores: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("batch", ["6", "0", "-4", "eight"])
+def test_compile_rejects_bad_batch_blocks_before_reading(batch, tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["compile", "--config", str(tmp_path / "missing.json"), "--strategy", "mixed",
+              "--budget-tokens", "1048576", "--batch-blocks", batch,
+              "--out", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert "argument --batch-blocks: expected a positive multiple of 4" in capsys.readouterr().err
+
+
 def test_compile_writes_run_config(compiled):
     echo = json.loads((compiled / "run_config.json").read_text())
     assert echo["strategy"] == "parallel-only"

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from currikit import rng
-from helpers import splitmix_draws
+from helpers import scalar_swaps, splitmix_draws
 
 KEY_PART = st.one_of(st.integers(min_value=-(2**70), max_value=2**70), st.text(max_size=8))
 
@@ -19,6 +19,23 @@ def test_first_draws_pinned():
     assert rng.indices_with_replacement(1000, 5, 1, "bootstrap", 0).tolist() == [
         397, 943, 674, 571, 784,
     ]
+
+
+def test_shuffle_pinned():
+    assert rng.shuffled(range(16), 0, "batch", 0, 0) == [
+        2, 7, 12, 1, 5, 11, 14, 3, 13, 0, 4, 9, 15, 10, 6, 8,
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=0, max_value=40), key=st.lists(KEY_PART, max_size=4))
+def test_swaps_and_shuffle_match_scalar_steps(n, key):
+    steps = scalar_swaps(n, *key)
+    assert list(rng.swaps(n, *key)) == steps
+    expected = list(range(n))
+    for i, j in steps:
+        expected[i], expected[j] = expected[j], expected[i]
+    assert rng.shuffled(range(n), *key) == expected
 
 
 @settings(max_examples=200, deadline=None)

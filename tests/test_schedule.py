@@ -1,10 +1,12 @@
 import dataclasses
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from currikit import rng, schedule
 from currikit.packing import BLOCK_TOKENS, BlockKind
 from currikit.schedule import (
     ConstraintError,
@@ -14,6 +16,7 @@ from currikit.schedule import (
     build_schedule,
     validate_schedule,
 )
+from helpers import whole_shuffle_mixed_order
 
 ALL_STRATEGIES = list(Strategy)
 LANGS = ["id", "km", "lo", "ms", "my", "ta", "th", "tl", "vi", "zh"]
@@ -249,6 +252,58 @@ def test_mixed_fallback_closes_the_carried_run():
     order = _mixed_fallback(base, batch_index=0)
     assert sorted(order, key=BlockKind.key) == sorted(base, key=BlockKind.key)
     assert list(_short_runs(open_run + order)) == []
+
+
+@pytest.mark.parametrize("attempts", [0, 1])
+@pytest.mark.parametrize("batch", [8, 16])
+def test_mixed_build_validates_when_attempts_run_out(monkeypatch, attempts, batch):
+    monkeypatch.setattr(schedule, "MAX_PERMUTATION_ATTEMPTS", attempts)
+    m = build_schedule(Strategy.MIXED, blocks_budget(12 * batch), LANGS[:3], batch, seed=3)
+    assert m.n_blocks == 12 * batch
+    assert validate_schedule(m) == []
+
+
+NON_REPLAY = st.builds(
+    BlockKind, st.sampled_from(["monolingual", "parallel"]), st.sampled_from(["id", "th"])
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=st.sampled_from(range(4, 33, 4)),
+    data=st.data(),
+    carried=st.none() | st.lists(NON_REPLAY, max_size=6),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_mixed_order_matches_whole_shuffle_reference(batch, data, carried, seed):
+    replays = batch // 4
+    chunk = data.draw(st.lists(NON_REPLAY, min_size=batch - replays, max_size=batch - replays))
+    base = [BlockKind.replay()] * replays + chunk
+    open_run = [] if carried is None else [BlockKind.replay(), *carried]
+    try:
+        want = whole_shuffle_mixed_order(base, open_run, seed, 9)
+    except ConstraintError:
+        want = None
+    with (
+        mock.patch.object(rng, "swaps", wraps=rng.swaps) as swaps,
+        mock.patch.object(schedule, "_mixed_fallback", wraps=schedule._mixed_fallback) as fallback,
+    ):
+        try:
+            order = schedule._mixed_order(base, open_run, seed, 9)
+        except ConstraintError:
+            order = None
+    if want is None:
+        assert order is None and fallback.call_count == 1
+        return
+    attempt, want_order = want
+    assert order == want_order
+    if attempt is None:
+        assert fallback.call_count == 1
+        assert swaps.call_count == schedule.MAX_PERMUTATION_ATTEMPTS
+    else:
+        assert fallback.call_count == 0
+        assert swaps.call_count == attempt + 1
+        assert swaps.call_args.args == (batch, seed, "batch", 9, attempt)
 
 
 @settings(max_examples=30, deadline=None)
