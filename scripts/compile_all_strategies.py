@@ -14,20 +14,22 @@ Example:
 import argparse
 from pathlib import Path
 
+from currikit.cli import batch_blocks
 from currikit.packing import BLOCK_TOKENS
 from currikit.pipeline import CompileError, compile_corpus
 from currikit.schedule import Strategy
 from currikit.shards import audit_shards
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--config", required=True, help="corpus configuration JSON")
     parser.add_argument("--out", required=True, help="directory for per-strategy runs")
     parser.add_argument("--blocks", type=int, default=16, help="token budget in blocks")
-    parser.add_argument("--batch-blocks", type=int, default=4)
+    parser.add_argument("--batch-blocks", type=batch_blocks, default=4,
+                        help="blocks per batch, a positive multiple of 4")
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     out_root = Path(args.out)
     budget = args.blocks * BLOCK_TOKENS

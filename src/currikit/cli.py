@@ -37,7 +37,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _batch_blocks(text: str) -> int:
+def batch_blocks(text: str) -> int:
     """argparse type for blocks per batch: a positive multiple of REPLAY_DIVISOR."""
     try:
         value = int(text)
@@ -82,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--strategy", required=True, choices=[s.value for s in Strategy]
     )
     p.add_argument("--budget-tokens", required=True, type=int)
-    p.add_argument("--batch-blocks", type=_batch_blocks, default=8,
+    p.add_argument("--batch-blocks", type=batch_blocks, default=8,
                    help="blocks per optimizer step (8 or 16 in the studied regimes)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output corpus directory")

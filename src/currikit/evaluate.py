@@ -6,15 +6,25 @@ smoothing (any zero precision zeroes the score). Significance is a
 one-sided paired bootstrap over sentence indices with an add-one
 corrected p-value. Scoring is case-sensitive; tokenization mode and
 sample counts are carried on every result so reports are self-describing.
+
+Tokenizing is one ``str.translate`` through a per-mode table, filled one
+code point at a time as text meets it, then a whitespace split. N-grams
+are counted as numpy arrays, ``STATS_BLOCK`` sentences at a time: tokens get ids shared
+by the reference and every system, each n-gram id is built from its prefix's
+id and its last token, ``np.unique`` counts each (sentence, side, n-gram)
+key, and a hypothesis count is clipped at the reference's count of the same
+n-gram. ``tests/helpers.py`` keeps the per-character tokenizer and the
+``Counter``-based statistics as the scalar reference.
 """
 
 from __future__ import annotations
 
 import math
 import unicodedata
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from itertools import chain, count
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -24,8 +34,12 @@ from .corpus import SEA_CODES, LanguageTag, SentencePair, language
 
 MAX_NGRAM = 4
 
-# Length of a _sentence_stats row: correct and total n-grams, hyp_len, ref_len.
+# Length of a _corpus_stats row per system: correct and total n-grams, hyp_len, ref_len.
 STATS_WIDTH = 2 * MAX_NGRAM + 2
+
+# Sentences whose n-grams are counted together, every side at once, so the
+# counting arrays grow with the block, not with the corpus.
+STATS_BLOCK = 64
 
 # Bootstrap samples resampled together: one (BOOTSTRAP_CHUNK, n) int64 weight
 # matrix at a time, 512 KiB for 1,000 sentences.
@@ -50,17 +64,37 @@ def _is_cjk(ch: str) -> bool:
     )
 
 
+class _SplitTable(dict):
+    """``str.translate`` table of one tokenization mode, filled on first use.
+
+    A code point's entry is computed once, when ``translate`` first meets
+    it: ``" ch "`` for Unicode punctuation (and CJK characters in zh mode),
+    otherwise the code point itself. No entry is ``None``, which would
+    delete the character.
+    """
+
+    def __init__(self, split_cjk: bool) -> None:
+        super().__init__()
+        self.split_cjk = split_cjk
+
+    def __missing__(self, cp: int) -> str | int:
+        ch = chr(cp)
+        if unicodedata.category(ch).startswith("P") or (self.split_cjk and _is_cjk(ch)):
+            entry: str | int = f" {ch} "
+        else:
+            entry = cp
+        self[cp] = entry
+        return entry
+
+
+_SPLIT_TABLES = {"default": _SplitTable(False), "zh": _SplitTable(True)}
+
+
 def tokenize(text: str, mode: str = "default") -> list[str]:
     """Separate punctuation (and CJK characters in zh mode), then split."""
     if mode not in TOKENIZATION_MODES:
         raise ValueError(f"unknown tokenization mode {mode!r}")
-    out: list[str] = []
-    for ch in text:
-        if unicodedata.category(ch).startswith("P") or (mode == "zh" and _is_cjk(ch)):
-            out.append(f" {ch} ")
-        else:
-            out.append(ch)
-    return "".join(out).split()
+    return text.translate(_SPLIT_TABLES[mode]).split()
 
 
 @dataclass
@@ -81,34 +115,14 @@ class BleuScore:
         )
 
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
-
-
-def _sentence_stats(
-    hyp_tokens: Sequence[str], ref_ngrams: Sequence[Counter], ref_len: int
-) -> list[int]:
-    """[correct_1..4, total_1..4, hyp_len, ref_len] for one sentence, given the
-    reference's n-gram counts for n = 1..4."""
-    row = []
-    for n, ref in enumerate(ref_ngrams, start=1):
-        hyp = _ngram_counts(hyp_tokens, n)
-        row.append(sum(min(c, ref[g]) for g, c in hyp.items()))
-    for n in range(1, MAX_NGRAM + 1):
-        row.append(max(0, len(hyp_tokens) - n + 1))
-    row.append(len(hyp_tokens))
-    row.append(ref_len)
-    return row
-
-
 def _corpus_stats(
     references: Sequence[str], mode: str, *systems: Sequence[str]
 ) -> np.ndarray:
     """Per-sentence statistics of each system, side by side.
 
-    Row i is the ``_sentence_stats`` of ``systems[0][i]``, then of
-    ``systems[1][i]`` and so on, against ``references[i]``. Each reference is
-    tokenized and counted once, however many systems are scored against it.
+    Row i holds ``[correct_1..4, total_1..4, hyp_len, ref_len]`` of
+    ``systems[0][i]`` against ``references[i]``, then the same for
+    ``systems[1][i]`` and so on. Every sentence is tokenized once.
     """
     for hypotheses in systems:
         if len(hypotheses) != len(references):
@@ -117,18 +131,61 @@ def _corpus_stats(
             )
     if not references:
         raise ValueError("empty corpus")
-    stats = np.empty((len(references), STATS_WIDTH * len(systems)), dtype=np.int64)
-    for i, ref in enumerate(references):
-        if not ref.strip():
+    m = len(references)
+    blocks = (range(start, min(start + STATS_BLOCK, m)) for start in range(0, m, STATS_BLOCK))
+    return np.concatenate([_block_stats(references, systems, mode, block) for block in blocks])
+
+
+def _block_stats(
+    references: Sequence[str], systems: Sequence[Sequence[str]], mode: str, block: range
+) -> np.ndarray:
+    """``_corpus_stats`` rows of the sentences in ``block``.
+
+    Slot s is sentence ``block[s // sides]`` of side ``s % sides``, the
+    reference being side 0. Tokens get dense ids; an n-gram's id is its
+    (n-1)-gram prefix's id times the vocabulary size plus its last token,
+    made dense again. One ``np.unique`` counts every (slot, n-gram) key that
+    does not cross a sentence end, and a hypothesis count is clipped at the
+    count of the same n-gram in its sentence's reference slot.
+    """
+    sentences = []
+    for i in block:
+        ref = tokenize(references[i], mode)
+        if not ref:
             raise ValueError(f"reference sentence {i} is empty")
-        ref_tokens = tokenize(ref, mode)
-        ref_ngrams = [_ngram_counts(ref_tokens, n) for n in range(1, MAX_NGRAM + 1)]
-        row = []
+        sentences.append(ref)
         for hypotheses in systems:
-            hyp_tokens = tokenize(hypotheses[i], mode)
-            row += _sentence_stats(hyp_tokens, ref_ngrams, len(ref_tokens))
-        stats[i] = row
-    return stats
+            sentences.append(tokenize(hypotheses[i], mode))
+    sides = 1 + len(systems)
+    lens = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+    vocab: defaultdict[str, int] = defaultdict(count().__next__)
+    tokens = np.fromiter(
+        map(vocab.__getitem__, chain.from_iterable(sentences)), dtype=np.int64, count=lens.sum()
+    )
+    slot = np.repeat(np.arange(len(lens)), lens)
+    # Tokens left in each token's sentence, counting itself.
+    room = np.repeat(np.cumsum(lens), lens) - np.arange(len(tokens))
+    correct = np.empty((len(lens), MAX_NGRAM), dtype=np.int64)
+    gram, width = tokens, len(vocab)
+    for n in range(1, MAX_NGRAM + 1):
+        if n > 1:
+            uniq, gram = np.unique(gram[:-1] * width + tokens[n - 1 :], return_inverse=True)
+            width = len(uniq)
+        inside = room[: len(gram)] >= n
+        keys, counts = np.unique(
+            slot[: len(gram)][inside] * width + gram[inside], return_counts=True
+        )
+        # Each key's reference key is no larger than the key itself, which
+        # is in keys, so every insertion point is inside keys.
+        ref_keys = keys - keys // width % sides * width
+        at = np.searchsorted(keys, ref_keys)
+        ref_counts = np.where(keys[at] == ref_keys, counts[at], 0)
+        correct[:, n - 1] = np.bincount(
+            keys // width, weights=np.minimum(counts, ref_counts), minlength=len(lens)
+        )
+    totals = np.maximum(lens[:, None] - np.arange(MAX_NGRAM), 0)
+    rows = np.column_stack((correct, totals, lens, np.repeat(lens[::sides], sides)))
+    return rows.reshape(len(block), sides * STATS_WIDTH)[:, STATS_WIDTH:]
 
 
 def _score_from_totals(totals: Sequence[int], mode: str) -> BleuScore:

@@ -1,9 +1,11 @@
 """Small factories shared across test modules."""
 
 import hashlib
+import unicodedata
+from collections import Counter
 from pathlib import Path
 
-from currikit import rng, schedule
+from currikit import evaluate, rng, schedule
 from currikit.corpus import Document, SentencePair, language
 from currikit.rng import hash64
 from currikit.tokenizer import EOT_TEXT, TokenizerError
@@ -126,3 +128,70 @@ def whole_shuffle_mixed_order(base, open_run, seed, batch_index):
     if next(schedule._short_runs(open_run + order), None) is not None:
         raise schedule.ConstraintError("fallback violates the interleave constraint", batch_index)
     return None, order
+
+
+def _is_cjk(ch):
+    """CJK Unified Ideographs, Extension A, Compatibility Ideographs and
+    Extensions B-F: the characters zh mode splits one by one."""
+    cp = ord(ch)
+    return (
+        0x4E00 <= cp <= 0x9FFF
+        or 0x3400 <= cp <= 0x4DBF
+        or 0xF900 <= cp <= 0xFAFF
+        or 0x20000 <= cp <= 0x2A6DF
+        or 0x2A700 <= cp <= 0x2EBEF
+    )
+
+
+def scalar_tokenize(text, mode="default"):
+    """Reference for ``evaluate.tokenize``: one category lookup per character.
+
+    Punctuation (and CJK in zh mode) is padded with spaces character by
+    character, then the joined text is split on whitespace.
+    """
+    if mode not in evaluate.TOKENIZATION_MODES:
+        raise ValueError(f"unknown tokenization mode {mode!r}")
+    out = []
+    for ch in text:
+        if unicodedata.category(ch).startswith("P") or (mode == "zh" and _is_cjk(ch)):
+            out.append(f" {ch} ")
+        else:
+            out.append(ch)
+    return "".join(out).split()
+
+
+def _ngram_counts(tokens, n):
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def scalar_sentence_stats(hyp_tokens, ref_tokens):
+    """``[correct_1..4, total_1..4, hyp_len, ref_len]`` of one sentence pair,
+    each hypothesis n-gram count clipped at its ``Counter`` count in the
+    reference."""
+    row = []
+    for n in range(1, evaluate.MAX_NGRAM + 1):
+        ref = _ngram_counts(ref_tokens, n)
+        hyp = _ngram_counts(hyp_tokens, n)
+        row.append(sum(min(c, ref[g]) for g, c in hyp.items()))
+    for n in range(1, evaluate.MAX_NGRAM + 1):
+        row.append(max(0, len(hyp_tokens) - n + 1))
+    row.append(len(hyp_tokens))
+    row.append(len(ref_tokens))
+    return row
+
+
+def scalar_corpus_stats(references, mode, *systems):
+    """Reference for ``evaluate._corpus_stats``, one sentence at a time.
+
+    Row i is ``scalar_sentence_stats`` of ``systems[0][i]``, then of
+    ``systems[1][i]`` and so on, against ``references[i]``.
+    """
+    rows = []
+    for i, ref in enumerate(references):
+        ref_tokens = scalar_tokenize(ref, mode)
+        rows.append([
+            value
+            for hypotheses in systems
+            for value in scalar_sentence_stats(scalar_tokenize(hypotheses[i], mode), ref_tokens)
+        ])
+    return rows

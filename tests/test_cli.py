@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -233,6 +235,19 @@ def test_compile_rejects_bad_batch_blocks_before_reading(batch, tmp_path, capsys
               "--out", str(tmp_path / "out")])
     assert err.value.code == 2
     assert "argument --batch-blocks: expected a positive multiple of 4" in capsys.readouterr().err
+
+
+def test_compile_all_strategies_rejects_bad_batch_blocks(tmp_path, capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "compile_all_strategies.py"
+    spec = importlib.util.spec_from_file_location("compile_all_strategies", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    with pytest.raises(SystemExit) as err:
+        script.main(["--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "out"),
+                     "--batch-blocks", "6"])
+    assert err.value.code == 2
+    assert "argument --batch-blocks: expected a positive multiple of 4" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_compile_writes_run_config(compiled):

@@ -1,11 +1,17 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import currikit.evaluate
 from currikit.evaluate import (
+    STATS_BLOCK,
+    TOKENIZATION_MODES,
     ResultTable,
+    _corpus_stats,
     aggregate,
     bleu,
     build_prompts,
@@ -15,7 +21,7 @@ from currikit.evaluate import (
     tokenize,
 )
 from bleu_oracle import oracle_bleu
-from helpers import make_pair, parse_segment
+from helpers import make_pair, parse_segment, scalar_corpus_stats, scalar_tokenize
 
 
 def test_tokenize_separates_punctuation():
@@ -29,6 +35,88 @@ def test_tokenize_zh_splits_cjk():
     assert tokenize("你好ab", "default") == ["你好ab"]
     assert mode_for_language("zh") == "zh"
     assert mode_for_language("id") == "default"
+
+
+@pytest.mark.parametrize("mode", TOKENIZATION_MODES)
+def test_tokenize_matches_scalar_reference_on_every_code_point(mode):
+    code_points = np.r_[0:0xD800, 0xE000:0x110000].astype("<u4")
+    text = code_points.tobytes().decode("utf-32-le")
+    try:
+        assert tokenize(text, mode) == scalar_tokenize(text, mode)
+    finally:
+        # Every code point now has an entry, about 70 MB; start empty again.
+        currikit.evaluate._SPLIT_TABLES[mode].clear()
+
+
+def test_unknown_mode_is_a_value_error():
+    refs = ["a b c", "d e f"]
+    with pytest.raises(ValueError, match="unknown tokenization mode 'ja'"):
+        tokenize("a b", "ja")
+    with pytest.raises(ValueError, match="unknown tokenization mode 'ja'"):
+        bleu(refs, refs, mode="ja")
+    with pytest.raises(ValueError, match="unknown tokenization mode 'ja'"):
+        paired_bootstrap(refs, refs, refs, n_samples=2, mode="ja")
+
+
+# Pieces of generated sentences: repeated words, ASCII and CJK punctuation, CJK
+# characters and several kinds of whitespace, so n-grams repeat and get clipped.
+_PIECES = ["ab", "ab", "cd", "x", " ", " ", "  ", "\t", "\u3000", ",", ".", "!", "。",
+           "、", "「", "你", "好", "中文"]
+_REF_TEXT = st.lists(st.sampled_from(_PIECES), min_size=1, max_size=14).map("".join).filter(
+    str.strip
+)
+_HYP_TEXT = st.one_of(
+    st.sampled_from(["", " ", "\t\u3000  "]),
+    st.lists(st.sampled_from(_PIECES), max_size=14).map("".join),
+)
+
+
+@st.composite
+def _scored_corpora(draw):
+    m = draw(st.integers(1, 6))
+    refs = draw(st.lists(_REF_TEXT, min_size=m, max_size=m))
+    systems = draw(st.lists(st.lists(_HYP_TEXT, min_size=m, max_size=m), min_size=1, max_size=3))
+    return refs, systems, draw(st.sampled_from(TOKENIZATION_MODES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scored_corpora())
+def test_corpus_stats_match_scalar_reference(corpus):
+    refs, systems, mode = corpus
+    assert _corpus_stats(refs, mode, *systems).tolist() == scalar_corpus_stats(
+        refs, mode, *systems
+    )
+
+
+@pytest.mark.parametrize("mode", TOKENIZATION_MODES)
+def test_corpus_stats_match_scalar_reference_across_blocks(mode):
+    rnd = random.Random(mode)
+    m = 2 * STATS_BLOCK + 5
+
+    def sentence(min_size):
+        return "".join(rnd.choices(_PIECES, k=rnd.randint(min_size, 14)))
+
+    refs = [sentence(1) + "x" for _ in range(m)]
+    systems = [[sentence(0) for _ in range(m)] for _ in range(2)]
+    assert _corpus_stats(refs, mode, *systems).tolist() == scalar_corpus_stats(
+        refs, mode, *systems
+    )
+
+
+def test_each_sentence_is_tokenized_once_through_the_module_function(monkeypatch):
+    calls = []
+
+    def counting(text, mode="default"):
+        calls.append(text)
+        return tokenize(text, mode)
+
+    monkeypatch.setattr(currikit.evaluate, "tokenize", counting)
+    refs = [f"sentence {i} , with words" for i in range(7)]
+    bleu(refs, refs)
+    assert len(calls) == 2 * len(refs)
+    calls.clear()
+    paired_bootstrap(refs, refs, refs, n_samples=3)
+    assert len(calls) == 3 * len(refs)
 
 
 def test_bleu_identity_corpus_scores_100():
@@ -92,6 +180,22 @@ def test_bleu_input_errors():
         bleu([], [])
     with pytest.raises(ValueError):
         bleu(["a"], ["   "])
+
+
+def test_first_blank_reference_is_named():
+    with pytest.raises(ValueError, match=r"^reference sentence 1 is empty$"):
+        bleu(["a", "", "c", "d"], ["a", " ", "c", "\t\u3000"])
+    with pytest.raises(ValueError, match=r"^reference sentence 2 is empty$"):
+        paired_bootstrap(["a"] * 4, ["b", "", "", ""], ["a", "b", "", ""])
+    refs = ["a b"] * (2 * STATS_BLOCK)
+    refs[STATS_BLOCK + 3] = refs[STATS_BLOCK + 9] = " "
+    with pytest.raises(ValueError, match=rf"^reference sentence {STATS_BLOCK + 3} is empty$"):
+        bleu(["a b"] * len(refs), refs)
+
+
+def test_length_check_comes_before_the_blank_check():
+    with pytest.raises(ValueError, match=r"^2 hypotheses vs 3 references$"):
+        bleu(["a", "b"], ["a", "", "c"])
 
 
 @settings(max_examples=60, deadline=None)
