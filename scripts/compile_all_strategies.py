@@ -14,7 +14,7 @@ Example:
 import argparse
 from pathlib import Path
 
-from currikit.cli import batch_blocks
+from currikit.cli import batch_blocks, positive_int
 from currikit.packing import BLOCK_TOKENS
 from currikit.pipeline import CompileError, compile_corpus
 from currikit.schedule import Strategy
@@ -25,11 +25,14 @@ def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--config", required=True, help="corpus configuration JSON")
     parser.add_argument("--out", required=True, help="directory for per-strategy runs")
-    parser.add_argument("--blocks", type=int, default=16, help="token budget in blocks")
+    parser.add_argument("--blocks", type=positive_int, default=16,
+                        help="token budget in blocks, at least one batch")
     parser.add_argument("--batch-blocks", type=batch_blocks, default=4,
                         help="blocks per batch, a positive multiple of 4")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
+    if args.blocks < args.batch_blocks:
+        parser.error(f"--blocks {args.blocks} is below one batch of {args.batch_blocks} blocks")
 
     out_root = Path(args.out)
     budget = args.blocks * BLOCK_TOKENS

@@ -26,7 +26,7 @@ from .shards import audit_shards, shard_stats
 from .tokenizer import resolve_spec
 
 
-def _positive_int(text: str) -> int:
+def positive_int(text: str) -> int:
     """argparse type for a count that must be at least 1."""
     try:
         value = int(text)
@@ -120,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hypotheses-a", required=True)
     p.add_argument("--hypotheses-b", required=True)
     p.add_argument("--references", required=True)
-    p.add_argument("--n", type=_positive_int, default=1000,
+    p.add_argument("--n", type=positive_int, default=1000,
                    help="bootstrap samples (at least 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=("default", "zh"), default="default")

@@ -30,6 +30,14 @@ class LanguageTag:
     code: str
     display_name: str
 
+    def label(self, style: str) -> str:
+        """The label a segment line starts with: ``"name"`` or ``"code"`` style."""
+        if style == "name":
+            return self.display_name
+        if style == "code":
+            return self.code
+        raise ValueError(f"unknown label style {style!r}")
+
 
 # Fixed language registry; SEA codes are kept in the canonical table order
 # used for all deterministic per-language cycling and rendering.
@@ -102,11 +110,14 @@ class SentencePair:
 
 @dataclass
 class ReadCounter:
-    """Conservation bookkeeping: records == emitted + skipped per source."""
+    """Per-source bookkeeping: every record read is emitted or skipped."""
 
-    records: int = 0
     emitted: int = 0
     skipped: int = 0
+
+    @property
+    def records(self) -> int:
+        return self.emitted + self.skipped
 
 
 class ShortfallError(RuntimeError):
@@ -152,7 +163,6 @@ def read_monolingual(
     if _is_jsonl(path):
         with open(path, encoding="utf-8") as fh:
             for ordinal, line in enumerate(fh):
-                counter.records += 1
                 text = _jsonl_text(line, source_id, ordinal)
                 if text is None:
                     counter.skipped += 1
@@ -161,7 +171,6 @@ def read_monolingual(
                 yield Document(text=text, language=tag, source_id=source_id, ordinal=ordinal)
     else:
         for ordinal, record in enumerate(_iter_plain_records(path)):
-            counter.records += 1
             if not record:
                 counter.skipped += 1
                 continue
@@ -195,7 +204,6 @@ def read_parallel(
     jsonl = _is_jsonl(path)
     with open(path, encoding="utf-8") as fh:
         for ordinal, line in enumerate(fh):
-            counter.records += 1
             sides = _pair_fields(line, jsonl, source_id, ordinal)
             if sides is None:
                 counter.skipped += 1

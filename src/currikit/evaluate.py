@@ -354,12 +354,7 @@ def build_prompts(
         raise ValueError("k must be non-negative")
     if len(dev_pairs) < k:
         raise ValueError(f"need {k} dev pairs for exemplars, have {len(dev_pairs)}")
-    if label_style == "name":
-        src_label, tgt_label = src.display_name, tgt.display_name
-    elif label_style == "code":
-        src_label, tgt_label = src.code, tgt.code
-    else:
-        raise ValueError(f"unknown label style {label_style!r}")
+    src_label, tgt_label = src.label(label_style), tgt.label(label_style)
     shots = []
     for pair in dev_pairs[:k]:
         s, t = _pair_sides(pair, src, tgt)

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import rng
-from .corpus import Document, LanguageTag, SentencePair, ShortfallError, language
+from .corpus import EN, Document, LanguageTag, SentencePair, ShortfallError, language
 from .tokenizer import TokenizerSpec, count_tokens, encode
 
 SEQUENCE_LENGTH = 4_096
@@ -139,34 +139,27 @@ class TokenBlock:
 
 @dataclass
 class PackReport:
-    """Accounting for one packed stream."""
+    """Accounting for one packed stream: counters the packer bumps as records
+    arrive and blocks leave; the unused tokens follow from them."""
 
     records: int = 0
     tokens_in: int = 0  # ids entering the buffer, separators included
     blocks: int = 0
-    discarded_tokens: int = 0  # final partial buffer, set when input runs dry
-    # Ids read but in no block yet: the buffer's fill, or right after a block
-    # that ends mid-record, the record's tail not yet copied into the buffer.
-    # Left over if a stream is abandoned.
-    pending_tokens: int = 0
     en_first: int = 0  # direction draws landing English-first
     replacement_token_delta: int = 0  # replacement minus original SEA-side tokens
 
     @property
     def unused_tokens(self) -> int:
-        return self.discarded_tokens + self.pending_tokens
+        """Ids read but in no block: the discarded final partial buffer once
+        input runs dry; before that, the buffer's fill plus any record tail
+        not yet copied, which is what an abandoned stream leaves over."""
+        return self.tokens_in - self.blocks * BLOCK_TOKENS
 
 
 def format_pair(pair: SentencePair, direction: Direction, label_style: str = "name") -> str:
     """Render one aligned pair as two labeled lines (no trailing marker)."""
-    if label_style == "name":
-        en_label = "English"
-        sea_label = pair.sea_language.display_name
-    elif label_style == "code":
-        en_label = "en"
-        sea_label = pair.sea_language.code
-    else:
-        raise ValueError(f"unknown label style {label_style!r}")
+    en_label = EN.label(label_style)
+    sea_label = pair.sea_language.label(label_style)
     if direction is Direction.EN_FIRST:
         return f"{en_label}: {pair.en_text}\n{sea_label}: {pair.sea_text}"
     return f"{sea_label}: {pair.sea_text}\n{en_label}: {pair.en_text}"
@@ -222,7 +215,6 @@ def _pack(
                 break
             closed.append((span_source, span_first, span_last))
             report.blocks += 1
-            report.pending_tokens = size - placed
             yield TokenBlock(
                 ids=buffer,
                 kind=kind,
@@ -238,9 +230,6 @@ def _pack(
                 span_source = None
                 break
             span_first = ordinal  # the record's rest opens the next block's span
-        report.pending_tokens = fill
-    report.discarded_tokens = fill
-    report.pending_tokens = 0
 
 
 def _documents(docs: Iterable[Document], code: str | None) -> Iterator[tuple[str, str, int]]:

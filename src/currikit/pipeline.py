@@ -177,13 +177,13 @@ def compile_corpus(
             )
 
     def block_stream() -> Iterator[TokenBlock]:
-        for entry in manifest.entries:
+        for position, entry in enumerate(manifest.entries):
             key = entry.kind.key()
             try:
                 yield next(streams[key])
             except StopIteration:
                 raise CompileError(
-                    f"{key} stream exhausted at schedule position {entry.position}: "
+                    f"{key} stream exhausted at schedule position {position}: "
                     f"corpus too small for the requested budget"
                 ) from None
         manifest.metadata["discards"] = {

@@ -15,6 +15,12 @@ so cutting one short changes no later draw and no accepted order.
 
 Budgets are floored to whole batches; leftover tokens are reported on the
 manifest, never padded.
+
+A manifest stores each schedule fact once: an entry holds only its block
+kind, and its position, its batch, the leftover tokens, the sequences per
+step and the block size are computed from the entries, the batch size and
+the budget. The file repeats them for its readers, and a file whose copies
+disagree with the computed values is refused when it is read.
 """
 
 from __future__ import annotations
@@ -76,9 +82,10 @@ class ConstraintError(RuntimeError):
 
 @dataclass(frozen=True)
 class ScheduleEntry:
-    position: int
+    """One scheduled block. Its position is its index in the manifest's
+    entries and its batch is that index floored by ``batch_size_blocks``."""
+
     kind: BlockKind
-    batch_index: int
 
 
 @dataclass
@@ -101,7 +108,6 @@ class CurriculumManifest:
     language_set: list[str]
     token_budget: int
     tokenizer_id: str
-    leftover_tokens: int = 0
     metadata: dict = field(default_factory=dict)
     # The format this manifest was read as; to_json always writes MANIFEST_FORMAT.
     format: str = MANIFEST_FORMAT
@@ -122,6 +128,11 @@ class CurriculumManifest:
     def total_tokens(self) -> int:
         return self.n_blocks * BLOCK_TOKENS
 
+    @property
+    def leftover_tokens(self) -> int:
+        """Budget tokens below one whole batch, reported and never padded."""
+        return self.token_budget - self.total_tokens
+
     def batches(self) -> Iterable[list[ScheduleEntry]]:
         b = self.batch_size_blocks
         for start in range(0, len(self.entries), b):
@@ -135,6 +146,7 @@ class CurriculumManifest:
 
     def to_json(self) -> str:
         """Stable serialization: identical manifests are byte-identical."""
+        b = self.batch_size_blocks
         doc = {
             "format": MANIFEST_FORMAT,
             "strategy": self.strategy.value,
@@ -148,12 +160,12 @@ class CurriculumManifest:
             "block_tokens": BLOCK_TOKENS,
             "entries": [
                 {
-                    "position": e.position,
-                    "batch": e.batch_index,
+                    "position": i,
+                    "batch": i // b,
                     "kind": e.kind.name,
                     "language": e.kind.language,
                 }
-                for e in self.entries
+                for i, e in enumerate(self.entries)
             ],
             "metadata": self.metadata,
         }
@@ -161,33 +173,50 @@ class CurriculumManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "CurriculumManifest":
-        """Parse a manifest; raises ``ValueError`` for any text a compile could not write."""
+        """Parse a manifest; raises ``ValueError`` for any text a compile could not write,
+        a derived field that disagrees with the schedule included."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("not a curriculum manifest: not a JSON object")
         if doc.get("format") not in (MANIFEST_FORMAT, MANIFEST_FORMAT_V1):
             raise ValueError(f"not a curriculum manifest: format={doc.get('format')!r}")
         try:
-            entries = [
-                ScheduleEntry(
-                    position=e["position"],
-                    kind=BlockKind(e["kind"], e.get("language")),
-                    batch_index=e["batch"],
+            batch = doc["batch_size_blocks"]
+            if not isinstance(batch, int) or batch <= 0:
+                raise ValueError(
+                    f"malformed curriculum manifest: batch_size_blocks={batch!r}"
                 )
-                for e in doc["entries"]
-            ]
-            return cls(
+            entries = []
+            for i, e in enumerate(doc["entries"]):
+                if e["position"] != i or e["batch"] != i // batch:
+                    raise ValueError(
+                        f"malformed curriculum manifest: entry {i} says position "
+                        f"{e['position']!r}, batch {e['batch']!r}; "
+                        f"want position {i}, batch {i // batch}"
+                    )
+                entries.append(ScheduleEntry(BlockKind(e["kind"], e.get("language"))))
+            manifest = cls(
                 strategy=Strategy(doc["strategy"]),
                 seed=doc["seed"],
-                batch_size_blocks=doc["batch_size_blocks"],
+                batch_size_blocks=batch,
                 entries=entries,
                 language_set=list(doc["language_set"]),
                 token_budget=doc["token_budget"],
-                leftover_tokens=doc.get("leftover_tokens", 0),
                 tokenizer_id=doc["tokenizer_id"],
                 metadata=doc.get("metadata", {}),
                 format=doc["format"],
             )
+            for name, want in (
+                ("leftover_tokens", manifest.leftover_tokens),
+                ("sequences_per_step", manifest.sequences_per_step),
+                ("block_tokens", BLOCK_TOKENS),
+            ):
+                if doc[name] != want:
+                    raise ValueError(
+                        f"malformed curriculum manifest: {name}={doc[name]!r}, "
+                        f"the schedule gives {want}"
+                    )
+            return manifest
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed curriculum manifest: {exc!r}") from None
 
@@ -346,11 +375,7 @@ def build_schedule(
             open_run = order[last_replay:]
         else:
             order = rng.shuffled(base, seed, "batch", b, 0)
-        start = b * batch_size_blocks
-        entries.extend(
-            ScheduleEntry(position=start + i, kind=k, batch_index=b)
-            for i, k in enumerate(order)
-        )
+        entries.extend(ScheduleEntry(k) for k in order)
 
     return CurriculumManifest(
         strategy=strategy,
@@ -359,7 +384,6 @@ def build_schedule(
         entries=entries,
         language_set=langs,
         token_budget=token_budget,
-        leftover_tokens=token_budget - n_blocks * BLOCK_TOKENS,
         tokenizer_id=tokenizer_id,
         metadata=metadata or {},
     )
@@ -376,13 +400,6 @@ def validate_schedule(manifest: CurriculumManifest) -> list[Violation]:
     batch = manifest.batch_size_blocks
     strategy = manifest.strategy
 
-    for i, e in enumerate(entries):
-        if e.position != i:
-            v.append(Violation("positions", (i,), f"position {e.position} at index {i}"))
-        if e.batch_index != i // batch:
-            v.append(
-                Violation("positions", (i,), f"batch_index {e.batch_index} != {i // batch}")
-            )
     if len(entries) % batch:
         v.append(
             Violation(
@@ -399,24 +416,22 @@ def validate_schedule(manifest: CurriculumManifest) -> list[Violation]:
             v.append(
                 Violation(
                     "replay-ratio",
-                    tuple(e.position for e in group),
+                    tuple(range(b * batch, b * batch + len(group))),
                     f"batch {b} has {got} replay blocks, want {want_replay}",
                 )
             )
 
     allowed = STRATEGY_KINDS[strategy]
-    for e in entries:
+    for i, e in enumerate(entries):
         if e.kind.name != "replay" and e.kind.name not in allowed:
             v.append(
-                Violation(
-                    "kind-domain", (e.position,), f"{e.kind.key()} not allowed in {strategy.value}"
-                )
+                Violation("kind-domain", (i,), f"{e.kind.key()} not allowed in {strategy.value}")
             )
         if e.kind.language is not None and e.kind.language not in manifest.language_set:
             v.append(
                 Violation(
                     "language-domain",
-                    (e.position,),
+                    (i,),
                     f"{e.kind.language} not in the manifest language set",
                 )
             )
@@ -432,12 +447,11 @@ def validate_schedule(manifest: CurriculumManifest) -> list[Violation]:
 
     if strategy is Strategy.MIXED:
         for opening, closing, run_mono, run_par in _short_runs(e.kind for e in entries):
-            end = entries[closing].position
             v.append(
                 Violation(
                     "interleave",
-                    (entries[opening].position + 1, end),
-                    f"run before position {end} has "
+                    (opening + 1, closing),
+                    f"run before position {closing} has "
                     f"{run_mono} monolingual and {run_par} parallel blocks",
                 )
             )

@@ -149,8 +149,8 @@ def iter_block_ids(directory: str | os.PathLike[str]) -> Iterator[np.ndarray]:
     """Yield block id arrays in schedule order."""
     manifest = read_manifest(directory)
     layout = ShardLayout(Path(directory))
-    for e in manifest.entries:
-        data = layout.block_path(e.position).read_bytes()
+    for position in range(manifest.n_blocks):
+        data = layout.block_path(position).read_bytes()
         yield np.frombuffer(data, dtype="<u4")
 
 
@@ -164,17 +164,10 @@ class BlockFailure:
 
 
 @dataclass
-class KindStats:
-    blocks: int = 0
-    tokens: int = 0
-
-
-@dataclass
 class AuditReport:
     blocks_checked: int = 0
     checksum_failures: list[BlockFailure] = field(default_factory=list)
     schedule_violations: list[Violation] = field(default_factory=list)
-    stats: dict[str, KindStats] = field(default_factory=dict)  # keyed by kind key
     discards: dict = field(default_factory=dict)
 
     @property
@@ -200,14 +193,10 @@ def audit_shards(directory: str | os.PathLike[str]) -> AuditReport:
     manifest = read_manifest(directory)
     layout = ShardLayout(Path(directory))
     report = AuditReport(discards=manifest.metadata.get("discards", {}))
-    for entry in manifest.entries:
-        bin_path = layout.block_path(entry.position)
-        rec_path = layout.record_path(entry.position)
+    for position, entry in enumerate(manifest.entries):
+        bin_path = layout.block_path(position)
+        rec_path = layout.record_path(position)
         report.blocks_checked += 1
-        key = entry.kind.key()
-        kstats = report.stats.setdefault(key, KindStats())
-        kstats.blocks += 1
-        kstats.tokens += BLOCK_TOKENS
         if not bin_path.exists():
             report.checksum_failures.append(BlockFailure(bin_path.name, "missing file"))
             continue

@@ -79,10 +79,10 @@ def test_c03_mixed_interleave_1000_seeds():
         assert m.n_blocks >= 64
         mono = par = 0
         bounded = False
-        for e in m.entries:
+        for position, e in enumerate(m.entries):
             if e.kind.name == "replay":
                 if bounded:
-                    assert mono >= 1 and par >= 1, (seed, e.position)
+                    assert mono >= 1 and par >= 1, (seed, position)
                 mono = par = 0
                 bounded = True
             elif e.kind.name == "monolingual":

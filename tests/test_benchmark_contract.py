@@ -1,0 +1,56 @@
+"""What the benchmark in ``perfbench/`` uses of the package.
+
+The benchmark's own tests are not part of this suite, so a refactor that
+drops a function the tracer wraps, a field a workload reads or an argument
+the tracer passes would first show in a benchmark run. These tests make it
+fail here.
+"""
+
+import importlib
+import json
+from pathlib import Path
+
+import pytest
+
+from currikit.corpus import SEA_CODES, ReadCounter, read_monolingual, read_parallel
+from currikit.schedule import build_schedule
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("spans"), importlib.import_module("workloads")
+
+
+def test_tracer_finds_every_target(perfbench):
+    spans, _ = perfbench
+    tracer = spans.Tracer()
+    try:
+        assert tracer.install() == []
+    finally:
+        tracer.uninstall()
+
+
+def test_kind_digest_matches_the_pinned_paper_schedule(perfbench):
+    _, workloads = perfbench
+    pins = json.loads((PERFBENCH / "pins.json").read_text(encoding="utf-8"))
+    manifest = build_schedule("parallel-first", workloads.PAPER_TOKENS, SEA_CODES, 8, 0)
+    assert workloads.kind_digest(manifest) == pins["schedule-paper"]["0"][
+        "parallel-first:8:kinds_sha256"
+    ]
+
+
+def test_readers_fill_a_positional_counter(tmp_path):
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("a\tb\nbad row\nc\td\n", encoding="utf-8")
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text('{"text": "x"}\n{}\n{"text": "y"}\n{"text": "z"}\n', encoding="utf-8")
+    for reader, path, want in [
+        (read_parallel, pairs, (3, 2, 1)),
+        (read_monolingual, docs, (4, 3, 1)),
+    ]:
+        counter = ReadCounter()
+        list(reader(path, "id", counter))
+        assert (counter.records, counter.emitted, counter.skipped) == want, reader.__name__

@@ -70,18 +70,40 @@ def test_audit_reports_corrupt_block_record(compiled, tmp_path, capsys, content)
     assert "audit: FAIL" in captured.out
 
 
+# One derived field of the compiled manifest edited; each passed audit while
+# the manifest stored these fields unchecked.
+_TAMPERED = {
+    "position": lambda doc: doc["entries"][5].update(position=6),
+    "batch": lambda doc: doc["entries"][5].update(batch=0),
+    "leftover_tokens": lambda doc: doc.update(leftover_tokens=999),
+    "sequences_per_step": lambda doc: doc.update(sequences_per_step=1),
+    "block_tokens": lambda doc: doc.update(block_tokens=4096),
+}
+
+
 @pytest.mark.parametrize("command", ["audit", "stats"])
 @pytest.mark.parametrize(
-    "content", [b'{"format": "curriculum-manifest-v2"}', b"[]", b"{not json"]
+    "content",
+    [b'{"format": "curriculum-manifest-v2"}', b"[]", b"{not json", *_TAMPERED],
 )
-def test_corrupt_manifest_is_one_error_line(tmp_path, capsys, command, content):
+def test_corrupt_manifest_is_one_error_line(compiled, tmp_path, capsys, command, content):
+    import shutil
+
     manifest = tmp_path / "manifest.json"
-    manifest.write_bytes(content)
+    if isinstance(content, str):
+        shutil.copytree(compiled, tmp_path, dirs_exist_ok=True)
+        doc = json.loads(manifest.read_text())
+        _TAMPERED[content](doc)
+        manifest.write_text(json.dumps(doc))
+    else:
+        manifest.write_bytes(content)
     assert main([command, "--dir", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert str(manifest) in captured.err
+    if isinstance(content, str):
+        assert content in captured.err
 
 
 def test_stats_compiled_dir(compiled, capsys):
@@ -242,12 +264,17 @@ def test_compile_all_strategies_rejects_bad_batch_blocks(tmp_path, capsys):
     spec = importlib.util.spec_from_file_location("compile_all_strategies", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    with pytest.raises(SystemExit) as err:
-        script.main(["--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "out"),
-                     "--batch-blocks", "6"])
-    assert err.value.code == 2
-    assert "argument --batch-blocks: expected a positive multiple of 4" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    for flags, message in [
+        (["--batch-blocks", "6"], "argument --batch-blocks: expected a positive multiple of 4"),
+        (["--blocks", "0"], "argument --blocks: expected a positive integer, got '0'"),
+        (["--blocks", "2", "--batch-blocks", "4"], "--blocks 2 is below one batch of 4 blocks"),
+    ]:
+        with pytest.raises(SystemExit) as err:
+            script.main(["--config", str(tmp_path / "missing.json"),
+                         "--out", str(tmp_path / "out"), *flags])
+        assert err.value.code == 2, flags
+        assert message in capsys.readouterr().err, flags
+        assert not (tmp_path / "out").exists()
 
 
 def test_compile_writes_run_config(compiled):

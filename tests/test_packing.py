@@ -109,7 +109,7 @@ def test_pack_parallel_exact_fill():
     blocks = list(pack_parallel(pairs, "id", SPEC, seed=7, report=report))
     assert len(blocks) == 2
     assert all(len(b.ids) == BLOCK_TOKENS for b in blocks)
-    assert report.discarded_tokens == 0
+    assert report.unused_tokens == 0
     assert report.tokens_in == 2 * BLOCK_TOKENS
 
 
@@ -119,7 +119,7 @@ def test_pack_parallel_boundary_carry():
     blocks = list(pack_parallel(pairs, "id", SPEC, seed=7, report=report))
     assert len(blocks) == 1
     assert report.tokens_in == BLOCK_TOKENS + 1
-    assert report.discarded_tokens == 1
+    assert report.unused_tokens == 1
 
 
 def test_pack_parallel_direction_balance_10k():
@@ -142,14 +142,14 @@ def test_pack_monolingual_exact_fill_with_separator():
     blocks = list(pack_monolingual([doc], "id", SPEC, report=report))
     assert len(blocks) == 1
     assert blocks[0].ids[-1] == SPEC.eot_id
-    assert report.discarded_tokens == 0
+    assert report.unused_tokens == 0
 
 
 def test_pack_monolingual_empty_stream():
     report = PackReport()
     assert list(pack_monolingual([], "id", SPEC, report=report)) == []
     assert report.blocks == 0
-    assert report.discarded_tokens == 0
+    assert report.unused_tokens == 0
 
 
 def test_pack_monolingual_ids_match_byte_oracle():
@@ -172,7 +172,7 @@ def test_pack_replay_same_shapes():
     blocks = list(pack_replay([doc], SPEC, report=report))
     assert len(blocks) == 1
     assert blocks[0].kind == BlockKind.replay()
-    assert report.discarded_tokens == 0
+    assert report.unused_tokens == 0
     assert list(pack_replay([], SPEC)) == []
 
 
@@ -213,7 +213,7 @@ def test_record_longer_than_two_blocks():
     assert [_spans(b) for b in blocks] == [
         [("s", 0, 1)], [("s", 1, 1)], [("s", 1, 2)],
     ]
-    assert report.discarded_tokens == report.tokens_in - 3 * BLOCK_TOKENS == 603
+    assert report.unused_tokens == report.tokens_in - 3 * BLOCK_TOKENS == 603
 
 
 def test_end_of_text_alone_spills_into_next_block():
@@ -228,7 +228,7 @@ def test_end_of_text_alone_spills_into_next_block():
     assert blocks[1].ids[0] == blocks[1].ids[-1] == SPEC.eot_id
     assert (blocks[1].ids[1:-1] == ord("n")).all()
     assert [_spans(b) for b in blocks] == [[("s", 0, 0)], [("s", 0, 1)]]
-    assert report.discarded_tokens == 0
+    assert report.unused_tokens == 0
 
 
 def test_ordinal_gap_and_source_switch_split_spans():
@@ -265,7 +265,8 @@ def test_conservation_accounting():
     pairs = [make_pair(f"en {i}.", f"sea {i}.", ordinal=i) for i in range(30_000)]
     report = PackReport()
     blocks = list(pack_parallel(pairs, "id", SPEC, seed=1, report=report))
-    assert report.tokens_in == report.blocks * BLOCK_TOKENS + report.discarded_tokens
+    assert report.tokens_in == report.blocks * BLOCK_TOKENS + report.unused_tokens
+    assert 0 <= report.unused_tokens < BLOCK_TOKENS
     assert report.blocks == len(blocks)
 
 

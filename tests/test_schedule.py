@@ -186,7 +186,7 @@ def _mutate(manifest, position, kind):
 
 def test_validate_flags_replay_ratio_violation():
     m = build_schedule(Strategy.PARALLEL_ONLY, blocks_budget(12), ["id"], 4, seed=7)
-    replay_pos = next(e.position for e in m.entries if e.kind.name == "replay")
+    replay_pos = next(i for i, e in enumerate(m.entries) if e.kind.name == "replay")
     bad = _mutate(m, replay_pos, BlockKind.parallel("id"))
     rules = {v.rule for v in validate_schedule(bad)}
     assert "replay-ratio" in rules
@@ -196,12 +196,12 @@ def test_validate_flags_interleave_violation():
     m = build_schedule(Strategy.MIXED, blocks_budget(24), ["id"], 4, seed=2)
     # turn every monolingual entry between the first two replays into parallel
     entries = list(m.entries)
-    replay_positions = [e.position for e in entries if e.kind.name == "replay"]
+    replay_positions = [i for i, e in enumerate(entries) if e.kind.name == "replay"]
     lo, hi = replay_positions[0], replay_positions[1]
     bad = m
-    for e in entries[lo + 1 : hi]:
-        if e.kind.name == "monolingual":
-            bad = _mutate(bad, e.position, BlockKind.parallel("id"))
+    for i in range(lo + 1, hi):
+        if entries[i].kind.name == "monolingual":
+            bad = _mutate(bad, i, BlockKind.parallel("id"))
     interleave = [v for v in validate_schedule(bad) if v.rule == "interleave"]
     assert len(interleave) == 1
     assert interleave[0].positions == (lo + 1, hi)
@@ -212,7 +212,7 @@ def test_validate_flags_interleave_violation():
 
 def test_validate_flags_kind_domain_violation():
     m = build_schedule(Strategy.MULTILINGUAL, blocks_budget(8), ["id"], 4, seed=0)
-    mono_pos = next(e.position for e in m.entries if e.kind.name == "monolingual")
+    mono_pos = next(i for i, e in enumerate(m.entries) if e.kind.name == "monolingual")
     bad = _mutate(m, mono_pos, BlockKind.parallel("id"))
     rules = {v.rule for v in validate_schedule(bad)}
     assert "kind-domain" in rules
@@ -221,11 +221,8 @@ def test_validate_flags_kind_domain_violation():
 def test_validate_flags_phase_violation():
     m = build_schedule(Strategy.PARALLEL_FIRST, blocks_budget(32), ["id"], 8, seed=1)
     # put a parallel entry into the last batch (monolingual phase)
-    target = next(
-        e.position
-        for e in m.entries[-m.batch_size_blocks :]
-        if e.kind.name == "monolingual"
-    )
+    last_batch = range(m.n_blocks - m.batch_size_blocks, m.n_blocks)
+    target = next(i for i in last_batch if m.entries[i].kind.name == "monolingual")
     bad = _mutate(m, target, BlockKind.parallel("id"))
     rules = {v.rule for v in validate_schedule(bad)}
     assert "phase-order" in rules

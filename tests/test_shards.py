@@ -66,9 +66,9 @@ def small_corpus(tmp_path_factory):
 def test_written_block_files_have_exact_size(small_corpus):
     manifest = read_manifest(small_corpus.directory)
     assert manifest.n_blocks == 8
-    for e in manifest.entries:
-        assert small_corpus.block_path(e.position).stat().st_size == BLOCK_BYTES
-        assert small_corpus.record_path(e.position).exists()
+    for position, _ in enumerate(manifest.entries):
+        assert small_corpus.block_path(position).stat().st_size == BLOCK_BYTES
+        assert small_corpus.record_path(position).exists()
     assert BLOCK_BYTES == 1_048_576
 
 
@@ -162,9 +162,9 @@ def _write_v1_tree(directory, seed):
     """Write 4 blocks, then rewrite the tree into its v1 form."""
     manifest = build_schedule(Strategy.MULTILINGUAL, 4 * BLOCK_TOKENS, ["id"], 4, seed=seed)
     layout = write_shards(_block_streams(manifest), manifest, directory)
-    for e in manifest.entries:
-        data = layout.block_path(e.position).read_bytes()
-        _set_record_checksum(layout, e.position, f"{fnv1a64(data):016x}")
+    for position, _ in enumerate(manifest.entries):
+        data = layout.block_path(position).read_bytes()
+        _set_record_checksum(layout, position, f"{fnv1a64(data):016x}")
     doc = json.loads(layout.manifest_path.read_text())
     doc["format"] = "curriculum-manifest-v1"
     layout.manifest_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
