@@ -256,7 +256,8 @@ def record_token_count(item: Document | SentencePair, spec: TokenizerSpec) -> in
 
 @dataclass
 class SampleReport:
-    """Outcome of one ``sample_uniform`` pass."""
+    """Outcome of one ``sample_uniform`` pass, kept current as records are
+    drawn, so a pass that its consumer stops early still reports what it drew."""
 
     quota: float = 0.0
     drawn_tokens: dict[int, int] = field(default_factory=dict)
@@ -290,11 +291,11 @@ def sample_uniform(
     quota = token_budget / n
     report = report if report is not None else SampleReport()
     report.quota = quota
+    report.drawn_tokens = drawn = dict.fromkeys(range(n), 0)
+    report.drawn_records = records = dict.fromkeys(range(n), 0)
+    report.deficits = {}
     iters = [iter(s) for s in sources]
-    drawn = [0] * n
-    records = [0] * n
     done = [quota <= 0] * n
-    exhausted = [False] * n
     emitted_any = False
     while not all(done):
         for i in range(n):
@@ -303,8 +304,9 @@ def sample_uniform(
             try:
                 item = next(iters[i])
             except StopIteration:
-                exhausted[i] = True
                 done[i] = True
+                if drawn[i] < quota:
+                    report.deficits[i] = math.ceil(quota - drawn[i])
                 continue
             drawn[i] += record_token_count(item, spec)
             records[i] += 1
@@ -312,13 +314,6 @@ def sample_uniform(
             yield item
             if drawn[i] >= quota:
                 done[i] = True
-    report.drawn_tokens = dict(enumerate(drawn))
-    report.drawn_records = dict(enumerate(records))
-    report.deficits = {
-        i: math.ceil(quota - drawn[i])
-        for i in range(n)
-        if exhausted[i] and drawn[i] < quota
-    }
     if token_budget > 0 and not emitted_any:
         raise ShortfallError(
             f"all {n} sources empty with budget {token_budget}", report.deficits

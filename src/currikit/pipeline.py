@@ -5,6 +5,11 @@ is kept per (kind, language) and the compiler pulls the next block from
 whichever stream the schedule demands. Per-language monolingual and replay
 data are drawn token-uniformly across their source files; parallel files
 for one language are concatenated in configuration order.
+
+Every reader gets a ``ReadCounter`` and every sampled group keeps its
+``SampleReport``. Once the block stream is drained, the pack reports and
+these counts go into the manifest's ``metadata`` (``discards`` and
+``sources``), and only then is the manifest written.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from typing import Callable, Iterator
 from .corpus import (
     CorpusSource,
     Document,
+    ReadCounter,
     SampleReport,
     load_corpus_config,
     read_monolingual,
@@ -36,7 +42,7 @@ from .packing import (
     pack_replay,
 )
 from .schedule import STRATEGY_KINDS, CurriculumManifest, Strategy, build_schedule
-from .shards import ShardLayout, write_shards
+from .shards import ShardLayout, commit_manifest, write_shards
 from .tokenizer import TokenizerSpec, resolve_spec
 
 RUN_CONFIG_NAME = "run_config.json"
@@ -91,19 +97,57 @@ def infer_language_set(
     return sort_codes(langs)
 
 
+@dataclass
+class _SourceRead:
+    """What one stream read from one source: the reader's counts and, for a
+    token-uniformly sampled group, the sampler's report and the source's
+    index in it."""
+
+    source: CorpusSource
+    counter: ReadCounter
+    sample: SampleReport | None = None
+    index: int = 0
+
+    def to_json(self) -> dict:
+        doc = {
+            "source": self.source.source_id,
+            "records": self.counter.records,
+            "emitted": self.counter.emitted,
+            "skipped": self.counter.skipped,
+        }
+        if self.sample is not None:
+            doc["quota"] = self.sample.quota
+            doc["drawn_tokens"] = self.sample.drawn_tokens.get(self.index, 0)
+            doc["deficit"] = self.sample.deficits.get(self.index, 0)
+        return doc
+
+
 def _sampled_documents(
-    group: list[CorpusSource], lang: str, blocks_needed: int, spec: TokenizerSpec
+    group: list[CorpusSource],
+    lang: str,
+    blocks_needed: int,
+    spec: TokenizerSpec,
+    reads: list[_SourceRead],
 ) -> Iterator[Document]:
     """Documents drawn token-uniformly across the group, one block beyond need."""
-    readers = [read_monolingual(s.path, lang, source_id=s.source_id) for s in group]
+    report = SampleReport()
+    readers = []
+    for index, s in enumerate(group):
+        counter = ReadCounter()
+        reads.append(_SourceRead(s, counter, report, index))
+        readers.append(read_monolingual(s.path, lang, counter, source_id=s.source_id))
     budget = (blocks_needed + 1) * BLOCK_TOKENS
-    return sample_uniform(readers, budget, spec, SampleReport())
+    return sample_uniform(readers, budget, spec, report)
 
 
-def _chained(reader: Callable, group: list[CorpusSource], lang: str) -> Iterator:
+def _chained(
+    reader: Callable, group: list[CorpusSource], lang: str, reads: list[_SourceRead]
+) -> Iterator:
     """The group's records read file after file, in configuration order."""
+    counters = [ReadCounter() for _ in group]
+    reads.extend(_SourceRead(s, c) for s, c in zip(group, counters))
     return itertools.chain.from_iterable(
-        reader(s.path, lang, source_id=s.source_id) for s in group
+        reader(s.path, lang, c, source_id=s.source_id) for s, c in zip(group, counters)
     )
 
 
@@ -148,31 +192,34 @@ def compile_corpus(
     )
     needed = manifest.kind_counts()
     reports: dict[str, PackReport] = {}
+    reads: dict[str, list[_SourceRead]] = {}
     streams: dict[str, Iterator[TokenBlock]] = {}
     for key, count in needed.items():
         report = PackReport()
         reports[key] = report
+        stream_reads = reads[key] = []
         kind_name, _, lang = key.partition(":")
         for source_kind in _SOURCE_KINDS.get(kind_name, ()):
             if lang not in by_kind[source_kind]:
                 raise CompileError(f"no {source_kind} sources for language {lang}")
         if kind_name == "replay":
             streams[key] = pack_replay(
-                _sampled_documents(replay, "en", count, spec), spec, report
+                _sampled_documents(replay, "en", count, spec, stream_reads), spec, report
             )
         elif kind_name == "monolingual":
             streams[key] = pack_monolingual(
-                _sampled_documents(mono[lang], lang, count, spec), lang, spec, report
+                _sampled_documents(mono[lang], lang, count, spec, stream_reads),
+                lang, spec, report,
             )
         elif kind_name == "parallel":
             streams[key] = pack_parallel(
-                _chained(read_parallel, parallel[lang], lang), lang, spec, seed,
-                label_style, report,
+                _chained(read_parallel, parallel[lang], lang, stream_reads), lang, spec,
+                seed, label_style, report,
             )
         else:  # replacement
             streams[key] = pack_replacement(
-                _chained(read_parallel, parallel[lang], lang),
-                _chained(read_monolingual, mono[lang], lang),
+                _chained(read_parallel, parallel[lang], lang, stream_reads),
+                _chained(read_monolingual, mono[lang], lang, stream_reads),
                 lang, spec, seed, label_style, report,
             )
 
@@ -186,17 +233,6 @@ def compile_corpus(
                     f"{key} stream exhausted at schedule position {position}: "
                     f"corpus too small for the requested budget"
                 ) from None
-        manifest.metadata["discards"] = {
-            key: {
-                "records": r.records,
-                "tokens_in": r.tokens_in,
-                "blocks": r.blocks,
-                "discarded_tokens": r.unused_tokens,
-                "en_first": r.en_first,
-                "replacement_token_delta": r.replacement_token_delta,
-            }
-            for key, r in sorted(reports.items())
-        }
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -211,5 +247,22 @@ def compile_corpus(
     (out / RUN_CONFIG_NAME).write_text(
         json.dumps(echo, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    layout = write_shards(block_stream(), manifest, out)
+    layout = write_shards(block_stream(), manifest, out, commit=False)
+    # The streams are drained: every count below is final.
+    manifest.metadata["discards"] = {
+        key: {
+            "records": r.records,
+            "tokens_in": r.tokens_in,
+            "blocks": r.blocks,
+            "discarded_tokens": r.unused_tokens,
+            "en_first": r.en_first,
+            "replacement_token_delta": r.replacement_token_delta,
+        }
+        for key, r in sorted(reports.items())
+    }
+    manifest.metadata["sources"] = {
+        key: [read.to_json() for read in stream_reads]
+        for key, stream_reads in sorted(reads.items())
+    }
+    commit_manifest(layout, manifest)
     return CompileResult(layout=layout, manifest=manifest, reports=reports)

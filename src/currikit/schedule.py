@@ -19,14 +19,29 @@ manifest, never padded.
 A manifest stores each schedule fact once: an entry holds only its block
 kind, and its position, its batch, the leftover tokens, the sequences per
 step and the block size are computed from the entries, the batch size and
-the budget. The file repeats them for its readers, and a file whose copies
-disagree with the computed values is refused when it is read.
+the budget.
+
+The written format, ``curriculum-manifest-v3``, holds the schedule as two
+flat arrays in schedule order: ``entries``, one canonical kind key per
+block (``"parallel:th"``, ``"replay"``), and ``checksums``, the bare
+16-hex BLAKE2b-64 of each block file, or ``null`` for a schedule that has
+not been compiled. Position is the array index and batch is the index
+floored by ``batch_size_blocks``. The file still echoes
+``leftover_tokens``, ``sequences_per_step`` and ``block_tokens`` for its
+readers. ``from_json`` also reads v1 and v2 files, whose entries are
+objects with ``position``, ``batch``, ``kind`` and ``language``; any text a
+compile could not have written is refused: a repeated fact that disagrees
+with the computed one, an integer field holding another JSON type, a kind
+key that is not canonical, an entry count that is not a positive multiple
+of the batch, or a leftover outside ``[0, batch_size_blocks *
+BLOCK_TOKENS)``.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -38,11 +53,15 @@ from .packing import BLOCK_TOKENS, SEQUENCES_PER_BLOCK, BlockKind
 REPLAY_DIVISOR = 4  # one block in four is replay, in every batch
 MAX_PERMUTATION_ATTEMPTS = 1_000
 
-# v2 records each block checksum as "blake2b-64:<hex>"; v1 trees, whose
-# records hold bare FNV-1a hex, can still be read and audited.
-MANIFEST_FORMAT = "curriculum-manifest-v2"
+# v3 lists kinds and block checksums as flat arrays; v2 and v1 trees, whose
+# entries are objects (and whose v1 records hold bare FNV-1a hex), can still
+# be read and audited.
+MANIFEST_FORMAT = "curriculum-manifest-v3"
+MANIFEST_FORMAT_V2 = "curriculum-manifest-v2"
 MANIFEST_FORMAT_V1 = "curriculum-manifest-v1"
 MANIFEST_NAME = "manifest.json"
+
+_CHECKSUMS = re.compile(r"(?:[0-9a-f]{16})*")
 
 
 class Strategy(str, Enum):
@@ -109,6 +128,9 @@ class CurriculumManifest:
     token_budget: int
     tokenizer_id: str
     metadata: dict = field(default_factory=dict)
+    # The bare 16-hex BLAKE2b-64 of each block file in schedule order, filled
+    # by write_shards; None for a schedule that has not been compiled.
+    checksums: list[str] | None = None
     # The format this manifest was read as; to_json always writes MANIFEST_FORMAT.
     format: str = MANIFEST_FORMAT
 
@@ -146,7 +168,6 @@ class CurriculumManifest:
 
     def to_json(self) -> str:
         """Stable serialization: identical manifests are byte-identical."""
-        b = self.batch_size_blocks
         doc = {
             "format": MANIFEST_FORMAT,
             "strategy": self.strategy.value,
@@ -158,67 +179,137 @@ class CurriculumManifest:
             "leftover_tokens": self.leftover_tokens,
             "tokenizer_id": self.tokenizer_id,
             "block_tokens": BLOCK_TOKENS,
-            "entries": [
-                {
-                    "position": i,
-                    "batch": i // b,
-                    "kind": e.kind.name,
-                    "language": e.kind.language,
-                }
-                for i, e in enumerate(self.entries)
-            ],
+            "entries": [e.kind.key() for e in self.entries],
+            "checksums": self.checksums,
             "metadata": self.metadata,
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "CurriculumManifest":
-        """Parse a manifest; raises ``ValueError`` for any text a compile could not write,
-        a derived field that disagrees with the schedule included."""
+        """Parse a v1, v2 or v3 manifest; raises ``ValueError`` for any text a
+        compile could not write, a derived field that disagrees with the
+        schedule included."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("not a curriculum manifest: not a JSON object")
-        if doc.get("format") not in (MANIFEST_FORMAT, MANIFEST_FORMAT_V1):
-            raise ValueError(f"not a curriculum manifest: format={doc.get('format')!r}")
+        fmt = doc.get("format")
+        if fmt not in (MANIFEST_FORMAT, MANIFEST_FORMAT_V2, MANIFEST_FORMAT_V1):
+            raise ValueError(f"not a curriculum manifest: format={fmt!r}")
         try:
-            batch = doc["batch_size_blocks"]
-            if not isinstance(batch, int) or batch <= 0:
+            batch = _manifest_int(doc, "batch_size_blocks")
+            if batch <= 0:
                 raise ValueError(
                     f"malformed curriculum manifest: batch_size_blocks={batch!r}"
                 )
-            entries = []
-            for i, e in enumerate(doc["entries"]):
-                if e["position"] != i or e["batch"] != i // batch:
-                    raise ValueError(
-                        f"malformed curriculum manifest: entry {i} says position "
-                        f"{e['position']!r}, batch {e['batch']!r}; "
-                        f"want position {i}, batch {i // batch}"
-                    )
-                entries.append(ScheduleEntry(BlockKind(e["kind"], e.get("language"))))
+            if fmt == MANIFEST_FORMAT:
+                entries = _v3_entries(doc["entries"])
+                checksums = _v3_checksums(doc["checksums"], len(entries))
+            else:
+                entries = _v2_entries(doc["entries"], batch)
+                checksums = None
+            if not entries or len(entries) % batch:
+                raise ValueError(
+                    f"malformed curriculum manifest: {len(entries)} entries, "
+                    f"not a positive multiple of batch_size_blocks={batch}"
+                )
             manifest = cls(
                 strategy=Strategy(doc["strategy"]),
-                seed=doc["seed"],
+                seed=_manifest_int(doc, "seed"),
                 batch_size_blocks=batch,
                 entries=entries,
                 language_set=list(doc["language_set"]),
-                token_budget=doc["token_budget"],
+                token_budget=_manifest_int(doc, "token_budget"),
                 tokenizer_id=doc["tokenizer_id"],
                 metadata=doc.get("metadata", {}),
-                format=doc["format"],
+                checksums=checksums,
+                format=fmt,
             )
             for name, want in (
                 ("leftover_tokens", manifest.leftover_tokens),
                 ("sequences_per_step", manifest.sequences_per_step),
                 ("block_tokens", BLOCK_TOKENS),
             ):
-                if doc[name] != want:
+                if _manifest_int(doc, name) != want:
                     raise ValueError(
                         f"malformed curriculum manifest: {name}={doc[name]!r}, "
                         f"the schedule gives {want}"
                     )
+            if not 0 <= manifest.leftover_tokens < batch * BLOCK_TOKENS:
+                raise ValueError(
+                    f"malformed curriculum manifest: leftover_tokens="
+                    f"{manifest.leftover_tokens} is not below one batch "
+                    f"({batch} x {BLOCK_TOKENS} tokens); the schedule is not "
+                    f"the budget's floor"
+                )
             return manifest
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed curriculum manifest: {exc!r}") from None
+
+
+def _manifest_int(doc: dict, name: str) -> int:
+    """``doc[name]`` if it is a JSON integer; ``true`` and ``2.0`` are refused."""
+    value = doc[name]
+    if type(value) is not int:
+        raise ValueError(f"malformed curriculum manifest: {name}={value!r} is not an integer")
+    return value
+
+
+def _v3_entries(keys: list) -> list[ScheduleEntry]:
+    """One entry per kind key; each distinct key is parsed once."""
+    if not isinstance(keys, list):
+        raise ValueError(f"malformed curriculum manifest: entries is a {type(keys).__name__}")
+    by_key = {}
+    for key in set(keys):
+        if not isinstance(key, str):
+            raise ValueError(f"malformed curriculum manifest: entry kind {key!r} is not a string")
+        try:
+            kind = BlockKind.from_key(key)
+        except ValueError as exc:
+            raise ValueError(f"malformed curriculum manifest: entry kind {key!r}: {exc}") from None
+        if kind.key() != key:
+            raise ValueError(f"malformed curriculum manifest: entry kind {key!r} is not canonical")
+        by_key[key] = ScheduleEntry(kind)
+    return [by_key[key] for key in keys]
+
+
+def _v3_checksums(checksums: list | None, n_blocks: int) -> list[str] | None:
+    """``None``, or exactly one bare 16-hex checksum per block."""
+    if checksums is None:
+        return None
+    if not isinstance(checksums, list):
+        raise ValueError(f"malformed curriculum manifest: checksums is a {type(checksums).__name__}")
+    if len(checksums) != n_blocks:
+        raise ValueError(
+            f"malformed curriculum manifest: {len(checksums)} checksums for {n_blocks} blocks"
+        )
+    if not (
+        all(type(c) is str and len(c) == 16 for c in checksums)
+        and _CHECKSUMS.fullmatch("".join(checksums))
+    ):
+        raise ValueError(
+            "malformed curriculum manifest: checksums must be 16 lowercase hex digits each"
+        )
+    return checksums
+
+
+def _v2_entries(raw: list, batch: int) -> list[ScheduleEntry]:
+    """v1/v2 entry objects, whose ``position`` and ``batch`` must be their index's."""
+    entries = []
+    for i, e in enumerate(raw):
+        if (
+            type(e["position"]) is not int
+            or type(e["batch"]) is not int
+            or e["position"] != i
+            or e["batch"] != i // batch
+        ):
+            raise ValueError(
+                f"malformed curriculum manifest: entry {i} says position "
+                f"{e['position']!r}, batch {e['batch']!r}; "
+                f"want position {i}, batch {i // batch}"
+            )
+        entries.append(ScheduleEntry(BlockKind(e["kind"], e.get("language"))))
+    return entries
 
 
 def _non_replay_kinds(strategy: Strategy, total: int, langs: Sequence[str]) -> list[BlockKind]:

@@ -5,17 +5,23 @@ one sidecar record per block with its checksum and provenance, and the
 manifest written last as the commit marker: a directory containing a
 manifest is guaranteed to contain every block it names.
 
-The manifest's format fixes the checksum algorithm of every record. A v2
-record holds ``"blake2b-64:<hex>"``, the 64-bit BLAKE2b of the block file
-(``b2sum -l 64`` prints the same hex); a v1 record holds the bare hex of
-the file's 64-bit FNV-1a. Compiles write v2 only; ``audit`` verifies both,
-and a record whose algorithm disagrees with its manifest fails.
+A block's checksum is the 64-bit BLAKE2b of its file (``b2sum -l 64``
+prints the same hex). Its record holds ``"blake2b-64:<hex>"``, and a v3
+manifest lists the bare hex of every block in its ``checksums`` array, so
+the manifest commits to block content: ``audit`` hashes each block once and
+checks the digest against both. v2 trees have no manifest checksums and
+are checked against their records alone; v1 records hold the bare hex of
+the file's 64-bit FNV-1a. A record whose algorithm disagrees with its
+manifest's format fails, and so does a record whose position or tokenizer
+disagrees with the manifest, and a block file or record past the
+manifest's last block (an orphan).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -25,6 +31,7 @@ import numpy as np
 from .corpus import LANGUAGES, SEA_CODES
 from .packing import BLOCK_TOKENS, TokenBlock, block_checksum, fnv1a64
 from .schedule import (
+    MANIFEST_FORMAT,
     MANIFEST_FORMAT_V1,
     MANIFEST_NAME,
     CurriculumManifest,
@@ -33,6 +40,7 @@ from .schedule import (
 )
 
 BLOCK_BYTES = BLOCK_TOKENS * 4
+_BLOCK_FILE = re.compile(r"block_(\d+)\.(?:bin|meta\.json)")
 
 
 class ConsistencyError(RuntimeError):
@@ -62,24 +70,24 @@ class ShardLayout:
         return self.directory / f"block_{position:08d}.meta.json"
 
 
-def _checksum_field(checksum: int) -> str:
-    return f"blake2b-64:{checksum:016x}"
+def _checksum_field(hex_digest: str) -> str:
+    return f"blake2b-64:{hex_digest}"
 
 
-def _expected_checksum(manifest_format: str, data: bytes) -> str:
-    """The checksum field a clean compile records for a block file's bytes."""
+def _block_digest(manifest_format: str, data: bytes) -> str:
+    """The bare hex checksum of a block file's bytes under a manifest format."""
     if manifest_format == MANIFEST_FORMAT_V1:
         return f"{fnv1a64(data):016x}"
-    return _checksum_field(block_checksum(np.frombuffer(data, dtype="<u4")))
+    return f"{block_checksum(np.frombuffer(data, dtype='<u4')):016x}"
 
 
-def _block_record(position: int, block: TokenBlock) -> str:
+def _block_record(position: int, block: TokenBlock, hex_digest: str) -> str:
     doc = {
         "position": position,
         "kind": block.kind.name,
         "language": block.kind.language,
         "tokenizer_id": block.tokenizer_id,
-        "checksum": _checksum_field(block.checksum),
+        "checksum": _checksum_field(hex_digest),
         "seed_used": block.seed_used,
         "provenance": [
             {"source": s.source_id, "first": s.first_ordinal, "last": s.last_ordinal}
@@ -93,17 +101,21 @@ def write_shards(
     blocks: Iterable[TokenBlock],
     manifest: CurriculumManifest,
     directory: str | os.PathLike[str],
+    commit: bool = True,
 ) -> ShardLayout:
     """Persist a block stream whose order matches the manifest entries.
 
-    A kind mismatch or a count mismatch aborts before the manifest is
-    written, so a crashed or inconsistent run never looks complete.
+    Fills ``manifest.checksums`` from the blocks written. A kind mismatch
+    or a count mismatch aborts before the manifest is written, so a crashed
+    or inconsistent run never looks complete. With ``commit=False`` the
+    manifest is left unwritten; the caller finishes it once the stream is
+    drained and writes it with ``commit_manifest``.
     """
     layout = ShardLayout(Path(directory))
     layout.directory.mkdir(parents=True, exist_ok=True)
     it = iter(blocks)
-    position = 0
-    for entry in manifest.entries:
+    checksums = []
+    for position, entry in enumerate(manifest.entries):
         try:
             block = next(it)
         except StopIteration:
@@ -118,21 +130,30 @@ def write_shards(
                 f"{block.kind.key()}, manifest wants {entry.kind.key()}",
                 position,
             )
+        hex_digest = f"{block.checksum:016x}"
         layout.block_path(position).write_bytes(block.ids.astype("<u4", copy=False))
         layout.record_path(position).write_text(
-            _block_record(position, block), encoding="utf-8"
+            _block_record(position, block, hex_digest), encoding="utf-8"
         )
-        position += 1
+        checksums.append(hex_digest)
     try:
         next(it)
     except StopIteration:
         pass
     else:
         raise ConsistencyError(
-            f"block stream continues past the {position} manifest entries", position
+            f"block stream continues past the {len(checksums)} manifest entries",
+            len(checksums),
         )
-    layout.manifest_path.write_text(manifest.to_json(), encoding="utf-8")
+    manifest.checksums = checksums
+    if commit:
+        commit_manifest(layout, manifest)
     return layout
+
+
+def commit_manifest(layout: ShardLayout, manifest: CurriculumManifest) -> None:
+    """Write the manifest, the marker that the tree is complete."""
+    layout.manifest_path.write_text(manifest.to_json(), encoding="utf-8")
 
 
 def read_manifest(directory: str | os.PathLike[str]) -> CurriculumManifest:
@@ -167,20 +188,23 @@ class BlockFailure:
 class AuditReport:
     blocks_checked: int = 0
     checksum_failures: list[BlockFailure] = field(default_factory=list)
+    orphans: list[str] = field(default_factory=list)
     schedule_violations: list[Violation] = field(default_factory=list)
     discards: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
-        return not self.checksum_failures and not self.schedule_violations
+        return not (self.checksum_failures or self.orphans or self.schedule_violations)
 
     def render(self) -> str:
         lines = [
             f"blocks checked: {self.blocks_checked}",
             f"checksum/size failures: {len(self.checksum_failures)}",
+            f"orphan files: {len(self.orphans)}",
             f"schedule violations: {len(self.schedule_violations)}",
         ]
         lines.extend(f"  {f}" for f in self.checksum_failures[:20])
+        lines.extend(f"  {name}: orphan, past the manifest's blocks" for name in self.orphans[:20])
         lines.extend(f"  {v}" for v in self.schedule_violations[:20])
         if self.discards:
             lines.append(f"discard report: {json.dumps(self.discards, sort_keys=True)}")
@@ -188,11 +212,33 @@ class AuditReport:
         return "\n".join(lines)
 
 
+def _orphans(directory: Path, n_blocks: int) -> list[str]:
+    """Block files and records that no position of the manifest names."""
+    names = sorted(
+        path.name
+        for pattern in ("block_*.bin", "block_*.meta.json")
+        for path in directory.glob(pattern)
+    )
+    return [name for name in names if not _names_a_position(name, n_blocks)]
+
+
+def _names_a_position(name: str, n_blocks: int) -> bool:
+    """Whether ``name`` is the block file or record name of a position below ``n_blocks``."""
+    match = _BLOCK_FILE.fullmatch(name)
+    return match is not None and match[1] == f"{int(match[1]):08d}" and int(match[1]) < n_blocks
+
+
 def audit_shards(directory: str | os.PathLike[str]) -> AuditReport:
-    """Re-verify a compiled corpus: sizes, checksums, schedule constraints."""
+    """Re-verify a compiled corpus: sizes, checksums, records, orphans and
+    schedule constraints. Each block file is read and hashed once."""
     manifest = read_manifest(directory)
     layout = ShardLayout(Path(directory))
     report = AuditReport(discards=manifest.metadata.get("discards", {}))
+    checksums = manifest.checksums
+    if manifest.format == MANIFEST_FORMAT and checksums is None:
+        report.checksum_failures.append(
+            BlockFailure(MANIFEST_NAME, "checksums is null; a compiled tree lists one per block")
+        )
     for position, entry in enumerate(manifest.entries):
         bin_path = layout.block_path(position)
         rec_path = layout.record_path(position)
@@ -221,22 +267,34 @@ def audit_shards(directory: str | os.PathLike[str]) -> AuditReport:
                 BlockFailure(rec_path.name, "record is not a JSON object")
             )
             continue
-        actual = _expected_checksum(manifest.format, bin_path.read_bytes())
-        if actual != record.get("checksum"):
+        digest = _block_digest(manifest.format, bin_path.read_bytes())
+        recorded = record.get("checksum")
+        expected = digest if manifest.format == MANIFEST_FORMAT_V1 else _checksum_field(digest)
+        if expected != recorded:
+            report.checksum_failures.append(
+                BlockFailure(bin_path.name, f"checksum {expected} != recorded {recorded}")
+            )
+        if checksums is not None and digest != checksums[position]:
             report.checksum_failures.append(
                 BlockFailure(
-                    bin_path.name,
-                    f"checksum {actual} != recorded {record.get('checksum')}",
+                    bin_path.name, f"checksum {digest} != manifest {checksums[position]}"
                 )
             )
-        if record.get("kind") != entry.kind.name or record.get("language") != entry.kind.language:
+        mismatches = [
+            f"{name} {record.get(name)!r} != manifest {want!r}"
+            for name, want in (
+                ("kind", entry.kind.name),
+                ("language", entry.kind.language),
+                ("position", position),
+                ("tokenizer_id", manifest.tokenizer_id),
+            )
+            if record.get(name) != want or type(record.get(name)) is not type(want)
+        ]
+        if mismatches:
             report.checksum_failures.append(
-                BlockFailure(
-                    rec_path.name,
-                    f"record kind {record.get('kind')}:{record.get('language')} "
-                    f"!= manifest {entry.kind.key()}",
-                )
+                BlockFailure(rec_path.name, "record " + "; ".join(mismatches))
             )
+    report.orphans = _orphans(layout.directory, manifest.n_blocks)
     report.schedule_violations = validate_schedule(manifest)
     return report
 

@@ -5,7 +5,10 @@ from pathlib import Path
 import pytest
 
 from currikit.cli import main
+from currikit.packing import BLOCK_TOKENS
+from currikit.schedule import CurriculumManifest
 from currikit.synthetic import write_corpus
+from helpers import v2_manifest_json
 
 
 @pytest.fixture(scope="module")
@@ -70,14 +73,48 @@ def test_audit_reports_corrupt_block_record(compiled, tmp_path, capsys, content)
     assert "audit: FAIL" in captured.out
 
 
-# One derived field of the compiled manifest edited; each passed audit while
-# the manifest stored these fields unchecked.
+def _v2(edit):
+    """Apply ``edit`` to the tree's manifest rewritten in the v2 format."""
+
+    def tamper(doc):
+        v2 = json.loads(v2_manifest_json(CurriculumManifest.from_json(json.dumps(doc))))
+        edit(v2)
+        doc.clear()
+        doc.update(v2)
+
+    return tamper
+
+
+def _drop_last(count):
+    def tamper(doc):
+        del doc["entries"][-count:], doc["checksums"][-count:]
+        doc["leftover_tokens"] += count * BLOCK_TOKENS
+
+    return tamper
+
+
+# One field of the compiled (12-block, batch 4) manifest edited, and the
+# text the error line must hold. Each passed audit while the manifest
+# stored the field unchecked, compared it with ``!=`` (which equates true
+# with 1 and 2.0 with 2) or did not bound the leftover by one batch.
 _TAMPERED = {
-    "position": lambda doc: doc["entries"][5].update(position=6),
-    "batch": lambda doc: doc["entries"][5].update(batch=0),
-    "leftover_tokens": lambda doc: doc.update(leftover_tokens=999),
-    "sequences_per_step": lambda doc: doc.update(sequences_per_step=1),
-    "block_tokens": lambda doc: doc.update(block_tokens=4096),
+    "position": (_v2(lambda doc: doc["entries"][5].update(position=6)), "position"),
+    "batch": (_v2(lambda doc: doc["entries"][5].update(batch=0)), "batch"),
+    "position true": (_v2(lambda doc: doc["entries"][1].update(position=True)), "position"),
+    "leftover_tokens": (lambda doc: doc.update(leftover_tokens=999), "leftover_tokens"),
+    "sequences_per_step": (lambda doc: doc.update(sequences_per_step=1), "sequences_per_step"),
+    "block_tokens": (lambda doc: doc.update(block_tokens=4096), "block_tokens"),
+    "token_budget float": (
+        lambda doc: doc.update(token_budget=float(doc["token_budget"])), "token_budget"
+    ),
+    "batch_size_blocks true": (lambda doc: doc.update(batch_size_blocks=True), "batch_size_blocks"),
+    "whole batch dropped": (_drop_last(4), "leftover_tokens"),
+    "entry count off the batch": (_drop_last(1), "not a positive multiple"),
+    "non-canonical kind": (lambda doc: doc["entries"].__setitem__(3, "replay:"), "canonical"),
+    "checksum missing": (lambda doc: doc["checksums"].pop(), "11 checksums for 12 blocks"),
+    "checksum not hex": (
+        lambda doc: doc["checksums"].__setitem__(0, "z" * 16), "lowercase hex"
+    ),
 }
 
 
@@ -93,7 +130,8 @@ def test_corrupt_manifest_is_one_error_line(compiled, tmp_path, capsys, command,
     if isinstance(content, str):
         shutil.copytree(compiled, tmp_path, dirs_exist_ok=True)
         doc = json.loads(manifest.read_text())
-        _TAMPERED[content](doc)
+        edit, _ = _TAMPERED[content]
+        edit(doc)
         manifest.write_text(json.dumps(doc))
     else:
         manifest.write_bytes(content)
@@ -103,7 +141,48 @@ def test_corrupt_manifest_is_one_error_line(compiled, tmp_path, capsys, command,
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert str(manifest) in captured.err
     if isinstance(content, str):
-        assert content in captured.err
+        assert _TAMPERED[content][1] in captured.err
+
+
+def test_audit_flags_orphans_of_an_earlier_larger_compile(compiled, corpus, tmp_path, capsys):
+    import shutil
+
+    out = tmp_path / "shards"
+    shutil.copytree(compiled, out)
+    argv = [
+        "compile", "--config", str(corpus), "--strategy", "parallel-only",
+        "--budget-tokens", str(4 * BLOCK_TOKENS), "--batch-blocks", "4",
+        "--seed", "7", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["audit", "--dir", str(out)]) == 1
+    captured = capsys.readouterr().out
+    assert "orphan files: 16" in captured
+    assert "  block_00000004.bin: orphan" in captured
+    assert "  block_00000011.meta.json: orphan" in captured
+    assert "audit: FAIL" in captured
+
+
+def test_audit_flags_blocks_rewritten_by_a_failed_recompile(compiled, corpus, tmp_path, capsys):
+    import shutil
+
+    out = tmp_path / "shards"
+    shutil.copytree(compiled, out)
+    argv = [
+        "compile", "--config", str(corpus), "--strategy", "parallel-only",
+        "--budget-tokens", str(2000 * BLOCK_TOKENS), "--batch-blocks", "4",
+        "--seed", "7", "--labels", "code", "--out", str(out),
+    ]
+    assert main(argv) == 1  # the corpus runs dry after rewriting blocks and records
+    assert "stream exhausted" in capsys.readouterr().err
+    assert main(["audit", "--dir", str(out)]) == 1
+    captured = capsys.readouterr().out
+    # The old manifest survives; its checksums no longer match the parallel
+    # blocks, whose rewritten records do match them.
+    assert "checksum/size failures: 9" in captured
+    assert "  block_00000000.bin: checksum " in captured
+    assert "!= manifest" in captured and "!= recorded" not in captured
 
 
 def test_stats_compiled_dir(compiled, capsys):

@@ -40,32 +40,32 @@ _VOCAB_WORDS = (
 
 GOLDEN = {
     "multilingual": (
-        "15035f96fe7f962e30770fee7c5a4654"
-        "fc6d2af23b4083d0d1eea7b97200a437"
+        "e59cbb8d30fb370d86b397b693d844d8"
+        "d694c722465021784af167d7c1d4e96c"
     ),
     "mixed": (
-        "49f019295debab4407bb197458b499a7"
-        "2a67d849215c740e781f7129c5b6b8fa"
+        "5ca5f8174272fe99536456b6d6f5d810"
+        "e468ce517c4675f6e49c6f123d68241d"
     ),
     "parallel-first": (
-        "4c519d3baeb67fe109ab5e8c49f8ff97"
-        "af8e8b7d4571a78dd0244eb3625944c4"
+        "0c47b05869a3620629c3add33b5ee535"
+        "88b1cdb5754c201ede79049935a87f53"
     ),
     "parallel-last": (
-        "f9c5932d6baef242595be728cc1735ad"
-        "eba513d25f77a506610df4b07e536afd"
+        "cb1b434efe8219069dc1a00958f34529"
+        "0ee6fd7f30c06a817818602a9e56132c"
     ),
     "parallel-only": (
-        "2fdb7a3a9991b68de44ee7f2d4944080"
-        "1f8039c2f0601b56ab36ae2d008acd31"
+        "7cc38ccd4d00859ef140b1a4977f3e5e"
+        "57741a822762d9a1ef72a7fdf314c117"
     ),
     "multilingual-replacement": (
-        "5a428a3dd9ff6e7fd8befcf951d8912c"
-        "873db2c43eb86d720704fe3297c2c72a"
+        "523a33fe9aa71917c72758fc5794b822"
+        "a93e569f69acc1c5aa905cd66813e95c"
     ),
     "multilingual-replacement/bpe": (
-        "cb4910777ed9bd97a59facd27d29862d"
-        "73202549c8a4955bd84369e58078f064"
+        "792c950dec71a6818b6017be52d09ef0"
+        "27629ca8af674d67cb7782ecb04bb5d1"
     ),
 }
 

@@ -16,7 +16,7 @@ from currikit.schedule import (
     build_schedule,
     validate_schedule,
 )
-from helpers import whole_shuffle_mixed_order
+from helpers import v2_manifest_json, whole_shuffle_mixed_order
 
 ALL_STRATEGIES = list(Strategy)
 LANGS = ["id", "km", "lo", "ms", "my", "ta", "th", "tl", "vi", "zh"]
@@ -155,21 +155,109 @@ def test_manifest_json_round_trip():
     assert again.strategy is Strategy.PARALLEL_LAST
 
 
-def test_from_json_reads_v1_and_v2_and_writes_v2():
+def test_from_json_reads_v1_and_v2_and_writes_v3():
     m = build_schedule(Strategy.MIXED, blocks_budget(8), ["id"], 4, seed=5)
     text = m.to_json()
-    assert json.loads(text)["format"] == "curriculum-manifest-v2"
-    assert CurriculumManifest.from_json(text).format == "curriculum-manifest-v2"
-    v1 = CurriculumManifest.from_json(
-        text.replace('"curriculum-manifest-v2"', '"curriculum-manifest-v1"')
-    )
-    assert v1.format == "curriculum-manifest-v1"
-    assert v1.entries == m.entries
-    assert v1.to_json() == text
+    assert json.loads(text)["format"] == "curriculum-manifest-v3"
+    assert CurriculumManifest.from_json(text).format == "curriculum-manifest-v3"
+    for old in ("curriculum-manifest-v1", "curriculum-manifest-v2"):
+        parsed = CurriculumManifest.from_json(v2_manifest_json(m, format=old))
+        assert parsed.format == old
+        assert parsed.entries == m.entries
+        assert parsed.checksums is None
+        assert parsed.to_json() == text
     with pytest.raises(ValueError):
         CurriculumManifest.from_json(
-            text.replace('"curriculum-manifest-v2"', '"curriculum-manifest-v3"')
+            text.replace('"curriculum-manifest-v3"', '"curriculum-manifest-v4"')
         )
+
+
+def _with_checksums(manifest):
+    return dataclasses.replace(
+        manifest, checksums=[f"{rng.hash64('block', i):016x}" for i in range(manifest.n_blocks)]
+    )
+
+
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+@pytest.mark.parametrize("checksums", [False, True])
+def test_v3_round_trip_every_strategy(strategy, checksums):
+    m = build_schedule(strategy, blocks_budget(24) + 99, ["id", "th"], 8, seed=3)
+    if checksums:
+        m = _with_checksums(m)
+    text = m.to_json()
+    doc = json.loads(text)
+    assert doc["entries"] == [e.kind.key() for e in m.entries]
+    assert doc["checksums"] == m.checksums
+    again = CurriculumManifest.from_json(text)
+    assert again == m
+    assert again.to_json() == text
+
+
+def test_v3_builds_each_distinct_kind_once():
+    m = build_schedule(Strategy.MIXED, blocks_budget(32), ["id", "th"], 8, seed=1)
+    again = CurriculumManifest.from_json(m.to_json())
+    assert len({id(e.kind) for e in again.entries}) == len(m.kind_counts())
+
+
+def _v3_doc(**changes):
+    m = _with_checksums(build_schedule(Strategy.PARALLEL_ONLY, blocks_budget(8), ["id"], 4, seed=7))
+    doc = json.loads(m.to_json())
+    doc.update(changes)
+    return doc
+
+
+_V3_REFUSED = {
+    "replay with an empty language": lambda d: d["entries"].__setitem__(3, "replay:"),
+    "unknown kind": lambda d: d["entries"].__setitem__(0, "bilingual:id"),
+    "kind key not a string": lambda d: d["entries"].__setitem__(0, 7),
+    "entries not an array": lambda d: d.update(entries="replay"),
+    "one checksum short": lambda d: d["checksums"].pop(),
+    "one checksum extra": lambda d: d["checksums"].append("0" * 16),
+    "checksums not an array": lambda d: d.update(checksums="0" * 16),
+    "upper-case hex": lambda d: d["checksums"].__setitem__(2, "ABCDEF0123456789"),
+    "non-hex checksum": lambda d: d["checksums"].__setitem__(2, "0123456789abcdeg"),
+    "15-digit checksum": lambda d: d["checksums"].__setitem__(2, "0" * 15),
+    "prefixed checksum": lambda d: d["checksums"].__setitem__(2, "blake2b-64:" + "0" * 16),
+    "integer checksum": lambda d: d["checksums"].__setitem__(2, 12),
+    "missing checksums": lambda d: d.pop("checksums"),
+    "entries not a batch multiple": lambda d: (
+        d["entries"].pop(), d["checksums"].pop(), d.update(leftover_tokens=BLOCK_TOKENS)
+    ),
+    "a whole batch dropped": lambda d: (
+        [(d["entries"].pop(), d["checksums"].pop()) for _ in range(4)],
+        d.update(leftover_tokens=4 * BLOCK_TOKENS),
+    ),
+    "budget below the schedule": lambda d: d.update(
+        token_budget=d["token_budget"] - 1, leftover_tokens=-1
+    ),
+    "batch_size_blocks true": lambda d: d.update(batch_size_blocks=True),
+    "batch_size_blocks float": lambda d: d.update(batch_size_blocks=4.0),
+    "seed true": lambda d: d.update(seed=True),
+    "token_budget float": lambda d: d.update(token_budget=float(d["token_budget"])),
+    "leftover_tokens false": lambda d: d.update(leftover_tokens=False),
+    "sequences_per_step float": lambda d: d.update(sequences_per_step=256.0),
+    "block_tokens float": lambda d: d.update(block_tokens=float(BLOCK_TOKENS)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_V3_REFUSED))
+def test_from_json_refuses_what_a_compile_cannot_write(case):
+    doc = _v3_doc()
+    CurriculumManifest.from_json(json.dumps(doc))  # the untouched document reads
+    _V3_REFUSED[case](doc)
+    with pytest.raises(ValueError, match="malformed curriculum manifest"):
+        CurriculumManifest.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field, position", [("position", 1), ("batch", 4)])
+@pytest.mark.parametrize("value", [True, 1.0])
+def test_from_json_refuses_v2_entry_numbers_of_another_type(field, position, value):
+    m = build_schedule(Strategy.PARALLEL_ONLY, blocks_budget(8), ["id"], 4, seed=7)
+    doc = json.loads(v2_manifest_json(m))
+    assert doc["entries"][position][field] == 1
+    doc["entries"][position][field] = value
+    with pytest.raises(ValueError, match=f"entry {position} says"):
+        CurriculumManifest.from_json(json.dumps(doc))
 
 
 def test_validate_self_consistency_all_strategies():

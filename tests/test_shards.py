@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import json
+import math
+import shutil
 
 import pytest
 
@@ -12,7 +14,7 @@ from currikit.packing import (
     pack_replay,
 )
 from currikit.pipeline import compile_corpus
-from currikit.schedule import Strategy, build_schedule
+from currikit.schedule import CurriculumManifest, Strategy, build_schedule
 from currikit.shards import (
     BLOCK_BYTES,
     ConsistencyError,
@@ -25,7 +27,7 @@ from currikit.shards import (
 )
 from currikit.synthetic import write_corpus
 from currikit.tokenizer import BYTE_FALLBACK
-from helpers import make_doc, make_pair, tree_digest
+from helpers import make_doc, make_pair, tree_digest, v2_manifest_json
 
 
 def _make_stream(name, lang, count, seed):
@@ -165,10 +167,26 @@ def _write_v1_tree(directory, seed):
     for position, _ in enumerate(manifest.entries):
         data = layout.block_path(position).read_bytes()
         _set_record_checksum(layout, position, f"{fnv1a64(data):016x}")
-    doc = json.loads(layout.manifest_path.read_text())
-    doc["format"] = "curriculum-manifest-v1"
-    layout.manifest_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    layout.manifest_path.write_text(v2_manifest_json(manifest, format="curriculum-manifest-v1"))
     return layout
+
+
+def _write_v2_tree(directory, seed, strategy=Strategy.MULTILINGUAL):
+    """Write 4 blocks under the v2 manifest an earlier compile wrote."""
+    manifest = build_schedule(strategy, 4 * BLOCK_TOKENS, ["id"], 4, seed=seed)
+    layout = write_shards(_block_streams(manifest, seed), manifest, directory)
+    layout.manifest_path.write_text(v2_manifest_json(manifest))
+    return layout
+
+
+def test_audit_passes_v2_tree(tmp_path):
+    layout = _write_v2_tree(tmp_path / "v2", seed=14)
+    manifest = read_manifest(layout.directory)
+    assert manifest.format == "curriculum-manifest-v2"
+    assert manifest.checksums is None
+    report = audit_shards(layout.directory)
+    assert report.passed
+    assert report.blocks_checked == 4
 
 
 def test_audit_passes_v1_tree(tmp_path):
@@ -191,8 +209,7 @@ def test_audit_flags_flipped_byte_in_v1_tree(tmp_path):
 
 
 def test_audit_flags_v1_record_under_v2_manifest(tmp_path):
-    manifest = build_schedule(Strategy.MULTILINGUAL, 4 * BLOCK_TOKENS, ["id"], 4, seed=12)
-    layout = write_shards(_block_streams(manifest), manifest, tmp_path / "mixed")
+    layout = _write_v2_tree(tmp_path / "mixed", seed=12)
     victim = layout.block_path(1)
     _set_record_checksum(layout, 1, f"{fnv1a64(victim.read_bytes()):016x}")
     report = audit_shards(layout.directory)
@@ -210,6 +227,98 @@ def test_audit_flags_v2_record_under_v1_manifest(tmp_path):
     assert [f.block_file for f in report.checksum_failures] == [victim.name]
 
 
+def test_manifest_lists_the_block_checksums(small_corpus):
+    doc = json.loads(small_corpus.manifest_path.read_text())
+    assert doc["format"] == "curriculum-manifest-v3"
+    assert doc["checksums"] == [
+        hashlib.blake2b(small_corpus.block_path(i).read_bytes(), digest_size=8).hexdigest()
+        for i in range(8)
+    ]
+
+
+def _swap_in_block_from_another_compile(tmp_path):
+    """A parallel-only tree, and the same tree with one block and its record
+    copied from a compile at another seed; returns both and the block name."""
+    trees = []
+    for seed in (1, 2):
+        manifest = build_schedule(Strategy.PARALLEL_ONLY, 8 * BLOCK_TOKENS, ["id"], 4, seed=seed)
+        trees.append(write_shards(_block_streams(manifest, seed), manifest, tmp_path / f"s{seed}"))
+    ours, theirs = (read_manifest(t.directory) for t in trees)
+    position = next(
+        i for i, (a, b) in enumerate(zip(ours.entries, theirs.entries))
+        if a == b and a.kind.name == "parallel"
+    )
+    for path in (trees[0].block_path(position), trees[0].record_path(position)):
+        shutil.copy(trees[1].directory / path.name, path)
+    return trees[0], trees[0].block_path(position).name
+
+
+def test_audit_flags_block_and_record_swapped_in_from_another_compile(tmp_path):
+    layout, victim = _swap_in_block_from_another_compile(tmp_path)
+    report = audit_shards(layout.directory)
+    assert not report.passed
+    assert [f.block_file for f in report.checksum_failures] == [victim]
+    assert "!= manifest" in report.checksum_failures[0].reason
+    # A v2 manifest commits to no block content: the same swap goes unseen.
+    layout.manifest_path.write_text(v2_manifest_json(read_manifest(layout.directory)))
+    assert audit_shards(layout.directory).passed
+
+
+def test_audit_flags_manifest_checksum_edit(small_corpus, tmp_path):
+    tree = tmp_path / "t"
+    shutil.copytree(small_corpus.directory, tree)
+    doc = json.loads((tree / "manifest.json").read_text())
+    doc["checksums"][5] = "0" * 16
+    (tree / "manifest.json").write_text(json.dumps(doc))
+    report = audit_shards(tree)
+    assert [f.block_file for f in report.checksum_failures] == ["block_00000005.bin"]
+    assert "manifest 0000000000000000" in report.checksum_failures[0].reason
+
+
+def test_audit_flags_v3_manifest_without_checksums(small_corpus, tmp_path):
+    tree = tmp_path / "t"
+    shutil.copytree(small_corpus.directory, tree)
+    doc = json.loads((tree / "manifest.json").read_text())
+    doc["checksums"] = None
+    (tree / "manifest.json").write_text(json.dumps(doc))
+    report = audit_shards(tree)
+    assert [f.block_file for f in report.checksum_failures] == ["manifest.json"]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("position", 6), ("position", True), ("tokenizer_id", "bpe-other"), ("kind", "replay")],
+)
+def test_audit_flags_record_that_disagrees_with_manifest(small_corpus, tmp_path, field, value):
+    tree = tmp_path / "t"
+    shutil.copytree(small_corpus.directory, tree)
+    record_path = tree / "block_00000001.meta.json"
+    record = json.loads(record_path.read_text())
+    assert record[field] != value or type(record[field]) is not type(value)
+    record[field] = value
+    record_path.write_text(json.dumps(record))
+    report = audit_shards(tree)
+    assert [f.block_file for f in report.checksum_failures] == [record_path.name]
+    assert field in report.checksum_failures[0].reason
+
+
+def test_audit_flags_orphan_files(tmp_path):
+    big = build_schedule(Strategy.MULTILINGUAL, 8 * BLOCK_TOKENS, ["id"], 4, seed=1)
+    write_shards(_block_streams(big), big, tmp_path / "t")
+    small = build_schedule(Strategy.MULTILINGUAL, 4 * BLOCK_TOKENS, ["id"], 4, seed=1)
+    write_shards(_block_streams(small), small, tmp_path / "t")
+    strays = ["block_x.bin", "block_000000001.bin", "block_1.meta.json"]
+    for name in strays:
+        (tmp_path / "t" / name).write_bytes(b"")
+    report = audit_shards(tmp_path / "t")
+    assert not report.passed
+    assert report.checksum_failures == []
+    assert report.orphans == sorted(
+        [f"block_{i:08d}.{ext}" for i in range(4, 8) for ext in ("bin", "meta.json")] + strays
+    )
+    assert "orphan files: 11" in report.render()
+
+
 def test_audit_missing_manifest_raises(tmp_path):
     with pytest.raises(LayoutError):
         audit_shards(tmp_path)
@@ -220,11 +329,7 @@ def test_audit_flags_schedule_violation(tmp_path):
     layout = write_shards(_block_streams(manifest), manifest, tmp_path / "v")
     # corrupt the manifest's replay accounting: replace a replay entry kind
     doc = json.loads(layout.manifest_path.read_text())
-    for entry in doc["entries"]:
-        if entry["kind"] == "replay":
-            entry["kind"] = "parallel"
-            entry["language"] = "id"
-            break
+    doc["entries"][doc["entries"].index("replay")] = "parallel:id"
     layout.manifest_path.write_text(json.dumps(doc, indent=2, sort_keys=True))
     report = audit_shards(layout.directory)
     assert not report.passed
@@ -283,3 +388,47 @@ def test_compile_every_strategy(tmp_path, two_language_corpus, strategy):
     )
     assert result.manifest.n_blocks == 8
     assert audit_shards(tmp_path / strategy.value).passed
+    text = (tmp_path / strategy.value / "manifest.json").read_text()
+    assert CurriculumManifest.from_json(text) == result.manifest
+    assert CurriculumManifest.from_json(text).to_json() == text
+
+
+def test_compile_accounts_for_every_record_read(tmp_path):
+    root = tmp_path / "corpus"
+    config = write_corpus(
+        root, languages=("id",), n_pairs=14_000, n_docs=260, sentences_per_doc=60, seed=1,
+    )
+    pairs = root / "pairs_en_id.tsv"
+    pairs.write_text("one field only\n\tno english\n" + pairs.read_text())
+    replay = root / "replay_0.jsonl"
+    replay.write_text("{not json\n" + replay.read_text())
+    (root / "replay_tiny.jsonl").write_text('{"text": "a short replay document"}\n')
+    doc = json.loads(config.read_text())
+    doc["sources"].append({"path": "replay_tiny.jsonl", "kind": "replay"})
+    config.write_text(json.dumps(doc))
+
+    result = compile_corpus(config, Strategy.MIXED, 8 * BLOCK_TOKENS, 4, seed=2, out_dir=tmp_path / "out")
+    metadata = result.manifest.metadata
+    assert read_manifest(tmp_path / "out").metadata == metadata
+    sources, discards = metadata["sources"], metadata["discards"]
+    assert sorted(sources) == sorted(discards) == ["monolingual:id", "parallel:id", "replay"]
+    for key, reads in sources.items():
+        assert all(r["records"] == r["emitted"] + r["skipped"] for r in reads)
+        # The packer received every record the readers emitted.
+        assert sum(r["emitted"] for r in reads) == discards[key]["records"]
+    (par,) = sources["parallel:id"]
+    assert (par["source"], par["skipped"]) == ("pairs_en_id.tsv", 2)
+    assert "quota" not in par
+    replays = {r["source"]: r for r in sources["replay"]}
+    assert list(replays) == ["replay_0.jsonl", "replay_1.jsonl", "replay_tiny.jsonl"]
+    assert [r["skipped"] for r in replays.values()] == [1, 0, 0]
+    needed = result.manifest.kind_counts()["replay"]
+    assert {r["quota"] for r in replays.values()} == {(needed + 1) * BLOCK_TOKENS / 3}
+    tiny = replays["replay_tiny.jsonl"]
+    assert (tiny["records"], tiny["drawn_tokens"]) == (1, len("a short replay document"))
+    assert tiny["deficit"] == math.ceil(tiny["quota"] - tiny["drawn_tokens"])
+    assert replays["replay_0.jsonl"]["deficit"] == replays["replay_1.jsonl"]["deficit"] == 0
+    for key in ("replay", "monolingual:id"):
+        # Each document is its drawn tokens plus one end-of-text id.
+        drawn = sum(r["drawn_tokens"] for r in sources[key])
+        assert drawn + discards[key]["records"] == discards[key]["tokens_in"]
