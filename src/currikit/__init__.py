@@ -50,7 +50,14 @@ from .schedule import (
     build_schedule,
     validate_schedule,
 )
-from .shards import AuditReport, ShardLayout, audit_shards, shard_stats, write_shards
+from .shards import (
+    AuditReport,
+    ShardLayout,
+    audit_shards,
+    commit_manifest,
+    shard_stats,
+    write_shards,
+)
 from .tokenizer import (
     BYTE_FALLBACK,
     EOT_TEXT,

@@ -9,7 +9,8 @@ for one language are concatenated in configuration order.
 Every reader gets a ``ReadCounter`` and every sampled group keeps its
 ``SampleReport``. Once the block stream is drained, the pack reports and
 these counts go into the manifest's ``metadata`` (``discards`` and
-``sources``), and only then is the manifest written.
+``sources``), and only then is the manifest written. A replacement
+stream's ``sources`` list its parallel files, then its monolingual files.
 """
 
 from __future__ import annotations
@@ -247,7 +248,7 @@ def compile_corpus(
     (out / RUN_CONFIG_NAME).write_text(
         json.dumps(echo, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    layout = write_shards(block_stream(), manifest, out, commit=False)
+    layout = write_shards(block_stream(), manifest, out)
     # The streams are drained: every count below is final.
     manifest.metadata["discards"] = {
         key: {

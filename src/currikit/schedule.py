@@ -256,11 +256,11 @@ def _manifest_int(doc: dict, name: str) -> int:
 
 
 def _v3_entries(keys: list) -> list[ScheduleEntry]:
-    """One entry per kind key; each distinct key is parsed once."""
+    """One entry per kind key; each distinct key is parsed once, in file order."""
     if not isinstance(keys, list):
         raise ValueError(f"malformed curriculum manifest: entries is a {type(keys).__name__}")
     by_key = {}
-    for key in set(keys):
+    for key in dict.fromkeys(keys):
         if not isinstance(key, str):
             raise ValueError(f"malformed curriculum manifest: entry kind {key!r} is not a string")
         try:

@@ -101,15 +101,14 @@ def write_shards(
     blocks: Iterable[TokenBlock],
     manifest: CurriculumManifest,
     directory: str | os.PathLike[str],
-    commit: bool = True,
 ) -> ShardLayout:
     """Persist a block stream whose order matches the manifest entries.
 
-    Fills ``manifest.checksums`` from the blocks written. A kind mismatch
-    or a count mismatch aborts before the manifest is written, so a crashed
-    or inconsistent run never looks complete. With ``commit=False`` the
-    manifest is left unwritten; the caller finishes it once the stream is
-    drained and writes it with ``commit_manifest``.
+    Writes every block and its record and fills ``manifest.checksums`` from
+    them, but never writes the manifest: the caller finishes the manifest
+    and writes it with ``commit_manifest``. A kind mismatch or a count
+    mismatch raises before that, so a crashed or inconsistent run never
+    looks complete.
     """
     layout = ShardLayout(Path(directory))
     layout.directory.mkdir(parents=True, exist_ok=True)
@@ -146,8 +145,6 @@ def write_shards(
             len(checksums),
         )
     manifest.checksums = checksums
-    if commit:
-        commit_manifest(layout, manifest)
     return layout
 
 

@@ -6,7 +6,7 @@ import unicodedata
 from collections import Counter
 from pathlib import Path
 
-from currikit import evaluate, rng, schedule
+from currikit import evaluate, rng, schedule, shards
 from currikit.corpus import Document, SentencePair, language
 from currikit.packing import BLOCK_TOKENS
 from currikit.rng import hash64
@@ -55,6 +55,13 @@ def tree_digest(directory, pattern="*"):
             digest.update(path.name.encode())
             digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+def write_tree(blocks, manifest, directory):
+    """A finished tree: every block and record, then the manifest."""
+    layout = shards.write_shards(blocks, manifest, directory)
+    shards.commit_manifest(layout, manifest)
+    return layout
 
 
 def v2_manifest_json(manifest, format="curriculum-manifest-v2"):

@@ -249,6 +249,18 @@ def test_from_json_refuses_what_a_compile_cannot_write(case):
         CurriculumManifest.from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("first, second", [("replay:", "bilingual:id"), ("bilingual:id", "replay:")])
+def test_v3_names_the_first_bad_kind_in_file_order(first, second):
+    # Two bad keys in either order: the error names the earlier one, so the
+    # message does not depend on the process's string hashing.
+    doc = _v3_doc()
+    doc["entries"][1], doc["entries"][5] = first, second
+    with pytest.raises(ValueError) as err:
+        CurriculumManifest.from_json(json.dumps(doc))
+    assert f"entry kind {first!r}" in str(err.value)
+    assert repr(second) not in str(err.value)
+
+
 @pytest.mark.parametrize("field, position", [("position", 1), ("batch", 4)])
 @pytest.mark.parametrize("value", [True, 1.0])
 def test_from_json_refuses_v2_entry_numbers_of_another_type(field, position, value):

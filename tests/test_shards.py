@@ -20,6 +20,7 @@ from currikit.shards import (
     ConsistencyError,
     LayoutError,
     audit_shards,
+    commit_manifest,
     iter_block_ids,
     read_manifest,
     shard_stats,
@@ -27,7 +28,7 @@ from currikit.shards import (
 )
 from currikit.synthetic import write_corpus
 from currikit.tokenizer import BYTE_FALLBACK
-from helpers import make_doc, make_pair, tree_digest, v2_manifest_json
+from helpers import make_doc, make_pair, tree_digest, v2_manifest_json, write_tree
 
 
 def _make_stream(name, lang, count, seed):
@@ -61,7 +62,7 @@ def small_corpus(tmp_path_factory):
     manifest = build_schedule(
         Strategy.MULTILINGUAL, 8 * BLOCK_TOKENS, ["id", "th"], 4, seed=1
     )
-    layout = write_shards(_block_streams(manifest), manifest, out)
+    layout = write_tree(_block_streams(manifest), manifest, out)
     return layout
 
 
@@ -89,9 +90,21 @@ def test_iter_block_ids_roundtrip(small_corpus):
 
 def test_rewrite_is_byte_identical(tmp_path):
     manifest = build_schedule(Strategy.MULTILINGUAL, 4 * BLOCK_TOKENS, ["id"], 4, seed=2)
-    write_shards(_block_streams(manifest), manifest, tmp_path / "a")
-    write_shards(_block_streams(manifest), manifest, tmp_path / "b")
+    write_tree(_block_streams(manifest), manifest, tmp_path / "a")
+    write_tree(_block_streams(manifest), manifest, tmp_path / "b")
     assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
+
+
+def test_write_shards_fills_checksums_and_leaves_the_manifest_to_the_caller(tmp_path):
+    manifest = build_schedule(Strategy.MULTILINGUAL, 4 * BLOCK_TOKENS, ["id"], 4, seed=2)
+    layout = write_shards(_block_streams(manifest), manifest, tmp_path / "w")
+    assert not layout.manifest_path.exists()
+    assert manifest.checksums == [
+        f"{hashlib.blake2b(layout.block_path(i).read_bytes(), digest_size=8).hexdigest()}"
+        for i in range(manifest.n_blocks)
+    ]
+    commit_manifest(layout, manifest)
+    assert audit_shards(layout.directory).passed
 
 
 def test_kind_mismatch_names_position_and_leaves_no_manifest(tmp_path):
@@ -103,7 +116,7 @@ def test_kind_mismatch_names_position_and_leaves_no_manifest(tmp_path):
     blocks[swap - 1], blocks[swap] = blocks[swap], blocks[swap - 1]
     out = tmp_path / "bad"
     with pytest.raises(ConsistencyError) as err:
-        write_shards(blocks, manifest, out)
+        write_tree(blocks, manifest, out)
     assert err.value.position == swap - 1
     assert not (out / "manifest.json").exists()
 
@@ -112,14 +125,14 @@ def test_short_stream_raises_and_leaves_no_manifest(tmp_path):
     manifest = build_schedule(Strategy.MULTILINGUAL, 4 * BLOCK_TOKENS, ["id"], 4, seed=3)
     blocks = list(_block_streams(manifest))[:2]
     with pytest.raises(ConsistencyError) as err:
-        write_shards(blocks, manifest, tmp_path / "short")
+        write_tree(blocks, manifest, tmp_path / "short")
     assert err.value.position == 2
     assert not (tmp_path / "short" / "manifest.json").exists()
 
 
 def test_audit_flags_truncated_block(tmp_path):
     manifest = build_schedule(Strategy.MULTILINGUAL, 4 * BLOCK_TOKENS, ["id"], 4, seed=4)
-    layout = write_shards(_block_streams(manifest), manifest, tmp_path / "t")
+    layout = write_tree(_block_streams(manifest), manifest, tmp_path / "t")
     victim = layout.block_path(2)
     victim.write_bytes(victim.read_bytes()[:-4])
     report = audit_shards(layout.directory)
@@ -132,7 +145,7 @@ def test_audit_flags_truncated_block(tmp_path):
 
 def test_audit_flags_flipped_byte(tmp_path):
     manifest = build_schedule(Strategy.MULTILINGUAL, 4 * BLOCK_TOKENS, ["id"], 4, seed=5)
-    layout = write_shards(_block_streams(manifest), manifest, tmp_path / "f")
+    layout = write_tree(_block_streams(manifest), manifest, tmp_path / "f")
     victim = layout.block_path(1)
     data = bytearray(victim.read_bytes())
     data[100] ^= 0xFF
@@ -163,7 +176,7 @@ def _set_record_checksum(layout, position, checksum):
 def _write_v1_tree(directory, seed):
     """Write 4 blocks, then rewrite the tree into its v1 form."""
     manifest = build_schedule(Strategy.MULTILINGUAL, 4 * BLOCK_TOKENS, ["id"], 4, seed=seed)
-    layout = write_shards(_block_streams(manifest), manifest, directory)
+    layout = write_tree(_block_streams(manifest), manifest, directory)
     for position, _ in enumerate(manifest.entries):
         data = layout.block_path(position).read_bytes()
         _set_record_checksum(layout, position, f"{fnv1a64(data):016x}")
@@ -174,7 +187,7 @@ def _write_v1_tree(directory, seed):
 def _write_v2_tree(directory, seed, strategy=Strategy.MULTILINGUAL):
     """Write 4 blocks under the v2 manifest an earlier compile wrote."""
     manifest = build_schedule(strategy, 4 * BLOCK_TOKENS, ["id"], 4, seed=seed)
-    layout = write_shards(_block_streams(manifest, seed), manifest, directory)
+    layout = write_tree(_block_streams(manifest, seed), manifest, directory)
     layout.manifest_path.write_text(v2_manifest_json(manifest))
     return layout
 
@@ -242,7 +255,7 @@ def _swap_in_block_from_another_compile(tmp_path):
     trees = []
     for seed in (1, 2):
         manifest = build_schedule(Strategy.PARALLEL_ONLY, 8 * BLOCK_TOKENS, ["id"], 4, seed=seed)
-        trees.append(write_shards(_block_streams(manifest, seed), manifest, tmp_path / f"s{seed}"))
+        trees.append(write_tree(_block_streams(manifest, seed), manifest, tmp_path / f"s{seed}"))
     ours, theirs = (read_manifest(t.directory) for t in trees)
     position = next(
         i for i, (a, b) in enumerate(zip(ours.entries, theirs.entries))
@@ -304,9 +317,9 @@ def test_audit_flags_record_that_disagrees_with_manifest(small_corpus, tmp_path,
 
 def test_audit_flags_orphan_files(tmp_path):
     big = build_schedule(Strategy.MULTILINGUAL, 8 * BLOCK_TOKENS, ["id"], 4, seed=1)
-    write_shards(_block_streams(big), big, tmp_path / "t")
+    write_tree(_block_streams(big), big, tmp_path / "t")
     small = build_schedule(Strategy.MULTILINGUAL, 4 * BLOCK_TOKENS, ["id"], 4, seed=1)
-    write_shards(_block_streams(small), small, tmp_path / "t")
+    write_tree(_block_streams(small), small, tmp_path / "t")
     strays = ["block_x.bin", "block_000000001.bin", "block_1.meta.json"]
     for name in strays:
         (tmp_path / "t" / name).write_bytes(b"")
@@ -326,7 +339,7 @@ def test_audit_missing_manifest_raises(tmp_path):
 
 def test_audit_flags_schedule_violation(tmp_path):
     manifest = build_schedule(Strategy.PARALLEL_ONLY, 8 * BLOCK_TOKENS, ["id"], 4, seed=6)
-    layout = write_shards(_block_streams(manifest), manifest, tmp_path / "v")
+    layout = write_tree(_block_streams(manifest), manifest, tmp_path / "v")
     # corrupt the manifest's replay accounting: replace a replay entry kind
     doc = json.loads(layout.manifest_path.read_text())
     doc["entries"][doc["entries"].index("replay")] = "parallel:id"
@@ -338,7 +351,7 @@ def test_audit_flags_schedule_violation(tmp_path):
 
 def test_shard_stats_twelve_block_parallel_only(tmp_path):
     manifest = build_schedule(Strategy.PARALLEL_ONLY, 12 * BLOCK_TOKENS, ["id"], 4, seed=7)
-    write_shards(_block_streams(manifest), manifest, tmp_path / "s")
+    write_tree(_block_streams(manifest), manifest, tmp_path / "s")
     stats = shard_stats(tmp_path / "s")
     assert stats.by_language["id"]["parallel"] == 9
     assert stats.by_language["-"]["replay"] == 3
@@ -349,7 +362,7 @@ def test_shard_stats_twelve_block_parallel_only(tmp_path):
 
 def test_shard_stats_totals_are_conserved(tmp_path):
     manifest = build_schedule(Strategy.MIXED, 8 * BLOCK_TOKENS, ["id", "th"], 4, seed=8)
-    write_shards(_block_streams(manifest), manifest, tmp_path / "c")
+    write_tree(_block_streams(manifest), manifest, tmp_path / "c")
     stats = shard_stats(tmp_path / "c")
     summed = sum(sum(row.values()) for row in stats.by_language.values())
     assert summed == stats.total_blocks == 8
@@ -432,3 +445,19 @@ def test_compile_accounts_for_every_record_read(tmp_path):
         # Each document is its drawn tokens plus one end-of-text id.
         drawn = sum(r["drawn_tokens"] for r in sources[key])
         assert drawn + discards[key]["records"] == discards[key]["tokens_in"]
+
+
+def test_replacement_sources_list_parallel_files_then_monolingual(tmp_path):
+    root = tmp_path / "corpus"
+    config = write_corpus(
+        root, languages=("id",), n_pairs=6000, n_docs=420, sentences_per_doc=40,
+        replay_docs=220, seed=3,
+    )
+    doc = json.loads(config.read_text())
+    assert [s["kind"] for s in doc["sources"]][:2] == ["monolingual", "parallel"]
+    result = compile_corpus(
+        config, Strategy.MULTILINGUAL_REPLACEMENT, 4 * BLOCK_TOKENS, 4, seed=3,
+        out_dir=tmp_path / "out",
+    )
+    reads = result.manifest.metadata["sources"]["replacement:id"]
+    assert [r["source"] for r in reads] == ["pairs_en_id.tsv", "mono_id.txt"]
