@@ -148,7 +148,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         tokenizer_ref=args.tokenizer,
         label_style=args.labels,
         languages=languages,
-        run_config={"command": "compile", "config": args.config, "out": args.out},
     )
     m = result.manifest
     print(

@@ -64,13 +64,18 @@ def _is_cjk(ch: str) -> bool:
     )
 
 
+SPLIT_TABLE_LIMIT = 65_536
+
+
 class _SplitTable(dict):
     """``str.translate`` table of one tokenization mode, filled on first use.
 
-    A code point's entry is computed once, when ``translate`` first meets
-    it: ``" ch "`` for Unicode punctuation (and CJK characters in zh mode),
+    A code point's entry is computed when ``translate`` first meets it:
+    ``" ch "`` for Unicode punctuation (and CJK characters in zh mode),
     otherwise the code point itself. No entry is ``None``, which would
-    delete the character.
+    delete the character. A table holding ``SPLIT_TABLE_LIMIT`` entries
+    clears itself before it stores the next, so text that covers much of
+    Unicode cannot keep tens of MB resident for the life of the process.
     """
 
     def __init__(self, split_cjk: bool) -> None:
@@ -83,6 +88,8 @@ class _SplitTable(dict):
             entry: str | int = f" {ch} "
         else:
             entry = cp
+        if len(self) >= SPLIT_TABLE_LIMIT:
+            self.clear()
         self[cp] = entry
         return entry
 

@@ -96,7 +96,7 @@ _MASK64 = (1 << 64) - 1
 
 
 def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a, the block checksum of v1 trees; used only to audit them."""
+    """64-bit FNV-1a, the block checksum of v1 trees, which are no longer read."""
     h = FNV_OFFSET
     for b in data:
         h = ((h ^ b) * FNV_PRIME) & _MASK64
@@ -124,10 +124,8 @@ class ProvenanceSpan:
 class TokenBlock:
     ids: np.ndarray  # uint32, exactly BLOCK_TOKENS entries
     kind: BlockKind
-    tokenizer_id: str
     checksum: int
     provenance: tuple[ProvenanceSpan, ...]
-    seed_used: int  # 0 for kinds that draw no randomness
 
     def __post_init__(self) -> None:
         if len(self.ids) != BLOCK_TOKENS:
@@ -175,7 +173,6 @@ def _pack(
     records: Iterable[tuple[str, str, int]],
     kind: BlockKind,
     spec: TokenizerSpec,
-    seed_used: int,
     report: PackReport,
 ) -> Iterator[TokenBlock]:
     """The one packing loop: ``(text, source_id, ordinal)`` records -> blocks.
@@ -218,10 +215,8 @@ def _pack(
             yield TokenBlock(
                 ids=buffer,
                 kind=kind,
-                tokenizer_id=spec.id,
                 checksum=block_checksum(buffer),
                 provenance=tuple(ProvenanceSpan(*span) for span in closed),
-                seed_used=seed_used,
             )
             buffer = np.empty(BLOCK_TOKENS, dtype=np.uint32)
             fill = 0
@@ -248,7 +243,7 @@ def pack_monolingual(
     """Pack one language's documents, end-of-text separated, into blocks."""
     code = language(lang).code
     report = report if report is not None else PackReport()
-    return _pack(_documents(docs, code), BlockKind.monolingual(code), spec, 0, report)
+    return _pack(_documents(docs, code), BlockKind.monolingual(code), spec, report)
 
 
 def pack_replay(
@@ -258,7 +253,7 @@ def pack_replay(
 ) -> Iterator[TokenBlock]:
     """Pack replay documents; identical mechanics, kind = replay."""
     report = report if report is not None else PackReport()
-    return _pack(_documents(docs, None), BlockKind.replay(), spec, 0, report)
+    return _pack(_documents(docs, None), BlockKind.replay(), spec, report)
 
 
 def _pair_records(
@@ -286,7 +281,7 @@ def pack_parallel(
     code = language(sea_lang).code
     report = report if report is not None else PackReport()
     records = _pair_records(pairs, code, seed, label_style, report)
-    return _pack(records, BlockKind.parallel(code), spec, seed, report)
+    return _pack(records, BlockKind.parallel(code), spec, report)
 
 
 _SENTENCE_END = re.compile(r"(?<=[.!?。！？។။])\s*")
@@ -340,4 +335,4 @@ def pack_replacement(
     report = report if report is not None else PackReport()
     swapped = _substituted(pairs, sea_docs, code, spec, report)
     records = _pair_records(swapped, code, seed, label_style, report)
-    return _pack(records, BlockKind.replacement(code), spec, seed, report)
+    return _pack(records, BlockKind.replacement(code), spec, report)

@@ -11,15 +11,16 @@ Every reader gets a ``ReadCounter`` and every sampled group keeps its
 these counts go into the manifest's ``metadata`` (``discards`` and
 ``sources``), and only then is the manifest written. A replacement
 stream's ``sources`` list its parallel files, then its monolingual files.
+
+The tree records each flag once, in the manifest, and no path: the same
+corpus, flags and seed give the same bytes wherever the tree is written.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Iterator
 
 from .corpus import (
@@ -42,11 +43,15 @@ from .packing import (
     pack_replacement,
     pack_replay,
 )
-from .schedule import STRATEGY_KINDS, CurriculumManifest, Strategy, build_schedule
+from .schedule import (
+    LABEL_STYLES,
+    STRATEGY_KINDS,
+    CurriculumManifest,
+    Strategy,
+    build_schedule,
+)
 from .shards import ShardLayout, commit_manifest, write_shards
 from .tokenizer import TokenizerSpec, resolve_spec
-
-RUN_CONFIG_NAME = "run_config.json"
 
 # The source kinds each non-replay block kind is read from; replacement
 # substitutes monolingual text into parallel pairs.
@@ -162,16 +167,16 @@ def compile_corpus(
     tokenizer_ref: str = "byte_fallback",
     label_style: str = "name",
     languages: list[str] | None = None,
-    run_config: dict | None = None,
 ) -> CompileResult:
     """Compile one strategy at one seed into a shard directory.
 
-    The effective configuration is echoed to ``run_config.json`` in the
-    output directory; the manifest is written last, so a directory with a
-    manifest is always complete. Identical inputs, flags, and seed produce
-    a byte-identical tree.
+    The manifest is written last, so a directory with a manifest is always
+    complete. Identical inputs, flags, and seed produce a byte-identical
+    tree.
     """
     strategy = Strategy(strategy)
+    if label_style not in LABEL_STYLES:
+        raise ValueError(f"unknown label style {label_style!r}")
     spec = resolve_spec(tokenizer_ref)
     if not isinstance(sources, list):
         sources = load_corpus_config(sources)
@@ -191,6 +196,7 @@ def compile_corpus(
         seed=seed,
         tokenizer_id=spec.id,
     )
+    manifest.label_style = label_style
     needed = manifest.kind_counts()
     reports: dict[str, PackReport] = {}
     reads: dict[str, list[_SourceRead]] = {}
@@ -235,20 +241,7 @@ def compile_corpus(
                     f"corpus too small for the requested budget"
                 ) from None
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    echo = dict(run_config or {})
-    echo.setdefault("strategy", strategy.value)
-    echo.setdefault("token_budget", token_budget)
-    echo.setdefault("batch_size_blocks", batch_size_blocks)
-    echo.setdefault("seed", seed)
-    echo.setdefault("tokenizer", tokenizer_ref)
-    echo.setdefault("label_style", label_style)
-    echo.setdefault("language_set", language_set)
-    (out / RUN_CONFIG_NAME).write_text(
-        json.dumps(echo, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    layout = write_shards(block_stream(), manifest, out)
+    layout = write_shards(block_stream(), manifest, out_dir)
     # The streams are drained: every count below is final.
     manifest.metadata["discards"] = {
         key: {

@@ -21,20 +21,22 @@ kind, and its position, its batch, the leftover tokens, the sequences per
 step and the block size are computed from the entries, the batch size and
 the budget.
 
-The written format, ``curriculum-manifest-v3``, holds the schedule as two
-flat arrays in schedule order: ``entries``, one canonical kind key per
-block (``"parallel:th"``, ``"replay"``), and ``checksums``, the bare
-16-hex BLAKE2b-64 of each block file, or ``null`` for a schedule that has
-not been compiled. Position is the array index and batch is the index
-floored by ``batch_size_blocks``. The file still echoes
-``leftover_tokens``, ``sequences_per_step`` and ``block_tokens`` for its
-readers. ``from_json`` also reads v1 and v2 files, whose entries are
-objects with ``position``, ``batch``, ``kind`` and ``language``; any text a
-compile could not have written is refused: a repeated fact that disagrees
-with the computed one, an integer field holding another JSON type, a kind
-key that is not canonical, an entry count that is not a positive multiple
-of the batch, or a leftover outside ``[0, batch_size_blocks *
-BLOCK_TOKENS)``.
+The written format, ``curriculum-manifest-v4``, is one compact JSON object
+that holds the schedule as two flat arrays in schedule order: ``entries``,
+one canonical kind key per block (``"parallel:th"``, ``"replay"``), and
+``checksums``, the bare 16-hex BLAKE2b-64 of each block file, or ``null``
+for a schedule that has not been compiled. Position is the array index and
+batch is the index floored by ``batch_size_blocks``. ``label_style`` is the
+pair label style the blocks were compiled with, and
+``provenance_checksum`` the BLAKE2b-64 of the tree's provenance file. The
+file still echoes ``leftover_tokens``, ``sequences_per_step`` and
+``block_tokens`` for its readers. ``from_json`` reads v4 only: any other
+``curriculum-manifest-vN`` is refused with one line that asks for a
+recompile, and so is any text a compile could not have written: a repeated
+fact that disagrees with the computed one, an integer field holding
+another JSON type, a kind key that is not canonical, an unknown label
+style, an entry count that is not a positive multiple of the batch, or a
+leftover outside ``[0, batch_size_blocks * BLOCK_TOKENS)``.
 """
 
 from __future__ import annotations
@@ -53,15 +55,12 @@ from .packing import BLOCK_TOKENS, SEQUENCES_PER_BLOCK, BlockKind
 REPLAY_DIVISOR = 4  # one block in four is replay, in every batch
 MAX_PERMUTATION_ATTEMPTS = 1_000
 
-# v3 lists kinds and block checksums as flat arrays; v2 and v1 trees, whose
-# entries are objects (and whose v1 records hold bare FNV-1a hex), can still
-# be read and audited.
-MANIFEST_FORMAT = "curriculum-manifest-v3"
-MANIFEST_FORMAT_V2 = "curriculum-manifest-v2"
-MANIFEST_FORMAT_V1 = "curriculum-manifest-v1"
+MANIFEST_FORMAT = "curriculum-manifest-v4"
 MANIFEST_NAME = "manifest.json"
+LABEL_STYLES = ("name", "code")
 
 _CHECKSUMS = re.compile(r"(?:[0-9a-f]{16})*")
+_ANY_FORMAT = re.compile(r"curriculum-manifest-v\d+")
 
 
 class Strategy(str, Enum):
@@ -128,11 +127,12 @@ class CurriculumManifest:
     token_budget: int
     tokenizer_id: str
     metadata: dict = field(default_factory=dict)
-    # The bare 16-hex BLAKE2b-64 of each block file in schedule order, filled
-    # by write_shards; None for a schedule that has not been compiled.
+    label_style: str = "name"
+    # The bare 16-hex BLAKE2b-64 of each block file in schedule order and of
+    # the provenance file, filled by write_shards; None for a schedule that
+    # has not been compiled.
     checksums: list[str] | None = None
-    # The format this manifest was read as; to_json always writes MANIFEST_FORMAT.
-    format: str = MANIFEST_FORMAT
+    provenance_checksum: str | None = None
 
     @property
     def n_blocks(self) -> int:
@@ -178,23 +178,27 @@ class CurriculumManifest:
             "token_budget": self.token_budget,
             "leftover_tokens": self.leftover_tokens,
             "tokenizer_id": self.tokenizer_id,
+            "label_style": self.label_style,
             "block_tokens": BLOCK_TOKENS,
             "entries": [e.kind.key() for e in self.entries],
             "checksums": self.checksums,
+            "provenance_checksum": self.provenance_checksum,
             "metadata": self.metadata,
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "CurriculumManifest":
-        """Parse a v1, v2 or v3 manifest; raises ``ValueError`` for any text a
-        compile could not write, a derived field that disagrees with the
-        schedule included."""
+        """Parse a v4 manifest; raises ``ValueError`` for an older format and
+        for any text a compile could not write, a derived field that
+        disagrees with the schedule included."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("not a curriculum manifest: not a JSON object")
         fmt = doc.get("format")
-        if fmt not in (MANIFEST_FORMAT, MANIFEST_FORMAT_V2, MANIFEST_FORMAT_V1):
+        if fmt != MANIFEST_FORMAT:
+            if isinstance(fmt, str) and _ANY_FORMAT.fullmatch(fmt):
+                raise ValueError(f"format {fmt} is no longer supported; recompile")
             raise ValueError(f"not a curriculum manifest: format={fmt!r}")
         try:
             batch = _manifest_int(doc, "batch_size_blocks")
@@ -202,12 +206,23 @@ class CurriculumManifest:
                 raise ValueError(
                     f"malformed curriculum manifest: batch_size_blocks={batch!r}"
                 )
-            if fmt == MANIFEST_FORMAT:
-                entries = _v3_entries(doc["entries"])
-                checksums = _v3_checksums(doc["checksums"], len(entries))
-            else:
-                entries = _v2_entries(doc["entries"], batch)
-                checksums = None
+            entries = _entries(doc["entries"])
+            checksums = _checksums(doc["checksums"], len(entries))
+            provenance_checksum = doc["provenance_checksum"]
+            if provenance_checksum is not None and not (
+                type(provenance_checksum) is str
+                and len(provenance_checksum) == 16
+                and _CHECKSUMS.fullmatch(provenance_checksum)
+            ):
+                raise ValueError(
+                    f"malformed curriculum manifest: provenance_checksum="
+                    f"{provenance_checksum!r} is not 16 lowercase hex digits"
+                )
+            if doc["label_style"] not in LABEL_STYLES:
+                raise ValueError(
+                    f"malformed curriculum manifest: label_style={doc['label_style']!r}, "
+                    f"want one of {', '.join(LABEL_STYLES)}"
+                )
             if not entries or len(entries) % batch:
                 raise ValueError(
                     f"malformed curriculum manifest: {len(entries)} entries, "
@@ -222,8 +237,9 @@ class CurriculumManifest:
                 token_budget=_manifest_int(doc, "token_budget"),
                 tokenizer_id=doc["tokenizer_id"],
                 metadata=doc.get("metadata", {}),
+                label_style=doc["label_style"],
                 checksums=checksums,
-                format=fmt,
+                provenance_checksum=provenance_checksum,
             )
             for name, want in (
                 ("leftover_tokens", manifest.leftover_tokens),
@@ -255,7 +271,7 @@ def _manifest_int(doc: dict, name: str) -> int:
     return value
 
 
-def _v3_entries(keys: list) -> list[ScheduleEntry]:
+def _entries(keys: list) -> list[ScheduleEntry]:
     """One entry per kind key; each distinct key is parsed once, in file order."""
     if not isinstance(keys, list):
         raise ValueError(f"malformed curriculum manifest: entries is a {type(keys).__name__}")
@@ -273,7 +289,7 @@ def _v3_entries(keys: list) -> list[ScheduleEntry]:
     return [by_key[key] for key in keys]
 
 
-def _v3_checksums(checksums: list | None, n_blocks: int) -> list[str] | None:
+def _checksums(checksums: list | None, n_blocks: int) -> list[str] | None:
     """``None``, or exactly one bare 16-hex checksum per block."""
     if checksums is None:
         return None
@@ -291,25 +307,6 @@ def _v3_checksums(checksums: list | None, n_blocks: int) -> list[str] | None:
             "malformed curriculum manifest: checksums must be 16 lowercase hex digits each"
         )
     return checksums
-
-
-def _v2_entries(raw: list, batch: int) -> list[ScheduleEntry]:
-    """v1/v2 entry objects, whose ``position`` and ``batch`` must be their index's."""
-    entries = []
-    for i, e in enumerate(raw):
-        if (
-            type(e["position"]) is not int
-            or type(e["batch"]) is not int
-            or e["position"] != i
-            or e["batch"] != i // batch
-        ):
-            raise ValueError(
-                f"malformed curriculum manifest: entry {i} says position "
-                f"{e['position']!r}, batch {e['batch']!r}; "
-                f"want position {i}, batch {i // batch}"
-            )
-        entries.append(ScheduleEntry(BlockKind(e["kind"], e.get("language"))))
-    return entries
 
 
 def _non_replay_kinds(strategy: Strategy, total: int, langs: Sequence[str]) -> list[BlockKind]:

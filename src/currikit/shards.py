@@ -1,27 +1,27 @@
 """Bit-exact on-disk layout for compiled corpora.
 
-One file per block (little-endian uint32 ids, exactly 1,048,576 bytes),
-one sidecar record per block with its checksum and provenance, and the
-manifest written last as the commit marker: a directory containing a
-manifest is guaranteed to contain every block it names.
+A tree holds one file per block (little-endian uint32 ids, exactly
+1,048,576 bytes), one provenance file and the manifest, written last as the
+commit marker: a directory containing a manifest is guaranteed to contain
+every block it names. Every fact is stored once: the manifest holds the
+schedule and the checksums, ``provenance.jsonl`` holds one line per block
+in position order, a compact sorted-key JSON array of the block's
+``{"source", "first", "last"}`` record spans.
 
 A block's checksum is the 64-bit BLAKE2b of its file (``b2sum -l 64``
-prints the same hex). Its record holds ``"blake2b-64:<hex>"``, and a v3
-manifest lists the bare hex of every block in its ``checksums`` array, so
-the manifest commits to block content: ``audit`` hashes each block once and
-checks the digest against both. v2 trees have no manifest checksums and
-are checked against their records alone; v1 records hold the bare hex of
-the file's 64-bit FNV-1a. A record whose algorithm disagrees with its
-manifest's format fails, and so does a record whose position or tokenizer
-disagrees with the manifest, and a block file or record past the
-manifest's last block (an orphan).
+prints the same hex); the manifest lists the bare hex of every block in
+its ``checksums`` array and of the provenance file in
+``provenance_checksum``, so it commits to the content of the whole tree.
+``audit`` hashes each file once and checks the digest against the
+manifest. Any other entry in the directory, such as the tail of an
+earlier, larger compile, is an orphan.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -29,18 +29,12 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .corpus import LANGUAGES, SEA_CODES
-from .packing import BLOCK_TOKENS, TokenBlock, block_checksum, fnv1a64
-from .schedule import (
-    MANIFEST_FORMAT,
-    MANIFEST_FORMAT_V1,
-    MANIFEST_NAME,
-    CurriculumManifest,
-    Violation,
-    validate_schedule,
-)
+from .packing import BLOCK_TOKENS, TokenBlock
+from .packing import fnv1a64  # noqa: F401  the benchmark's tracer looks up shards.fnv1a64
+from .schedule import MANIFEST_NAME, CurriculumManifest, Violation, validate_schedule
 
 BLOCK_BYTES = BLOCK_TOKENS * 4
-_BLOCK_FILE = re.compile(r"block_(\d+)\.(?:bin|meta\.json)")
+PROVENANCE_NAME = "provenance.jsonl"
 
 
 class ConsistencyError(RuntimeError):
@@ -63,38 +57,25 @@ class ShardLayout:
     def manifest_path(self) -> Path:
         return self.directory / MANIFEST_NAME
 
+    @property
+    def provenance_path(self) -> Path:
+        return self.directory / PROVENANCE_NAME
+
     def block_path(self, position: int) -> Path:
         return self.directory / f"block_{position:08d}.bin"
 
-    def record_path(self, position: int) -> Path:
-        return self.directory / f"block_{position:08d}.meta.json"
+
+def _b2sum64(data: bytes) -> str:
+    """The bare 16-hex BLAKE2b-64 of a file's bytes, as ``b2sum -l 64`` prints it."""
+    return hashlib.blake2b(data, digest_size=8).hexdigest()
 
 
-def _checksum_field(hex_digest: str) -> str:
-    return f"blake2b-64:{hex_digest}"
-
-
-def _block_digest(manifest_format: str, data: bytes) -> str:
-    """The bare hex checksum of a block file's bytes under a manifest format."""
-    if manifest_format == MANIFEST_FORMAT_V1:
-        return f"{fnv1a64(data):016x}"
-    return f"{block_checksum(np.frombuffer(data, dtype='<u4')):016x}"
-
-
-def _block_record(position: int, block: TokenBlock, hex_digest: str) -> str:
-    doc = {
-        "position": position,
-        "kind": block.kind.name,
-        "language": block.kind.language,
-        "tokenizer_id": block.tokenizer_id,
-        "checksum": _checksum_field(hex_digest),
-        "seed_used": block.seed_used,
-        "provenance": [
-            {"source": s.source_id, "first": s.first_ordinal, "last": s.last_ordinal}
-            for s in block.provenance
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _provenance_line(block: TokenBlock) -> str:
+    spans = [
+        {"source": s.source_id, "first": s.first_ordinal, "last": s.last_ordinal}
+        for s in block.provenance
+    ]
+    return json.dumps(spans, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def write_shards(
@@ -104,16 +85,18 @@ def write_shards(
 ) -> ShardLayout:
     """Persist a block stream whose order matches the manifest entries.
 
-    Writes every block and its record and fills ``manifest.checksums`` from
-    them, but never writes the manifest: the caller finishes the manifest
-    and writes it with ``commit_manifest``. A kind mismatch or a count
-    mismatch raises before that, so a crashed or inconsistent run never
-    looks complete.
+    Writes every block, then, once the stream has ended where the manifest
+    does, the provenance file, and fills ``manifest.checksums`` and
+    ``manifest.provenance_checksum``. It never writes the manifest: the
+    caller finishes it and writes it with ``commit_manifest``. A kind
+    mismatch or a count mismatch raises before either, so a crashed or
+    inconsistent run never looks complete.
     """
     layout = ShardLayout(Path(directory))
     layout.directory.mkdir(parents=True, exist_ok=True)
     it = iter(blocks)
     checksums = []
+    provenance = []
     for position, entry in enumerate(manifest.entries):
         try:
             block = next(it)
@@ -129,12 +112,9 @@ def write_shards(
                 f"{block.kind.key()}, manifest wants {entry.kind.key()}",
                 position,
             )
-        hex_digest = f"{block.checksum:016x}"
         layout.block_path(position).write_bytes(block.ids.astype("<u4", copy=False))
-        layout.record_path(position).write_text(
-            _block_record(position, block, hex_digest), encoding="utf-8"
-        )
-        checksums.append(hex_digest)
+        checksums.append(f"{block.checksum:016x}")
+        provenance.append(_provenance_line(block))
     try:
         next(it)
     except StopIteration:
@@ -144,7 +124,10 @@ def write_shards(
             f"block stream continues past the {len(checksums)} manifest entries",
             len(checksums),
         )
+    data = "".join(provenance).encode("utf-8")
+    layout.provenance_path.write_bytes(data)
     manifest.checksums = checksums
+    manifest.provenance_checksum = _b2sum64(data)
     return layout
 
 
@@ -201,7 +184,7 @@ class AuditReport:
             f"schedule violations: {len(self.schedule_violations)}",
         ]
         lines.extend(f"  {f}" for f in self.checksum_failures[:20])
-        lines.extend(f"  {name}: orphan, past the manifest's blocks" for name in self.orphans[:20])
+        lines.extend(f"  {name}: orphan, not named by the manifest" for name in self.orphans[:20])
         lines.extend(f"  {v}" for v in self.schedule_violations[:20])
         if self.discards:
             lines.append(f"discard report: {json.dumps(self.discards, sort_keys=True)}")
@@ -209,89 +192,53 @@ class AuditReport:
         return "\n".join(lines)
 
 
-def _orphans(directory: Path, n_blocks: int) -> list[str]:
-    """Block files and records that no position of the manifest names."""
-    names = sorted(
-        path.name
-        for pattern in ("block_*.bin", "block_*.meta.json")
-        for path in directory.glob(pattern)
-    )
-    return [name for name in names if not _names_a_position(name, n_blocks)]
-
-
-def _names_a_position(name: str, n_blocks: int) -> bool:
-    """Whether ``name`` is the block file or record name of a position below ``n_blocks``."""
-    match = _BLOCK_FILE.fullmatch(name)
-    return match is not None and match[1] == f"{int(match[1]):08d}" and int(match[1]) < n_blocks
-
-
 def audit_shards(directory: str | os.PathLike[str]) -> AuditReport:
-    """Re-verify a compiled corpus: sizes, checksums, records, orphans and
-    schedule constraints. Each block file is read and hashed once."""
+    """Re-verify a compiled corpus: sizes, checksums, the provenance file,
+    orphans and schedule constraints. Each file is read and hashed once."""
     manifest = read_manifest(directory)
     layout = ShardLayout(Path(directory))
     report = AuditReport(discards=manifest.metadata.get("discards", {}))
+    failures = report.checksum_failures
     checksums = manifest.checksums
-    if manifest.format == MANIFEST_FORMAT and checksums is None:
-        report.checksum_failures.append(
+    if checksums is None:
+        failures.append(
             BlockFailure(MANIFEST_NAME, "checksums is null; a compiled tree lists one per block")
         )
-    for position, entry in enumerate(manifest.entries):
+    for position in range(manifest.n_blocks):
         bin_path = layout.block_path(position)
-        rec_path = layout.record_path(position)
         report.blocks_checked += 1
         if not bin_path.exists():
-            report.checksum_failures.append(BlockFailure(bin_path.name, "missing file"))
+            failures.append(BlockFailure(bin_path.name, "missing file"))
             continue
         size = bin_path.stat().st_size
         if size != BLOCK_BYTES:
-            report.checksum_failures.append(
-                BlockFailure(bin_path.name, f"size {size} != {BLOCK_BYTES}")
-            )
+            failures.append(BlockFailure(bin_path.name, f"size {size} != {BLOCK_BYTES}"))
             continue
-        if not rec_path.exists():
-            report.checksum_failures.append(BlockFailure(rec_path.name, "missing record"))
-            continue
-        try:
-            record = json.loads(rec_path.read_text(encoding="utf-8"))
-        except ValueError as exc:  # not JSON, or not UTF-8
-            report.checksum_failures.append(
-                BlockFailure(rec_path.name, f"unreadable record: {exc}")
-            )
-            continue
-        if not isinstance(record, dict):
-            report.checksum_failures.append(
-                BlockFailure(rec_path.name, "record is not a JSON object")
-            )
-            continue
-        digest = _block_digest(manifest.format, bin_path.read_bytes())
-        recorded = record.get("checksum")
-        expected = digest if manifest.format == MANIFEST_FORMAT_V1 else _checksum_field(digest)
-        if expected != recorded:
-            report.checksum_failures.append(
-                BlockFailure(bin_path.name, f"checksum {expected} != recorded {recorded}")
-            )
+        digest = _b2sum64(bin_path.read_bytes())
         if checksums is not None and digest != checksums[position]:
-            report.checksum_failures.append(
+            failures.append(
+                BlockFailure(bin_path.name, f"checksum {digest} != manifest {checksums[position]}")
+            )
+    if not layout.provenance_path.exists():
+        failures.append(BlockFailure(PROVENANCE_NAME, "missing file"))
+    else:
+        data = layout.provenance_path.read_bytes()
+        digest = _b2sum64(data)
+        if digest != manifest.provenance_checksum:
+            failures.append(
                 BlockFailure(
-                    bin_path.name, f"checksum {digest} != manifest {checksums[position]}"
+                    PROVENANCE_NAME,
+                    f"checksum {digest} != manifest {manifest.provenance_checksum}",
                 )
             )
-        mismatches = [
-            f"{name} {record.get(name)!r} != manifest {want!r}"
-            for name, want in (
-                ("kind", entry.kind.name),
-                ("language", entry.kind.language),
-                ("position", position),
-                ("tokenizer_id", manifest.tokenizer_id),
+        lines = len(data.splitlines())
+        if lines != manifest.n_blocks:
+            failures.append(
+                BlockFailure(PROVENANCE_NAME, f"{lines} lines != {manifest.n_blocks} blocks")
             )
-            if record.get(name) != want or type(record.get(name)) is not type(want)
-        ]
-        if mismatches:
-            report.checksum_failures.append(
-                BlockFailure(rec_path.name, "record " + "; ".join(mismatches))
-            )
-    report.orphans = _orphans(layout.directory, manifest.n_blocks)
+    named = {MANIFEST_NAME, PROVENANCE_NAME}
+    named.update(layout.block_path(i).name for i in range(manifest.n_blocks))
+    report.orphans = sorted(name for name in os.listdir(layout.directory) if name not in named)
     report.schedule_violations = validate_schedule(manifest)
     return report
 

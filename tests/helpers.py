@@ -1,14 +1,12 @@
 """Small factories shared across test modules."""
 
 import hashlib
-import json
 import unicodedata
 from collections import Counter
 from pathlib import Path
 
 from currikit import evaluate, rng, schedule, shards
 from currikit.corpus import Document, SentencePair, language
-from currikit.packing import BLOCK_TOKENS
 from currikit.rng import hash64
 from currikit.tokenizer import EOT_TEXT, TokenizerError
 
@@ -62,34 +60,6 @@ def write_tree(blocks, manifest, directory):
     layout = shards.write_shards(blocks, manifest, directory)
     shards.commit_manifest(layout, manifest)
     return layout
-
-
-def v2_manifest_json(manifest, format="curriculum-manifest-v2"):
-    """Reference writer of the v2 manifest: one indented object per entry.
-
-    The bytes ``CurriculumManifest.to_json`` wrote before format v3, so v2
-    trees (and, with ``format="curriculum-manifest-v1"``, v1 trees) can be
-    made fresh for the read and audit paths that still accept them.
-    """
-    b = manifest.batch_size_blocks
-    doc = {
-        "format": format,
-        "strategy": manifest.strategy.value,
-        "seed": manifest.seed,
-        "batch_size_blocks": b,
-        "sequences_per_step": manifest.sequences_per_step,
-        "language_set": manifest.language_set,
-        "token_budget": manifest.token_budget,
-        "leftover_tokens": manifest.leftover_tokens,
-        "tokenizer_id": manifest.tokenizer_id,
-        "block_tokens": BLOCK_TOKENS,
-        "entries": [
-            {"position": i, "batch": i // b, "kind": e.kind.name, "language": e.kind.language}
-            for i, e in enumerate(manifest.entries)
-        ],
-        "metadata": manifest.metadata,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def greedy_encode(text, spec):

@@ -8,7 +8,7 @@ from currikit.cli import main
 from currikit.packing import BLOCK_TOKENS
 from currikit.schedule import CurriculumManifest
 from currikit.synthetic import write_corpus
-from helpers import v2_manifest_json
+from helpers import tree_digest
 
 
 @pytest.fixture(scope="module")
@@ -59,30 +59,67 @@ def test_audit_fails_on_corruption(compiled, tmp_path, capsys):
 
 @pytest.mark.parametrize("content", [b"[]", b"{not json", b"\xff\xfe"])
 def test_audit_reports_corrupt_block_record(compiled, tmp_path, capsys, content):
+    # A block's record is its line of provenance.jsonl.
     import shutil
 
     broken = tmp_path / "broken"
     shutil.copytree(compiled, broken)
-    (broken / "block_00000001.meta.json").write_bytes(content)
+    provenance = broken / "provenance.jsonl"
+    lines = provenance.read_bytes().splitlines(keepends=True)
+    lines[1] = content + b"\n"
+    provenance.write_bytes(b"".join(lines))
     assert main(["audit", "--dir", str(broken)]) == 1
     captured = capsys.readouterr()
     assert captured.err == ""
     assert "blocks checked: 12" in captured.out
     assert "checksum/size failures: 1" in captured.out
-    assert "  block_00000001.meta.json: " in captured.out
+    assert "  provenance.jsonl: checksum " in captured.out
     assert "audit: FAIL" in captured.out
 
 
-def _v2(edit):
-    """Apply ``edit`` to the tree's manifest rewritten in the v2 format."""
+def _edit_line(path):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[4] = lines[4].replace('"last":', '"last":1')
+    path.write_text("".join(lines))
 
-    def tamper(doc):
-        v2 = json.loads(v2_manifest_json(CurriculumManifest.from_json(json.dumps(doc))))
-        edit(v2)
-        doc.clear()
-        doc.update(v2)
 
-    return tamper
+def _drop_line(path):
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+
+
+# A tree edited after its compile, and the failure line the audit must print.
+_TREE_EDITS = {
+    "provenance edited": (
+        lambda tree: _edit_line(tree / "provenance.jsonl"), "provenance.jsonl: checksum "
+    ),
+    "provenance one line short": (
+        lambda tree: _drop_line(tree / "provenance.jsonl"), "provenance.jsonl: 11 lines != 12"
+    ),
+    "provenance missing": (
+        lambda tree: (tree / "provenance.jsonl").unlink(), "provenance.jsonl: missing file"
+    ),
+    "stray record": (
+        lambda tree: (tree / "block_00000000.meta.json").write_text("{}"),
+        "block_00000000.meta.json: orphan",
+    ),
+    "stray run_config": (
+        lambda tree: (tree / "run_config.json").write_text("{}"), "run_config.json: orphan"
+    ),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_TREE_EDITS))
+def test_audit_fails_on_a_tree_edit(compiled, tmp_path, capsys, edit):
+    import shutil
+
+    tree = tmp_path / "tree"
+    shutil.copytree(compiled, tree)
+    change, wanted = _TREE_EDITS[edit]
+    change(tree)
+    assert main(["audit", "--dir", str(tree)]) == 1
+    out = capsys.readouterr().out
+    assert f"  {wanted}" in out
+    assert "audit: FAIL" in out
 
 
 def _drop_last(count):
@@ -98,9 +135,13 @@ def _drop_last(count):
 # stored the field unchecked, compared it with ``!=`` (which equates true
 # with 1 and 2.0 with 2) or did not bound the leftover by one batch.
 _TAMPERED = {
-    "position": (_v2(lambda doc: doc["entries"][5].update(position=6)), "position"),
-    "batch": (_v2(lambda doc: doc["entries"][5].update(batch=0)), "batch"),
-    "position true": (_v2(lambda doc: doc["entries"][1].update(position=True)), "position"),
+    **{
+        f"format v{n}": (
+            lambda doc, n=n: doc.update(format=f"curriculum-manifest-v{n}"),
+            f"format curriculum-manifest-v{n} is no longer supported; recompile",
+        )
+        for n in (1, 2, 3)
+    },
     "leftover_tokens": (lambda doc: doc.update(leftover_tokens=999), "leftover_tokens"),
     "sequences_per_step": (lambda doc: doc.update(sequences_per_step=1), "sequences_per_step"),
     "block_tokens": (lambda doc: doc.update(block_tokens=4096), "block_tokens"),
@@ -158,9 +199,9 @@ def test_audit_flags_orphans_of_an_earlier_larger_compile(compiled, corpus, tmp_
     capsys.readouterr()
     assert main(["audit", "--dir", str(out)]) == 1
     captured = capsys.readouterr().out
-    assert "orphan files: 16" in captured
+    assert "orphan files: 8" in captured
     assert "  block_00000004.bin: orphan" in captured
-    assert "  block_00000011.meta.json: orphan" in captured
+    assert "  block_00000011.bin: orphan" in captured
     assert "audit: FAIL" in captured
 
 
@@ -174,15 +215,67 @@ def test_audit_flags_blocks_rewritten_by_a_failed_recompile(compiled, corpus, tm
         "--budget-tokens", str(2000 * BLOCK_TOKENS), "--batch-blocks", "4",
         "--seed", "7", "--labels", "code", "--out", str(out),
     ]
-    assert main(argv) == 1  # the corpus runs dry after rewriting blocks and records
+    assert main(argv) == 1  # the corpus runs dry after rewriting blocks
     assert "stream exhausted" in capsys.readouterr().err
     assert main(["audit", "--dir", str(out)]) == 1
     captured = capsys.readouterr().out
-    # The old manifest survives; its checksums no longer match the parallel
-    # blocks, whose rewritten records do match them.
+    # The old manifest and provenance file survive; the manifest's checksums
+    # no longer match the rewritten parallel blocks.
     assert "checksum/size failures: 9" in captured
     assert "  block_00000000.bin: checksum " in captured
-    assert "!= manifest" in captured and "!= recorded" not in captured
+    assert "!= manifest" in captured
+
+
+def test_recompile_that_fails_before_its_first_block_leaves_the_tree(
+    compiled, tmp_path, capsys
+):
+    import shutil
+
+    out = tmp_path / "shards"
+    shutil.copytree(compiled, out)
+    before = tree_digest(out)
+    tiny = write_corpus(
+        tmp_path / "tiny", languages=("id",), n_pairs=10, n_docs=2, replay_docs=2, seed=1
+    )
+    argv = [
+        "compile", "--config", str(tiny), "--strategy", "parallel-only",
+        "--budget-tokens", str(2000 * BLOCK_TOKENS), "--batch-blocks", "4",
+        "--seed", "1", "--labels", "code", "--out", str(out),
+    ]
+    assert main(argv) == 1
+    assert "exhausted at schedule position 0" in capsys.readouterr().err
+    assert tree_digest(out) == before
+    assert main(["audit", "--dir", str(out)]) == 0
+
+
+def test_tree_bytes_do_not_depend_on_out_or_config_path(compiled, corpus, tmp_path):
+    import shutil
+
+    moved = tmp_path / "moved-corpus"
+    shutil.copytree(corpus.parent, moved)
+    for config, out in [(corpus, tmp_path / "a"), (moved / corpus.name, tmp_path / "b" / "c")]:
+        argv = [
+            "compile", "--config", str(config), "--strategy", "parallel-only",
+            "--budget-tokens", "3145728", "--batch-blocks", "4", "--seed", "7",
+            "--out", str(out),
+        ]
+        assert main(argv) == 0
+        assert tree_digest(out) == tree_digest(compiled)
+
+
+def test_compile_records_label_style_in_the_manifest(compiled, corpus, tmp_path):
+    out = tmp_path / "code"
+    argv = [
+        "compile", "--config", str(corpus), "--strategy", "parallel-only",
+        "--budget-tokens", str(4 * BLOCK_TOKENS), "--batch-blocks", "4",
+        "--labels", "code", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    text = (out / "manifest.json").read_text()
+    assert json.loads(text)["label_style"] == "code"
+    assert CurriculumManifest.from_json(text).label_style == "code"
+    assert CurriculumManifest.from_json(text).to_json() == text
+    assert json.loads((compiled / "manifest.json").read_text())["label_style"] == "name"
 
 
 def test_stats_compiled_dir(compiled, capsys):
@@ -354,13 +447,6 @@ def test_compile_all_strategies_rejects_bad_batch_blocks(tmp_path, capsys):
         assert err.value.code == 2, flags
         assert message in capsys.readouterr().err, flags
         assert not (tmp_path / "out").exists()
-
-
-def test_compile_writes_run_config(compiled):
-    echo = json.loads((compiled / "run_config.json").read_text())
-    assert echo["strategy"] == "parallel-only"
-    assert echo["seed"] == 7
-    assert echo["batch_size_blocks"] == 4
 
 
 def test_compile_rejects_vocab_id_outside_uint32(corpus, tmp_path, capsys):

@@ -1,13 +1,13 @@
 """Golden digests of compiled trees: the refactoring oracle.
 
 Each case compiles a fixed synthetic corpus at a fixed seed, batch 4 and
-4 blocks, then hashes every file of the tree (block files, block records,
-``run_config.json`` and ``manifest.json``). A change that alters any
+4 blocks, then hashes every file of the tree (block files,
+``provenance.jsonl`` and ``manifest.json``). A change that alters any
 output byte, including the manifest's accounting, changes a digest.
 
 ``GOLDEN_BLOCKS`` hashes only the ``block_*.bin`` files in position order:
-the token ids themselves. A change to the record or manifest format re-pins
-``GOLDEN`` but must leave these digests as they are.
+the token ids themselves. A change to the provenance or manifest format
+re-pins ``GOLDEN`` but must leave these digests as they are.
 
 ``GOLDEN_SCHEDULES`` hashes the kind sequence of many built schedules per
 strategy, without compiling: every batch size, several seeds and language
@@ -40,32 +40,32 @@ _VOCAB_WORDS = (
 
 GOLDEN = {
     "multilingual": (
-        "e59cbb8d30fb370d86b397b693d844d8"
-        "d694c722465021784af167d7c1d4e96c"
+        "ec1558e08c8542afe3eece9d9c2c083e"
+        "965edc99160dd5dac866308a1ba92bd4"
     ),
     "mixed": (
-        "5ca5f8174272fe99536456b6d6f5d810"
-        "e468ce517c4675f6e49c6f123d68241d"
+        "9c775641b2a6fab33a5b16446d7ab5e5"
+        "c5d09d7a74f33df00fcb8d3d0399814d"
     ),
     "parallel-first": (
-        "0c47b05869a3620629c3add33b5ee535"
-        "88b1cdb5754c201ede79049935a87f53"
+        "decc0dec59897c68c4055222bf425d78"
+        "0d4c4426f7d3c4f7a93e15d93902e7c8"
     ),
     "parallel-last": (
-        "cb1b434efe8219069dc1a00958f34529"
-        "0ee6fd7f30c06a817818602a9e56132c"
+        "ef047620586f63fbd7083919933beccf"
+        "2badcbf13546f7f5aa5083cc70f8b4d3"
     ),
     "parallel-only": (
-        "7cc38ccd4d00859ef140b1a4977f3e5e"
-        "57741a822762d9a1ef72a7fdf314c117"
+        "5d5d5a2fdb6f3b4496f248d41d5e8a09"
+        "a379f0e05cbcdcc3caf1800080c3fe30"
     ),
     "multilingual-replacement": (
-        "523a33fe9aa71917c72758fc5794b822"
-        "a93e569f69acc1c5aa905cd66813e95c"
+        "ab8d977a2a0bd59a00ca26539ebda04b"
+        "882fcca0750ff85ade8bbd2f5b9fd2de"
     ),
     "multilingual-replacement/bpe": (
-        "792c950dec71a6818b6017be52d09ef0"
-        "27629ca8af674d67cb7782ecb04bb5d1"
+        "4473fccce9b5b5d75a7d50c79e2bd095"
+        "20729d62d66a3f422753063154d2d976"
     ),
 }
 
@@ -128,7 +128,6 @@ def test_compiledtree_digest(corpus, tmp_path, case):
     result = compile_corpus(
         config, strategy, 4 * BLOCK_TOKENS, 4, seed=SEED, out_dir=tmp_path / "out",
         tokenizer_ref=tokenizer_ref,
-        run_config={"tokenizer": VOCAB_NAME if tokenizer else "byte_fallback"},
     )
     assert result.manifest.n_blocks == 4
     assert result.manifest.strategy is Strategy(strategy)

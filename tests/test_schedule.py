@@ -16,7 +16,7 @@ from currikit.schedule import (
     build_schedule,
     validate_schedule,
 )
-from helpers import v2_manifest_json, whole_shuffle_mixed_order
+from helpers import whole_shuffle_mixed_order
 
 ALL_STRATEGIES = list(Strategy)
 LANGS = ["id", "km", "lo", "ms", "my", "ta", "th", "tl", "vi", "zh"]
@@ -155,26 +155,23 @@ def test_manifest_json_round_trip():
     assert again.strategy is Strategy.PARALLEL_LAST
 
 
-def test_from_json_reads_v1_and_v2_and_writes_v3():
-    m = build_schedule(Strategy.MIXED, blocks_budget(8), ["id"], 4, seed=5)
-    text = m.to_json()
-    assert json.loads(text)["format"] == "curriculum-manifest-v3"
-    assert CurriculumManifest.from_json(text).format == "curriculum-manifest-v3"
-    for old in ("curriculum-manifest-v1", "curriculum-manifest-v2"):
-        parsed = CurriculumManifest.from_json(v2_manifest_json(m, format=old))
-        assert parsed.format == old
-        assert parsed.entries == m.entries
-        assert parsed.checksums is None
-        assert parsed.to_json() == text
-    with pytest.raises(ValueError):
-        CurriculumManifest.from_json(
-            text.replace('"curriculum-manifest-v3"', '"curriculum-manifest-v4"')
-        )
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_from_json_refuses_every_other_format(version):
+    text = build_schedule(Strategy.MIXED, blocks_budget(8), ["id"], 4, seed=5).to_json()
+    assert json.loads(text)["format"] == "curriculum-manifest-v4"
+    old = text.replace('"curriculum-manifest-v4"', f'"curriculum-manifest-v{version}"')
+    with pytest.raises(ValueError) as err:
+        CurriculumManifest.from_json(old)
+    assert str(err.value) == (
+        f"format curriculum-manifest-v{version} is no longer supported; recompile"
+    )
 
 
 def _with_checksums(manifest):
     return dataclasses.replace(
-        manifest, checksums=[f"{rng.hash64('block', i):016x}" for i in range(manifest.n_blocks)]
+        manifest,
+        checksums=[f"{rng.hash64('block', i):016x}" for i in range(manifest.n_blocks)],
+        provenance_checksum=f"{rng.hash64('provenance'):016x}",
     )
 
 
@@ -186,8 +183,10 @@ def test_v3_round_trip_every_strategy(strategy, checksums):
         m = _with_checksums(m)
     text = m.to_json()
     doc = json.loads(text)
+    assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     assert doc["entries"] == [e.kind.key() for e in m.entries]
     assert doc["checksums"] == m.checksums
+    assert doc["provenance_checksum"] == m.provenance_checksum
     again = CurriculumManifest.from_json(text)
     assert again == m
     assert again.to_json() == text
@@ -199,14 +198,14 @@ def test_v3_builds_each_distinct_kind_once():
     assert len({id(e.kind) for e in again.entries}) == len(m.kind_counts())
 
 
-def _v3_doc(**changes):
+def _manifest_doc(**changes):
     m = _with_checksums(build_schedule(Strategy.PARALLEL_ONLY, blocks_budget(8), ["id"], 4, seed=7))
     doc = json.loads(m.to_json())
     doc.update(changes)
     return doc
 
 
-_V3_REFUSED = {
+_REFUSED = {
     "replay with an empty language": lambda d: d["entries"].__setitem__(3, "replay:"),
     "unknown kind": lambda d: d["entries"].__setitem__(0, "bilingual:id"),
     "kind key not a string": lambda d: d["entries"].__setitem__(0, 7),
@@ -220,6 +219,11 @@ _V3_REFUSED = {
     "prefixed checksum": lambda d: d["checksums"].__setitem__(2, "blake2b-64:" + "0" * 16),
     "integer checksum": lambda d: d["checksums"].__setitem__(2, 12),
     "missing checksums": lambda d: d.pop("checksums"),
+    "upper-case provenance checksum": lambda d: d.update(provenance_checksum="ABCDEF0123456789"),
+    "integer provenance checksum": lambda d: d.update(provenance_checksum=12),
+    "missing provenance checksum": lambda d: d.pop("provenance_checksum"),
+    "unknown label style": lambda d: d.update(label_style="iso"),
+    "missing label style": lambda d: d.pop("label_style"),
     "entries not a batch multiple": lambda d: (
         d["entries"].pop(), d["checksums"].pop(), d.update(leftover_tokens=BLOCK_TOKENS)
     ),
@@ -240,11 +244,11 @@ _V3_REFUSED = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_V3_REFUSED))
+@pytest.mark.parametrize("case", sorted(_REFUSED))
 def test_from_json_refuses_what_a_compile_cannot_write(case):
-    doc = _v3_doc()
+    doc = _manifest_doc()
     CurriculumManifest.from_json(json.dumps(doc))  # the untouched document reads
-    _V3_REFUSED[case](doc)
+    _REFUSED[case](doc)
     with pytest.raises(ValueError, match="malformed curriculum manifest"):
         CurriculumManifest.from_json(json.dumps(doc))
 
@@ -253,23 +257,12 @@ def test_from_json_refuses_what_a_compile_cannot_write(case):
 def test_v3_names_the_first_bad_kind_in_file_order(first, second):
     # Two bad keys in either order: the error names the earlier one, so the
     # message does not depend on the process's string hashing.
-    doc = _v3_doc()
+    doc = _manifest_doc()
     doc["entries"][1], doc["entries"][5] = first, second
     with pytest.raises(ValueError) as err:
         CurriculumManifest.from_json(json.dumps(doc))
     assert f"entry kind {first!r}" in str(err.value)
     assert repr(second) not in str(err.value)
-
-
-@pytest.mark.parametrize("field, position", [("position", 1), ("batch", 4)])
-@pytest.mark.parametrize("value", [True, 1.0])
-def test_from_json_refuses_v2_entry_numbers_of_another_type(field, position, value):
-    m = build_schedule(Strategy.PARALLEL_ONLY, blocks_budget(8), ["id"], 4, seed=7)
-    doc = json.loads(v2_manifest_json(m))
-    assert doc["entries"][position][field] == 1
-    doc["entries"][position][field] = value
-    with pytest.raises(ValueError, match=f"entry {position} says"):
-        CurriculumManifest.from_json(json.dumps(doc))
 
 
 def test_validate_self_consistency_all_strategies():

@@ -8,7 +8,6 @@ import pytest
 
 from currikit.packing import (
     BLOCK_TOKENS,
-    fnv1a64,
     pack_monolingual,
     pack_parallel,
     pack_replay,
@@ -28,7 +27,7 @@ from currikit.shards import (
 )
 from currikit.synthetic import write_corpus
 from currikit.tokenizer import BYTE_FALLBACK
-from helpers import make_doc, make_pair, tree_digest, v2_manifest_json, write_tree
+from helpers import make_doc, make_pair, tree_digest, write_tree
 
 
 def _make_stream(name, lang, count, seed):
@@ -71,7 +70,6 @@ def test_written_block_files_have_exact_size(small_corpus):
     assert manifest.n_blocks == 8
     for position, _ in enumerate(manifest.entries):
         assert small_corpus.block_path(position).stat().st_size == BLOCK_BYTES
-        assert small_corpus.record_path(position).exists()
     assert BLOCK_BYTES == 1_048_576
 
 
@@ -103,6 +101,9 @@ def test_write_shards_fills_checksums_and_leaves_the_manifest_to_the_caller(tmp_
         f"{hashlib.blake2b(layout.block_path(i).read_bytes(), digest_size=8).hexdigest()}"
         for i in range(manifest.n_blocks)
     ]
+    assert manifest.provenance_checksum == hashlib.blake2b(
+        layout.provenance_path.read_bytes(), digest_size=8
+    ).hexdigest()
     commit_manifest(layout, manifest)
     assert audit_shards(layout.directory).passed
 
@@ -119,6 +120,7 @@ def test_kind_mismatch_names_position_and_leaves_no_manifest(tmp_path):
         write_tree(blocks, manifest, out)
     assert err.value.position == swap - 1
     assert not (out / "manifest.json").exists()
+    assert not (out / "provenance.jsonl").exists()
 
 
 def test_short_stream_raises_and_leaves_no_manifest(tmp_path):
@@ -128,6 +130,7 @@ def test_short_stream_raises_and_leaves_no_manifest(tmp_path):
         write_tree(blocks, manifest, tmp_path / "short")
     assert err.value.position == 2
     assert not (tmp_path / "short" / "manifest.json").exists()
+    assert not (tmp_path / "short" / "provenance.jsonl").exists()
 
 
 def test_audit_flags_truncated_block(tmp_path):
@@ -158,91 +161,28 @@ def test_audit_flags_flipped_byte(tmp_path):
     )
 
 
-def test_block_record_checksum_is_b2sum_of_block_file(small_corpus):
-    for position in range(8):
-        record = json.loads(small_corpus.record_path(position).read_text())
-        data = small_corpus.block_path(position).read_bytes()
-        expected = hashlib.blake2b(data, digest_size=8).hexdigest()
-        assert record["checksum"] == f"blake2b-64:{expected}"
-
-
-def _set_record_checksum(layout, position, checksum):
-    path = layout.record_path(position)
-    record = json.loads(path.read_text())
-    record["checksum"] = checksum
-    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-
-
-def _write_v1_tree(directory, seed):
-    """Write 4 blocks, then rewrite the tree into its v1 form."""
-    manifest = build_schedule(Strategy.MULTILINGUAL, 4 * BLOCK_TOKENS, ["id"], 4, seed=seed)
-    layout = write_tree(_block_streams(manifest), manifest, directory)
-    for position, _ in enumerate(manifest.entries):
-        data = layout.block_path(position).read_bytes()
-        _set_record_checksum(layout, position, f"{fnv1a64(data):016x}")
-    layout.manifest_path.write_text(v2_manifest_json(manifest, format="curriculum-manifest-v1"))
-    return layout
-
-
-def _write_v2_tree(directory, seed, strategy=Strategy.MULTILINGUAL):
-    """Write 4 blocks under the v2 manifest an earlier compile wrote."""
-    manifest = build_schedule(strategy, 4 * BLOCK_TOKENS, ["id"], 4, seed=seed)
-    layout = write_tree(_block_streams(manifest, seed), manifest, directory)
-    layout.manifest_path.write_text(v2_manifest_json(manifest))
-    return layout
-
-
-def test_audit_passes_v2_tree(tmp_path):
-    layout = _write_v2_tree(tmp_path / "v2", seed=14)
-    manifest = read_manifest(layout.directory)
-    assert manifest.format == "curriculum-manifest-v2"
-    assert manifest.checksums is None
-    report = audit_shards(layout.directory)
-    assert report.passed
-    assert report.blocks_checked == 4
-
-
-def test_audit_passes_v1_tree(tmp_path):
-    layout = _write_v1_tree(tmp_path / "v1", seed=10)
-    assert read_manifest(layout.directory).format == "curriculum-manifest-v1"
-    report = audit_shards(layout.directory)
-    assert report.passed
-    assert report.blocks_checked == 4
-
-
-def test_audit_flags_flipped_byte_in_v1_tree(tmp_path):
-    layout = _write_v1_tree(tmp_path / "v1", seed=11)
-    victim = layout.block_path(3)
-    data = bytearray(victim.read_bytes())
-    data[5] ^= 0x01
-    victim.write_bytes(bytes(data))
-    report = audit_shards(layout.directory)
-    assert not report.passed
-    assert [f.block_file for f in report.checksum_failures] == [victim.name]
-
-
-def test_audit_flags_v1_record_under_v2_manifest(tmp_path):
-    layout = _write_v2_tree(tmp_path / "mixed", seed=12)
-    victim = layout.block_path(1)
-    _set_record_checksum(layout, 1, f"{fnv1a64(victim.read_bytes()):016x}")
-    report = audit_shards(layout.directory)
-    assert not report.passed
-    assert [f.block_file for f in report.checksum_failures] == [victim.name]
-
-
-def test_audit_flags_v2_record_under_v1_manifest(tmp_path):
-    layout = _write_v1_tree(tmp_path / "mixed", seed=13)
-    victim = layout.block_path(2)
-    blake = hashlib.blake2b(victim.read_bytes(), digest_size=8).hexdigest()
-    _set_record_checksum(layout, 2, f"blake2b-64:{blake}")
-    report = audit_shards(layout.directory)
-    assert not report.passed
-    assert [f.block_file for f in report.checksum_failures] == [victim.name]
+def test_provenance_file_holds_each_blocks_spans(tmp_path):
+    manifest = build_schedule(Strategy.MIXED, 8 * BLOCK_TOKENS, ["id"], 4, seed=14)
+    blocks = list(_block_streams(manifest, seed=14))
+    layout = write_tree(blocks, manifest, tmp_path / "p")
+    data = layout.provenance_path.read_bytes()
+    assert data.decode("utf-8").splitlines() == [
+        json.dumps(
+            [
+                {"first": s.first_ordinal, "last": s.last_ordinal, "source": s.source_id}
+                for s in block.provenance
+            ],
+            separators=(",", ":"),
+        )
+        for block in blocks
+    ]
+    doc = json.loads(layout.manifest_path.read_text())
+    assert doc["provenance_checksum"] == hashlib.blake2b(data, digest_size=8).hexdigest()
 
 
 def test_manifest_lists_the_block_checksums(small_corpus):
     doc = json.loads(small_corpus.manifest_path.read_text())
-    assert doc["format"] == "curriculum-manifest-v3"
+    assert doc["format"] == "curriculum-manifest-v4"
     assert doc["checksums"] == [
         hashlib.blake2b(small_corpus.block_path(i).read_bytes(), digest_size=8).hexdigest()
         for i in range(8)
@@ -250,8 +190,8 @@ def test_manifest_lists_the_block_checksums(small_corpus):
 
 
 def _swap_in_block_from_another_compile(tmp_path):
-    """A parallel-only tree, and the same tree with one block and its record
-    copied from a compile at another seed; returns both and the block name."""
+    """A parallel-only tree with one block and its provenance line copied
+    from a compile at another seed; returns the tree and the block name."""
     trees = []
     for seed in (1, 2):
         manifest = build_schedule(Strategy.PARALLEL_ONLY, 8 * BLOCK_TOKENS, ["id"], 4, seed=seed)
@@ -261,8 +201,10 @@ def _swap_in_block_from_another_compile(tmp_path):
         i for i, (a, b) in enumerate(zip(ours.entries, theirs.entries))
         if a == b and a.kind.name == "parallel"
     )
-    for path in (trees[0].block_path(position), trees[0].record_path(position)):
-        shutil.copy(trees[1].directory / path.name, path)
+    shutil.copy(trees[1].block_path(position), trees[0].block_path(position))
+    ours, theirs = (t.provenance_path.read_text().splitlines(keepends=True) for t in trees)
+    ours[position] = theirs[position]
+    trees[0].provenance_path.write_text("".join(ours))
     return trees[0], trees[0].block_path(position).name
 
 
@@ -270,11 +212,10 @@ def test_audit_flags_block_and_record_swapped_in_from_another_compile(tmp_path):
     layout, victim = _swap_in_block_from_another_compile(tmp_path)
     report = audit_shards(layout.directory)
     assert not report.passed
+    # The pair side order depends on the seed but a block's spans do not, so
+    # the swapped provenance line is the one it replaced; the block is caught.
     assert [f.block_file for f in report.checksum_failures] == [victim]
     assert "!= manifest" in report.checksum_failures[0].reason
-    # A v2 manifest commits to no block content: the same swap goes unseen.
-    layout.manifest_path.write_text(v2_manifest_json(read_manifest(layout.directory)))
-    assert audit_shards(layout.directory).passed
 
 
 def test_audit_flags_manifest_checksum_edit(small_corpus, tmp_path):
@@ -298,38 +239,22 @@ def test_audit_flags_v3_manifest_without_checksums(small_corpus, tmp_path):
     assert [f.block_file for f in report.checksum_failures] == ["manifest.json"]
 
 
-@pytest.mark.parametrize(
-    "field, value",
-    [("position", 6), ("position", True), ("tokenizer_id", "bpe-other"), ("kind", "replay")],
-)
-def test_audit_flags_record_that_disagrees_with_manifest(small_corpus, tmp_path, field, value):
-    tree = tmp_path / "t"
-    shutil.copytree(small_corpus.directory, tree)
-    record_path = tree / "block_00000001.meta.json"
-    record = json.loads(record_path.read_text())
-    assert record[field] != value or type(record[field]) is not type(value)
-    record[field] = value
-    record_path.write_text(json.dumps(record))
-    report = audit_shards(tree)
-    assert [f.block_file for f in report.checksum_failures] == [record_path.name]
-    assert field in report.checksum_failures[0].reason
-
-
 def test_audit_flags_orphan_files(tmp_path):
     big = build_schedule(Strategy.MULTILINGUAL, 8 * BLOCK_TOKENS, ["id"], 4, seed=1)
     write_tree(_block_streams(big), big, tmp_path / "t")
     small = build_schedule(Strategy.MULTILINGUAL, 4 * BLOCK_TOKENS, ["id"], 4, seed=1)
     write_tree(_block_streams(small), small, tmp_path / "t")
-    strays = ["block_x.bin", "block_000000001.bin", "block_1.meta.json"]
+    strays = [
+        "block_x.bin", "block_000000001.bin", "block_1.meta.json",
+        "block_00000000.meta.json", "run_config.json",
+    ]
     for name in strays:
         (tmp_path / "t" / name).write_bytes(b"")
     report = audit_shards(tmp_path / "t")
     assert not report.passed
     assert report.checksum_failures == []
-    assert report.orphans == sorted(
-        [f"block_{i:08d}.{ext}" for i in range(4, 8) for ext in ("bin", "meta.json")] + strays
-    )
-    assert "orphan files: 11" in report.render()
+    assert report.orphans == sorted([f"block_{i:08d}.bin" for i in range(4, 8)] + strays)
+    assert "orphan files: 9" in report.render()
 
 
 def test_audit_missing_manifest_raises(tmp_path):
@@ -380,7 +305,6 @@ def test_compile_corpus_end_to_end(tmp_path):
     assert result.manifest.kind_counts() == {"parallel:id": 6, "replay": 2}
     report = audit_shards(tmp_path / "out")
     assert report.passed
-    assert (tmp_path / "out" / "run_config.json").exists()
     assert "discards" in result.manifest.metadata
 
 
@@ -400,6 +324,9 @@ def test_compile_every_strategy(tmp_path, two_language_corpus, strategy):
         out_dir=tmp_path / strategy.value,
     )
     assert result.manifest.n_blocks == 8
+    assert sorted(path.name for path in (tmp_path / strategy.value).iterdir()) == [
+        *(f"block_{i:08d}.bin" for i in range(8)), "manifest.json", "provenance.jsonl"
+    ]
     assert audit_shards(tmp_path / strategy.value).passed
     text = (tmp_path / strategy.value / "manifest.json").read_text()
     assert CurriculumManifest.from_json(text) == result.manifest
