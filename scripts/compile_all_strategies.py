@@ -8,7 +8,7 @@ corpus configuration before scaling the budget up.
 Example:
     python scripts/make_synthetic_corpus.py --root /tmp/corpus --pairs 20000 --docs 400
     python scripts/compile_all_strategies.py --config /tmp/corpus/corpus.json \\
-        --out /tmp/runs --blocks 16 --batch-blocks 4 --seed 0
+        --out /tmp/runs --blocks 8 --batch-blocks 4 --seed 0
 """
 
 import argparse

@@ -2,11 +2,17 @@
 
 Every training block holds exactly 262,144 token ids (64 sequences of
 4,096, the context window). Every packer feeds one loop: each record is
-encoded, terminated with the end-of-text id and copied into a preallocated
-``uint32`` block buffer; a full buffer becomes the next block's ids and the
-rest of the record carries over into a fresh buffer, so records may
-straddle sequence and block boundaries. The final partial buffer is
-discarded and its size reported, never padded.
+encoded and its ids, then one end-of-text separator, are appended to the
+stream's byte accumulator (one byte per id for ``byte_fallback``, whose
+separator is 0xFF, a byte UTF-8 never holds, rewritten to ``eot_id`` when
+the block is built; four bytes per id for ``bpe_file``). Records are pulled
+one at a time: the record that brings the accumulator to a block's worth of
+ids yields that block at once, and the rest of the record carries over into
+a fresh accumulator, so records may straddle sequence and block boundaries
+and the records read are those a record-by-record packer reads. A block's
+``uint32`` ids are converted from the byte accumulator, or for ``bpe_file``
+are a view of the replaced one. The final partial accumulator is discarded
+and its size reported, never padded.
 
 Parallel segments are rendered as two labeled lines::
 
@@ -24,7 +30,7 @@ import hashlib
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -154,19 +160,38 @@ class PackReport:
         return self.tokens_in - self.blocks * BLOCK_TOKENS
 
 
+def _pair_renderers(
+    sea_language: LanguageTag, label_style: str
+) -> dict[Direction, Callable[[str, str], str]]:
+    """The pair format: per side order, a function rendering ``(english, sea)``
+    sentences as two labeled lines, with both labels resolved once."""
+    en_label = EN.label(label_style)
+    sea_label = sea_language.label(label_style)
+    return {
+        Direction.EN_FIRST: lambda en, sea: f"{en_label}: {en}\n{sea_label}: {sea}",
+        Direction.SEA_FIRST: lambda en, sea: f"{sea_label}: {sea}\n{en_label}: {en}",
+    }
+
+
 def format_pair(pair: SentencePair, direction: Direction, label_style: str = "name") -> str:
     """Render one aligned pair as two labeled lines (no trailing marker)."""
-    en_label = EN.label(label_style)
-    sea_label = pair.sea_language.label(label_style)
-    if direction is Direction.EN_FIRST:
-        return f"{en_label}: {pair.en_text}\n{sea_label}: {pair.sea_text}"
-    return f"{sea_label}: {pair.sea_text}\n{en_label}: {pair.en_text}"
+    render = _pair_renderers(pair.sea_language, label_style)[direction]
+    return render(pair.en_text, pair.sea_text)
 
 
-def direction_draw(seed: int, language_code: str, pair_index: int) -> Direction:
-    """Per-pair side order; keyed draw, independent of chunking."""
-    bit = rng.coin(seed, "direction", language_code, pair_index)
-    return Direction.EN_FIRST if bit == 0 else Direction.SEA_FIRST
+def _spans(sources: list[str], ordinals: list[int]) -> tuple[ProvenanceSpan, ...]:
+    """A block's records, in order, merged into provenance spans: a record
+    extends the span before it when it has the same source and its ordinal
+    repeats the previous one or steps by one."""
+    step = np.diff(np.array(ordinals))
+    source = np.array(sources, dtype=object)  # str equality; "<U" ignores trailing NULs
+    same_source = source[1:] == source[:-1]
+    opens = np.flatnonzero(~same_source | (step < 0) | (step > 1)) + 1
+    firsts = [0, *opens.tolist()]
+    lasts = [i - 1 for i in firsts[1:]] + [len(ordinals) - 1]
+    return tuple(
+        ProvenanceSpan(sources[f], ordinals[f], ordinals[l]) for f, l in zip(firsts, lasts)
+    )
 
 
 def _pack(
@@ -177,54 +202,45 @@ def _pack(
 ) -> Iterator[TokenBlock]:
     """The one packing loop: ``(text, source_id, ordinal)`` records -> blocks.
 
-    Each record's ids are copied into a preallocated block buffer and its
-    end-of-text id is written after them; a full buffer becomes a block's
-    ids and a fresh one is allocated. Consecutive records of one source whose
-    ordinals repeat or step by one share a provenance span.
+    Each record's ids and one end-of-text separator are appended to a byte
+    accumulator, one byte per id for ``byte_fallback`` (the separator is
+    0xFF, a byte UTF-8 never holds, and becomes ``eot_id`` in the block) and
+    four for ``bpe_file``. Records are pulled one at a time; the record that
+    brings the accumulator to a block's worth of ids yields that block at
+    once, and the rest of the record, if any, starts a fresh accumulator.
     """
-    buffer = np.empty(BLOCK_TOKENS, dtype=np.uint32)
-    fill = 0
-    closed: list[tuple[str, int, int]] = []  # this block's finished spans
-    span_source: str | None = None  # open span; None until a record enters the block
-    span_first = span_last = 0
+    if spec.kind == "byte_fallback":
+        width, separator = 1, b"\xff"
+    else:
+        width, separator = 4, np.array(spec.eot_id, dtype=np.uint32).tobytes()
+    block_bytes = BLOCK_TOKENS * width
+    acc = bytearray()
+    # The accumulator's records: every one has ids not yet in a block.
+    sources: list[str] = []
+    ordinals: list[int] = []
     for text, source_id, ordinal in records:
-        ids = encode(text, spec)
-        size = len(ids) + 1  # with the end-of-text id
+        # byte_fallback ids are the text's UTF-8 bytes, which encode would wrap
+        # in an array at several times the cost of the bytes themselves
+        ids = text.encode("utf-8") if width == 1 else encode(text, spec)
+        acc.extend(ids)
+        acc += separator
+        sources.append(source_id)
+        ordinals.append(ordinal)
         report.records += 1
-        report.tokens_in += size
-        if span_source == source_id and span_last in (ordinal, ordinal - 1):
-            span_last = ordinal
-        else:
-            if span_source is not None:
-                closed.append((span_source, span_first, span_last))
-            span_source, span_first, span_last = source_id, ordinal, ordinal
-        placed = 0
-        while True:
-            take = min(len(ids) - placed, BLOCK_TOKENS - fill)
-            buffer[fill : fill + take] = ids[placed : placed + take]
-            fill += take
-            placed += take
-            if placed == len(ids) and fill < BLOCK_TOKENS:
-                buffer[fill] = spec.eot_id
-                fill += 1
-                placed += 1
-            if fill < BLOCK_TOKENS:
-                break
-            closed.append((span_source, span_first, span_last))
+        report.tokens_in += len(ids) + 1
+        while len(acc) >= block_bytes:
+            if width == 1:
+                block = np.frombuffer(acc, np.uint8, count=BLOCK_TOKENS).astype(np.uint32)
+                block[block == 0xFF] = spec.eot_id
+            else:  # the block views this accumulator, which the stream then drops
+                block = np.frombuffer(acc, np.uint32, count=BLOCK_TOKENS)
+            provenance = _spans(sources, ordinals)
+            acc = acc[block_bytes:]
+            sources, ordinals = ([source_id], [ordinal]) if acc else ([], [])
             report.blocks += 1
             yield TokenBlock(
-                ids=buffer,
-                kind=kind,
-                checksum=block_checksum(buffer),
-                provenance=tuple(ProvenanceSpan(*span) for span in closed),
+                ids=block, kind=kind, checksum=block_checksum(block), provenance=provenance
             )
-            buffer = np.empty(BLOCK_TOKENS, dtype=np.uint32)
-            fill = 0
-            closed = []
-            if placed == size:
-                span_source = None
-                break
-            span_first = ordinal  # the record's rest opens the next block's span
 
 
 def _documents(docs: Iterable[Document], code: str | None) -> Iterator[tuple[str, str, int]]:
@@ -259,14 +275,19 @@ def pack_replay(
 def _pair_records(
     pairs: Iterable[SentencePair], code: str, seed: int, label_style: str, report: PackReport
 ) -> Iterator[tuple[str, str, int]]:
-    """Render pairs in their drawn direction, counting English-first draws."""
-    for index, pair in enumerate(pairs):
+    """Render pairs in their drawn direction, counting English-first draws.
+
+    Pair ``i`` renders English first when ``coin(seed, "direction", code, i)``
+    is 0: a keyed draw, independent of chunking.
+    """
+    renderers = _pair_renderers(language(code), label_style)
+    by_coin = (renderers[Direction.EN_FIRST], renderers[Direction.SEA_FIRST])
+    for pair, bit in zip(pairs, rng.coins(seed, "direction", code)):
         if pair.sea_language.code != code:
             raise ValueError(f"pair language {pair.sea_language.code} in a {code} stream")
-        direction = direction_draw(seed, code, index)
-        if direction is Direction.EN_FIRST:
+        if bit == 0:
             report.en_first += 1
-        yield format_pair(pair, direction, label_style), pair.source_id, pair.ordinal
+        yield by_coin[bit](pair.en_text, pair.sea_text), pair.source_id, pair.ordinal
 
 
 def pack_parallel(

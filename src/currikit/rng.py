@@ -9,6 +9,7 @@ output is stable across platforms and Python versions.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from typing import Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -22,13 +23,19 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 T = TypeVar("T")
 
 
-def hash64(*key: object) -> int:
-    """Map an arbitrary key tuple to a uniform 64-bit integer."""
+def _absorbed(key: tuple[object, ...]) -> hashlib._Hash:
+    """The BLAKE2b-64 state after absorbing ``key``, each part as its UTF-8
+    ``str`` followed by a 0x1f separator."""
     h = hashlib.blake2b(digest_size=8)
     for part in key:
         h.update(str(part).encode("utf-8"))
         h.update(b"\x1f")
-    return int.from_bytes(h.digest(), "little")
+    return h
+
+
+def hash64(*key: object) -> int:
+    """Map an arbitrary key tuple to a uniform 64-bit integer."""
+    return int.from_bytes(_absorbed(key).digest(), "little")
 
 
 def draws64(count: int, *key: object) -> np.ndarray:
@@ -56,6 +63,20 @@ def coin(*key: object) -> int:
     return hash64(*key) & 1
 
 
+def coins(*key: object) -> Iterator[int]:
+    """``coin(*key, i)`` for ``i = 0, 1, 2, ...``, without end.
+
+    The key is absorbed once; each draw copies that state and absorbs only
+    ``i``, which gives the same digest as ``coin``. The bit is the low bit of
+    the little-endian digest, so of its first byte.
+    """
+    prefix = _absorbed(key)
+    for i in itertools.count():
+        h = prefix.copy()
+        h.update(b"%d\x1f" % i)
+        yield h.digest()[0] & 1
+
+
 def swaps(n: int, *key: object) -> Iterator[tuple[int, int]]:
     """The Fisher-Yates steps ``(i, j)`` of a keyed shuffle of ``n`` items.
 
@@ -65,10 +86,7 @@ def swaps(n: int, *key: object) -> Iterator[tuple[int, int]]:
     is final once its step is taken, so a caller may stop early without
     changing any draw.
     """
-    prefix = hashlib.blake2b(digest_size=8)
-    for part in key:
-        prefix.update(str(part).encode("utf-8"))
-        prefix.update(b"\x1f")
+    prefix = _absorbed(key)
     for i in range(n - 1, 0, -1):
         h = prefix.copy()
         h.update(b"%d\x1f" % i)

@@ -85,49 +85,57 @@ def write_shards(
 ) -> ShardLayout:
     """Persist a block stream whose order matches the manifest entries.
 
-    Writes every block, then, once the stream has ended where the manifest
-    does, the provenance file, and fills ``manifest.checksums`` and
-    ``manifest.provenance_checksum``. It never writes the manifest: the
-    caller finishes it and writes it with ``commit_manifest``. A kind
-    mismatch or a count mismatch raises before either, so a crashed or
+    Writes every block and its provenance line as it arrives, the lines to
+    ``provenance.jsonl.tmp``, which replaces ``provenance.jsonl`` once the
+    stream has ended where the manifest does; then fills
+    ``manifest.checksums`` and ``manifest.provenance_checksum``. It never
+    writes the manifest: the caller finishes it and writes it with
+    ``commit_manifest``. A kind mismatch or a count mismatch raises before
+    either, and any exception removes the temporary file, so a crashed or
     inconsistent run never looks complete.
     """
     layout = ShardLayout(Path(directory))
     layout.directory.mkdir(parents=True, exist_ok=True)
-    it = iter(blocks)
+    partial = layout.provenance_path.with_name(PROVENANCE_NAME + ".tmp")
+    provenance_digest = hashlib.blake2b(digest_size=8)
     checksums = []
-    provenance = []
-    for position, entry in enumerate(manifest.entries):
-        try:
-            block = next(it)
-        except StopIteration:
-            raise ConsistencyError(
-                f"block stream ended at position {position}, "
-                f"manifest has {len(manifest.entries)} entries",
-                position,
-            ) from None
-        if block.kind != entry.kind:
-            raise ConsistencyError(
-                f"kind mismatch at position {position}: stream has "
-                f"{block.kind.key()}, manifest wants {entry.kind.key()}",
-                position,
-            )
-        layout.block_path(position).write_bytes(block.ids.astype("<u4", copy=False))
-        checksums.append(f"{block.checksum:016x}")
-        provenance.append(_provenance_line(block))
     try:
-        next(it)
-    except StopIteration:
-        pass
-    else:
-        raise ConsistencyError(
-            f"block stream continues past the {len(checksums)} manifest entries",
-            len(checksums),
-        )
-    data = "".join(provenance).encode("utf-8")
-    layout.provenance_path.write_bytes(data)
+        with open(partial, "wb") as provenance:
+            it = iter(blocks)
+            for position, entry in enumerate(manifest.entries):
+                try:
+                    block = next(it)
+                except StopIteration:
+                    raise ConsistencyError(
+                        f"block stream ended at position {position}, "
+                        f"manifest has {len(manifest.entries)} entries",
+                        position,
+                    ) from None
+                if block.kind != entry.kind:
+                    raise ConsistencyError(
+                        f"kind mismatch at position {position}: stream has "
+                        f"{block.kind.key()}, manifest wants {entry.kind.key()}",
+                        position,
+                    )
+                layout.block_path(position).write_bytes(block.ids.astype("<u4", copy=False))
+                checksums.append(f"{block.checksum:016x}")
+                line = _provenance_line(block).encode("utf-8")
+                provenance.write(line)
+                provenance_digest.update(line)
+            try:
+                next(it)
+            except StopIteration:
+                pass
+            else:
+                raise ConsistencyError(
+                    f"block stream continues past the {len(checksums)} manifest entries",
+                    len(checksums),
+                )
+        os.replace(partial, layout.provenance_path)
+    finally:
+        partial.unlink(missing_ok=True)
     manifest.checksums = checksums
-    manifest.provenance_checksum = _b2sum64(data)
+    manifest.provenance_checksum = provenance_digest.hexdigest()
     return layout
 
 

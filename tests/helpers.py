@@ -5,10 +5,12 @@ import unicodedata
 from collections import Counter
 from pathlib import Path
 
-from currikit import evaluate, rng, schedule, shards
-from currikit.corpus import Document, SentencePair, language
+import numpy as np
+
+from currikit import evaluate, packing, rng, schedule, shards
+from currikit.corpus import EN, Document, SentencePair, language
 from currikit.rng import hash64
-from currikit.tokenizer import EOT_TEXT, TokenizerError
+from currikit.tokenizer import EOT_TEXT, TokenizerError, encode
 
 
 def make_doc(text, code="id", source="synthetic", ordinal=0):
@@ -87,6 +89,77 @@ def greedy_encode(text, spec):
                 f"(tokenizer {spec.id!r})"
             )
     return ids
+
+
+def reference_pack(records, kind, spec, report):
+    """Reference for ``packing._pack``: one record at a time into a block buffer.
+
+    Each record's ids are copied into a ``uint32`` buffer of
+    ``packing.BLOCK_TOKENS`` ids and its end-of-text id is written after
+    them; a full buffer becomes a block and the rest of the record goes into
+    a fresh one. Consecutive records of one source whose ordinals repeat or
+    step by one share a provenance span. The packer must yield the same
+    blocks after pulling the same records, with the same report counts.
+    """
+    block_tokens = packing.BLOCK_TOKENS
+    buffer = np.empty(block_tokens, dtype=np.uint32)
+    fill = 0
+    closed = []  # this block's finished spans
+    span_source = None  # open span; None until a record enters the block
+    span_first = span_last = 0
+    for text, source_id, ordinal in records:
+        ids = encode(text, spec)
+        size = len(ids) + 1  # with the end-of-text id
+        report.records += 1
+        report.tokens_in += size
+        if span_source == source_id and span_last in (ordinal, ordinal - 1):
+            span_last = ordinal
+        else:
+            if span_source is not None:
+                closed.append((span_source, span_first, span_last))
+            span_source, span_first, span_last = source_id, ordinal, ordinal
+        placed = 0
+        while True:
+            take = min(len(ids) - placed, block_tokens - fill)
+            buffer[fill : fill + take] = ids[placed : placed + take]
+            fill += take
+            placed += take
+            if placed == len(ids) and fill < block_tokens:
+                buffer[fill] = spec.eot_id
+                fill += 1
+                placed += 1
+            if fill < block_tokens:
+                break
+            closed.append((span_source, span_first, span_last))
+            report.blocks += 1
+            yield packing.TokenBlock(
+                ids=buffer,
+                kind=kind,
+                checksum=packing.block_checksum(buffer),
+                provenance=tuple(packing.ProvenanceSpan(*span) for span in closed),
+            )
+            buffer = np.empty(block_tokens, dtype=np.uint32)
+            fill = 0
+            closed = []
+            if placed == size:
+                span_source = None
+                break
+            span_first = ordinal  # the record's rest opens the next block's span
+
+
+def reference_pair_records(pairs, code, seed, label_style, report):
+    """Reference for ``packing._pair_records``: pair ``i`` draws its side
+    order from ``coin(seed, "direction", code, i)`` (0 is English first) and
+    renders as two ``label: sentence`` lines."""
+    en_label = EN.label(label_style)
+    for index, pair in enumerate(pairs):
+        sea_label = pair.sea_language.label(label_style)
+        if rng.coin(seed, "direction", code, index) == 0:
+            report.en_first += 1
+            text = f"{en_label}: {pair.en_text}\n{sea_label}: {pair.sea_text}"
+        else:
+            text = f"{sea_label}: {pair.sea_text}\n{en_label}: {pair.en_text}"
+        yield text, pair.source_id, pair.ordinal
 
 
 _MASK64 = (1 << 64) - 1

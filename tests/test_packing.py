@@ -1,11 +1,15 @@
+import dataclasses
 import hashlib
 from collections import Counter
+from itertools import islice
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from currikit import packing, rng
 from currikit.corpus import ShortfallError
 from currikit.packing import (
     BLOCK_TOKENS,
@@ -13,7 +17,6 @@ from currikit.packing import (
     Direction,
     PackReport,
     block_checksum,
-    direction_draw,
     fnv1a64,
     format_pair,
     pack_monolingual,
@@ -22,8 +25,15 @@ from currikit.packing import (
     pack_replay,
     split_sentences,
 )
-from currikit.tokenizer import BYTE_FALLBACK
-from helpers import decode_segments, make_doc, make_pair, parse_segment
+from currikit.tokenizer import BYTE_FALLBACK, TokenizerSpec
+from helpers import (
+    decode_segments,
+    make_doc,
+    make_pair,
+    parse_segment,
+    reference_pack,
+    reference_pair_records,
+)
 
 SPEC = BYTE_FALLBACK
 
@@ -270,6 +280,112 @@ def test_conservation_accounting():
     assert report.blocks == len(blocks)
 
 
+# --- the packer against the one-record-at-a-time reference ----------------------
+
+# Ids that need all four bytes, one equal to the byte_fallback separator 0xFF.
+ORACLE_BPE = TokenizerSpec(
+    id="oracle", vocab_size=2**32, eot_id=2**32 - 1, kind="bpe_file",
+    pieces={0xFF: "a", 0x1_0000: "b", 2**32 - 2: "c"},
+)
+
+# Per record: how its size relates to the room left in the block, a size
+# offset, its source (two that differ only by a trailing NUL), and the step
+# from the previous record's ordinal.
+RECORD_PLANS = st.lists(
+    st.tuples(
+        st.sampled_from(["short", "fill", "long"]),
+        st.integers(min_value=-1, max_value=1),
+        st.sampled_from(["a.txt", "a.txt\x00", "b.txt"]),
+        st.integers(min_value=-1, max_value=3),
+    ),
+    max_size=40,
+)
+
+
+def _text_of(n_ids, spec):
+    if spec is BYTE_FALLBACK:  # multi-byte characters, none with a 0xFF byte
+        return "€" * (n_ids // 3) + "é" * (n_ids % 3 // 2) + "x" * (n_ids % 3 % 2)
+    return ("abc" * (n_ids // 3 + 1))[:n_ids]
+
+
+def _planned_records(plans, block_tokens, spec):
+    """Records sized, end-of-text id included, against the room left in the
+    block: "fill" is the room plus ``delta`` (one short, an exact fill, or the
+    end-of-text id alone spilling over), "long" the same two blocks later,
+    "short" 1 to 3 ids."""
+    records, total, ordinal = [], 0, 0
+    for mode, delta, source, step in plans:
+        room = block_tokens - total % block_tokens
+        size = {"short": 2 + delta, "fill": room + delta, "long": 2 * block_tokens + room + delta}
+        size = max(size[mode], 1)
+        ordinal += step
+        records.append((_text_of(size - 1, spec), source, ordinal))
+        total += size
+    return records
+
+
+def _assert_same_blocks(stream, reference, report, reference_report, take):
+    got = list(islice(stream, take))
+    want = list(islice(reference, take))
+    assert len(got) == len(want)
+    for block, ref in zip(got, want):
+        assert block.ids.dtype == np.uint32
+        assert np.array_equal(block.ids, ref.ids)
+        assert block.checksum == ref.checksum
+        assert block.provenance == ref.provenance
+        assert block.kind == ref.kind
+    assert dataclasses.asdict(report) == dataclasses.asdict(reference_report)
+    assert report.unused_tokens == reference_report.unused_tokens
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    plans=RECORD_PLANS,
+    spec=st.sampled_from([BYTE_FALLBACK, ORACLE_BPE]),
+    block_tokens=st.sampled_from([1, 2, 5, 64]),
+    take=st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
+)
+def test_pack_matches_reference_packer(plans, spec, block_tokens, take):
+    """Same ids, checksums, spans and counts, also for a stream abandoned
+    after ``take`` blocks (None drains it). Small blocks put the boundary
+    cases close together; the packer reads ``BLOCK_TOKENS`` when it starts."""
+    with mock.patch.object(packing, "BLOCK_TOKENS", block_tokens):
+        records = _planned_records(plans, block_tokens, spec)
+        kind = BlockKind.replay()
+        report, reference_report = PackReport(), PackReport()
+        _assert_same_blocks(
+            packing._pack(iter(records), kind, spec, report),
+            reference_pack(iter(records), kind, spec, reference_report),
+            report, reference_report, take,
+        )
+
+
+SENTENCES = st.text(
+    alphabet=st.characters(codec="utf-8", exclude_categories=("Cs",)), min_size=1
+).filter(str.strip)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sides=st.lists(st.tuples(SENTENCES, SENTENCES), max_size=30),
+    code=st.sampled_from(["id", "th", "zh"]),
+    seed=st.integers(min_value=0, max_value=2**40),
+    label_style=st.sampled_from(["name", "code"]),
+    block_tokens=st.sampled_from([7, 64]),
+    take=st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
+)
+def test_pack_parallel_matches_reference(sides, code, seed, label_style, block_tokens, take):
+    pairs = [make_pair(en, sea, code=code, ordinal=i) for i, (en, sea) in enumerate(sides)]
+    with mock.patch.object(packing, "BLOCK_TOKENS", block_tokens):
+        report, reference_report = PackReport(), PackReport()
+        records = reference_pair_records(iter(pairs), code, seed, label_style, reference_report)
+        _assert_same_blocks(
+            pack_parallel(iter(pairs), code, SPEC, seed, label_style, report),
+            reference_pack(records, BlockKind.parallel(code), SPEC, reference_report),
+            report, reference_report, take,
+        )
+
+
 # --- replacement ------------------------------------------------------------
 
 
@@ -281,7 +397,7 @@ def test_split_sentences():
 
 def test_replacement_substitution_identity():
     # find a seed whose first draw is EnglishFirst so the segment is predictable
-    seed = next(s for s in range(100) if direction_draw(s, "id", 0) is Direction.EN_FIRST)
+    seed = next(s for s in range(100) if rng.coin(s, "direction", "id", 0) == 0)
     supply = [make_doc("XYZ. " * 40_000, code="id", source="supply")]
     pairs = [make_pair("Hello.", "ANYTHING-AT-ALL.", ordinal=i) for i in range(9000)]
     blocks = list(pack_replacement(pairs, supply, "id", SPEC, seed=seed))

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,13 @@ def test_swaps_and_shuffle_match_scalar_steps(n, key):
     for i, j in steps:
         expected[i], expected[j] = expected[j], expected[i]
     assert rng.shuffled(range(n), *key) == expected
+
+
+@pytest.mark.parametrize(
+    "key", [(40, "direction", "id"), (0,), (), ("x", -3, "\u00e9"), (2**70, "th", 7)]
+)
+def test_coins_match_coin_per_index(key):
+    assert list(islice(rng.coins(*key), 1000)) == [rng.coin(*key, i) for i in range(1000)]
 
 
 @settings(max_examples=200, deadline=None)

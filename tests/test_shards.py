@@ -133,6 +133,19 @@ def test_short_stream_raises_and_leaves_no_manifest(tmp_path):
     assert not (tmp_path / "short" / "provenance.jsonl").exists()
 
 
+def test_stream_that_raises_midway_leaves_no_provenance_temp_file(tmp_path):
+    manifest = build_schedule(Strategy.MULTILINGUAL, 4 * BLOCK_TOKENS, ["id"], 4, seed=3)
+
+    def failing():
+        yield from itertools.islice(_block_streams(manifest), 2)
+        raise RuntimeError("source failed")
+
+    out = tmp_path / "failed"
+    with pytest.raises(RuntimeError, match="source failed"):
+        write_shards(failing(), manifest, out)
+    assert sorted(p.name for p in out.iterdir()) == ["block_00000000.bin", "block_00000001.bin"]
+
+
 def test_audit_flags_truncated_block(tmp_path):
     manifest = build_schedule(Strategy.MULTILINGUAL, 4 * BLOCK_TOKENS, ["id"], 4, seed=4)
     layout = write_tree(_block_streams(manifest), manifest, tmp_path / "t")
