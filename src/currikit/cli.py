@@ -8,6 +8,7 @@ evaluation subcommands need no compiled corpus.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -68,7 +69,10 @@ def _inline_scores(text: str) -> dict[str, float]:
     return mapping
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing keeps no state in it, and every
+    default is immutable, so successive ``main`` calls share it."""
     parser = argparse.ArgumentParser(
         prog="currikit",
         description="Compile block curricula for continual pretraining and "

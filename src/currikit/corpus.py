@@ -7,8 +7,10 @@ Input formats:
 * parallel bitext: 2-column TSV (english TAB sea) or ``.jsonl`` with
   ``"en"`` and ``"sea"`` fields.
 
-Malformed rows are never fatal: they are skipped with a warning and show up
-in the skip counts so dirty corpora stay auditable.
+Malformed rows are never fatal: they are skipped and show up in the skip
+counts so dirty corpora stay auditable. Each read of a source logs a
+warning for its first ``MAX_ROW_WARNINGS`` malformed rows and, if it met
+more, one line with their total when the read ends.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from typing import Iterable, Iterator, Sequence
 from .tokenizer import TokenizerSpec, count_tokens
 
 log = logging.getLogger(__name__)
+
+MAX_ROW_WARNINGS = 5  # malformed rows logged one by one per source read
 
 
 @dataclass(frozen=True)
@@ -107,6 +111,21 @@ class SentencePair:
         if self.sea_language.code == "en":
             raise ValueError("sea_language must not be English")
 
+    @classmethod
+    def _checked(
+        cls, en_text: str, sea_text: str, sea_language: LanguageTag, source_id: str,
+        ordinal: int,
+    ) -> "SentencePair":
+        """A pair whose sides a reader has stripped and found non-empty, in a
+        SEA language it has checked once: ``__post_init__`` is not repeated."""
+        pair = object.__new__(cls)
+        pair.en_text = en_text
+        pair.sea_text = sea_text
+        pair.sea_language = sea_language
+        pair.source_id = source_id
+        pair.ordinal = ordinal
+        return pair
+
 
 @dataclass
 class ReadCounter:
@@ -146,6 +165,27 @@ def _is_jsonl(path: str | os.PathLike[str]) -> bool:
     return os.path.splitext(str(path))[1].lower() in (".jsonl", ".ndjson")
 
 
+class _RowWarnings:
+    """The malformed-row log of one source read: a warning for each of the
+    first ``MAX_ROW_WARNINGS`` rows, then their total when the read ends."""
+
+    def __init__(self, source_id: str):
+        self.source_id = source_id
+        self.rows = 0
+
+    def __call__(self, message: str, *args: object) -> None:
+        self.rows += 1
+        if self.rows <= MAX_ROW_WARNINGS:
+            log.warning("%s: " + message + ", skipping", self.source_id, *args)
+
+    def close(self) -> None:
+        if self.rows > MAX_ROW_WARNINGS:
+            log.warning(
+                "%s: skipped %d malformed rows, the first %d logged",
+                self.source_id, self.rows, MAX_ROW_WARNINGS,
+            )
+
+
 def read_monolingual(
     path: str | os.PathLike[str],
     lang: str | LanguageTag,
@@ -161,14 +201,20 @@ def read_monolingual(
     counter = counter if counter is not None else ReadCounter()
     source_id = source_id if source_id is not None else str(path)
     if _is_jsonl(path):
-        with open(path, encoding="utf-8") as fh:
-            for ordinal, line in enumerate(fh):
-                text = _jsonl_text(line, source_id, ordinal)
-                if text is None:
-                    counter.skipped += 1
-                    continue
-                counter.emitted += 1
-                yield Document(text=text, language=tag, source_id=source_id, ordinal=ordinal)
+        warn = _RowWarnings(source_id)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                for ordinal, line in enumerate(fh):
+                    text = _jsonl_text(line, ordinal, warn)
+                    if text is None:
+                        counter.skipped += 1
+                        continue
+                    counter.emitted += 1
+                    yield Document(
+                        text=text, language=tag, source_id=source_id, ordinal=ordinal
+                    )
+        finally:
+            warn.close()
     else:
         for ordinal, record in enumerate(_iter_plain_records(path)):
             if not record:
@@ -178,15 +224,15 @@ def read_monolingual(
             yield Document(text=record, language=tag, source_id=source_id, ordinal=ordinal)
 
 
-def _jsonl_text(line: str, source_id: str, ordinal: int) -> str | None:
+def _jsonl_text(line: str, ordinal: int, warn: _RowWarnings) -> str | None:
     try:
         obj = json.loads(line)
         text = obj["text"]
     except (json.JSONDecodeError, KeyError, TypeError):
-        log.warning("%s: record %d is malformed, skipping", source_id, ordinal)
+        warn("record %d is malformed", ordinal)
         return None
     if not isinstance(text, str) or not text.strip():
-        log.warning("%s: record %d has empty text, skipping", source_id, ordinal)
+        warn("record %d has empty text", ordinal)
         return None
     return text.strip()
 
@@ -197,52 +243,53 @@ def read_parallel(
     counter: ReadCounter | None = None,
     source_id: str | None = None,
 ) -> Iterator[SentencePair]:
-    """Stream english/SEA sentence pairs from a bitext file in file order."""
+    """Stream english/SEA sentence pairs from a bitext file in file order.
+
+    The language is checked once and each row's sides once, here: the pairs
+    are built without repeating ``SentencePair``'s checks.
+    """
     tag = language(sea_lang)
+    if tag.code == "en":
+        raise ValueError("sea_language must not be English")
     counter = counter if counter is not None else ReadCounter()
     source_id = source_id if source_id is not None else str(path)
     jsonl = _is_jsonl(path)
-    with open(path, encoding="utf-8") as fh:
-        for ordinal, line in enumerate(fh):
-            sides = _pair_fields(line, jsonl, source_id, ordinal)
-            if sides is None:
-                counter.skipped += 1
-                continue
-            en_text, sea_text = sides
-            counter.emitted += 1
-            yield SentencePair(
-                en_text=en_text,
-                sea_text=sea_text,
-                sea_language=tag,
-                source_id=source_id,
-                ordinal=ordinal,
-            )
+    warn = _RowWarnings(source_id)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for ordinal, line in enumerate(fh):
+                sides = _pair_fields(line, jsonl, ordinal, warn)
+                if sides is None:
+                    counter.skipped += 1
+                    continue
+                counter.emitted += 1
+                yield SentencePair._checked(*sides, tag, source_id, ordinal)
+    finally:
+        warn.close()
 
 
 def _pair_fields(
-    line: str, jsonl: bool, source_id: str, ordinal: int
+    line: str, jsonl: bool, ordinal: int, warn: _RowWarnings
 ) -> tuple[str, str] | None:
     if jsonl:
         try:
             obj = json.loads(line)
             en_text, sea_text = obj["en"], obj["sea"]
         except (json.JSONDecodeError, KeyError, TypeError):
-            log.warning("%s: row %d is malformed, skipping", source_id, ordinal)
+            warn("row %d is malformed", ordinal)
             return None
         if not isinstance(en_text, str) or not isinstance(sea_text, str):
-            log.warning("%s: row %d has non-string sides, skipping", source_id, ordinal)
+            warn("row %d has non-string sides", ordinal)
             return None
     else:
         fields = line.rstrip("\n").split("\t")
         if len(fields) != 2:
-            log.warning(
-                "%s: row %d has %d fields (want 2), skipping", source_id, ordinal, len(fields)
-            )
+            warn("row %d has %d fields (want 2)", ordinal, len(fields))
             return None
         en_text, sea_text = fields
     en_text, sea_text = en_text.strip(), sea_text.strip()
     if not en_text or not sea_text:
-        log.warning("%s: row %d has an empty side, skipping", source_id, ordinal)
+        warn("row %d has an empty side", ordinal)
         return None
     return en_text, sea_text
 

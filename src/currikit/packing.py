@@ -109,14 +109,22 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-def block_checksum(ids: np.ndarray) -> int:
-    """64-bit BLAKE2b (RFC 7693) of the block's little-endian uint32 bytes.
+def _sha256_64(chunks: Iterable) -> str:
+    """The tree's one digest: the first 8 bytes of the SHA-256 (FIPS 180-4)
+    of the concatenated byte chunks, as 16 lowercase hex digits, the first 16
+    characters ``sha256sum`` prints for the same bytes. Block files and the
+    provenance file are checksummed with it."""
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    return digest.hexdigest()[:16]
 
-    The digest bytes are read big-endian, so ``f"{checksum:016x}"`` is the
-    hex that ``b2sum -l 64`` prints for the block file.
-    """
-    digest = hashlib.blake2b(ids.astype("<u4", copy=False), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
+
+def block_checksum(ids: np.ndarray) -> int:
+    """SHA-256-64 of the block's little-endian uint32 bytes, as an integer:
+    ``f"{checksum:016x}"`` is the start of what ``sha256sum`` prints for the
+    block file."""
+    return int(_sha256_64((ids.astype("<u4", copy=False),)), 16)
 
 
 @dataclass(frozen=True)

@@ -21,16 +21,16 @@ kind, and its position, its batch, the leftover tokens, the sequences per
 step and the block size are computed from the entries, the batch size and
 the budget.
 
-The written format, ``curriculum-manifest-v4``, is one compact JSON object
+The written format, ``curriculum-manifest-v5``, is one compact JSON object
 that holds the schedule as two flat arrays in schedule order: ``entries``,
 one canonical kind key per block (``"parallel:th"``, ``"replay"``), and
-``checksums``, the bare 16-hex BLAKE2b-64 of each block file, or ``null``
+``checksums``, the bare 16-hex SHA-256-64 of each block file, or ``null``
 for a schedule that has not been compiled. Position is the array index and
 batch is the index floored by ``batch_size_blocks``. ``label_style`` is the
 pair label style the blocks were compiled with, and
-``provenance_checksum`` the BLAKE2b-64 of the tree's provenance file. The
+``provenance_checksum`` the SHA-256-64 of the tree's provenance file. The
 file still echoes ``leftover_tokens``, ``sequences_per_step`` and
-``block_tokens`` for its readers. ``from_json`` reads v4 only: any other
+``block_tokens`` for its readers. ``from_json`` reads v5 only: any other
 ``curriculum-manifest-vN`` is refused with one line that asks for a
 recompile, and so is any text a compile could not have written: a repeated
 fact that disagrees with the computed one, an integer field holding
@@ -55,7 +55,7 @@ from .packing import BLOCK_TOKENS, SEQUENCES_PER_BLOCK, BlockKind
 REPLAY_DIVISOR = 4  # one block in four is replay, in every batch
 MAX_PERMUTATION_ATTEMPTS = 1_000
 
-MANIFEST_FORMAT = "curriculum-manifest-v4"
+MANIFEST_FORMAT = "curriculum-manifest-v5"
 MANIFEST_NAME = "manifest.json"
 LABEL_STYLES = ("name", "code")
 
@@ -128,7 +128,7 @@ class CurriculumManifest:
     tokenizer_id: str
     metadata: dict = field(default_factory=dict)
     label_style: str = "name"
-    # The bare 16-hex BLAKE2b-64 of each block file in schedule order and of
+    # The bare 16-hex SHA-256-64 of each block file in schedule order and of
     # the provenance file, filled by write_shards; None for a schedule that
     # has not been compiled.
     checksums: list[str] | None = None
@@ -189,7 +189,7 @@ class CurriculumManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "CurriculumManifest":
-        """Parse a v4 manifest; raises ``ValueError`` for an older format and
+        """Parse a v5 manifest; raises ``ValueError`` for an older format and
         for any text a compile could not write, a derived field that
         disagrees with the schedule included."""
         doc = json.loads(text)

@@ -8,18 +8,17 @@ schedule and the checksums, ``provenance.jsonl`` holds one line per block
 in position order, a compact sorted-key JSON array of the block's
 ``{"source", "first", "last"}`` record spans.
 
-A block's checksum is the 64-bit BLAKE2b of its file (``b2sum -l 64``
-prints the same hex); the manifest lists the bare hex of every block in
-its ``checksums`` array and of the provenance file in
-``provenance_checksum``, so it commits to the content of the whole tree.
-``audit`` hashes each file once and checks the digest against the
+A file's checksum is SHA-256-64: the first 16 hex digits of its SHA-256,
+which ``sha256sum FILE | cut -c1-16`` prints. The manifest lists the
+checksum of every block in its ``checksums`` array and of the provenance
+file in ``provenance_checksum``, so it commits to the content of the whole
+tree. ``audit`` hashes each file once and checks the digest against the
 manifest. Any other entry in the directory, such as the tail of an
 earlier, larger compile, is an orphan.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -29,7 +28,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .corpus import LANGUAGES, SEA_CODES
-from .packing import BLOCK_TOKENS, TokenBlock
+from .packing import BLOCK_TOKENS, TokenBlock, _sha256_64
 from .packing import fnv1a64  # noqa: F401  the benchmark's tracer looks up shards.fnv1a64
 from .schedule import MANIFEST_NAME, CurriculumManifest, Violation, validate_schedule
 
@@ -65,11 +64,6 @@ class ShardLayout:
         return self.directory / f"block_{position:08d}.bin"
 
 
-def _b2sum64(data: bytes) -> str:
-    """The bare 16-hex BLAKE2b-64 of a file's bytes, as ``b2sum -l 64`` prints it."""
-    return hashlib.blake2b(data, digest_size=8).hexdigest()
-
-
 def _provenance_line(block: TokenBlock) -> str:
     spans = [
         {"source": s.source_id, "first": s.first_ordinal, "last": s.last_ordinal}
@@ -86,10 +80,10 @@ def write_shards(
     """Persist a block stream whose order matches the manifest entries.
 
     Writes every block and its provenance line as it arrives, the lines to
-    ``provenance.jsonl.tmp``, which replaces ``provenance.jsonl`` once the
-    stream has ended where the manifest does; then fills
-    ``manifest.checksums`` and ``manifest.provenance_checksum``. It never
-    writes the manifest: the caller finishes it and writes it with
+    ``provenance.jsonl.tmp``. Once the stream has ended where the manifest
+    does, that file is hashed and replaces ``provenance.jsonl``; then
+    ``manifest.checksums`` and ``manifest.provenance_checksum`` are filled.
+    It never writes the manifest: the caller finishes it and writes it with
     ``commit_manifest``. A kind mismatch or a count mismatch raises before
     either, and any exception removes the temporary file, so a crashed or
     inconsistent run never looks complete.
@@ -97,7 +91,6 @@ def write_shards(
     layout = ShardLayout(Path(directory))
     layout.directory.mkdir(parents=True, exist_ok=True)
     partial = layout.provenance_path.with_name(PROVENANCE_NAME + ".tmp")
-    provenance_digest = hashlib.blake2b(digest_size=8)
     checksums = []
     try:
         with open(partial, "wb") as provenance:
@@ -119,9 +112,7 @@ def write_shards(
                     )
                 layout.block_path(position).write_bytes(block.ids.astype("<u4", copy=False))
                 checksums.append(f"{block.checksum:016x}")
-                line = _provenance_line(block).encode("utf-8")
-                provenance.write(line)
-                provenance_digest.update(line)
+                provenance.write(_provenance_line(block).encode("utf-8"))
             try:
                 next(it)
             except StopIteration:
@@ -131,11 +122,13 @@ def write_shards(
                     f"block stream continues past the {len(checksums)} manifest entries",
                     len(checksums),
                 )
+        with open(partial, "rb") as provenance:
+            provenance_checksum = _sha256_64(provenance)
         os.replace(partial, layout.provenance_path)
     finally:
         partial.unlink(missing_ok=True)
     manifest.checksums = checksums
-    manifest.provenance_checksum = provenance_digest.hexdigest()
+    manifest.provenance_checksum = provenance_checksum
     return layout
 
 
@@ -222,7 +215,7 @@ def audit_shards(directory: str | os.PathLike[str]) -> AuditReport:
         if size != BLOCK_BYTES:
             failures.append(BlockFailure(bin_path.name, f"size {size} != {BLOCK_BYTES}"))
             continue
-        digest = _b2sum64(bin_path.read_bytes())
+        digest = _sha256_64((bin_path.read_bytes(),))
         if checksums is not None and digest != checksums[position]:
             failures.append(
                 BlockFailure(bin_path.name, f"checksum {digest} != manifest {checksums[position]}")
@@ -231,7 +224,7 @@ def audit_shards(directory: str | os.PathLike[str]) -> AuditReport:
         failures.append(BlockFailure(PROVENANCE_NAME, "missing file"))
     else:
         data = layout.provenance_path.read_bytes()
-        digest = _b2sum64(data)
+        digest = _sha256_64((data,))
         if digest != manifest.provenance_checksum:
             failures.append(
                 BlockFailure(

@@ -140,7 +140,7 @@ _TAMPERED = {
             lambda doc, n=n: doc.update(format=f"curriculum-manifest-v{n}"),
             f"format curriculum-manifest-v{n} is no longer supported; recompile",
         )
-        for n in (1, 2, 3)
+        for n in (1, 2, 3, 4)
     },
     "leftover_tokens": (lambda doc: doc.update(leftover_tokens=999), "leftover_tokens"),
     "sequences_per_step": (lambda doc: doc.update(sequences_per_step=1), "sequences_per_step"),
@@ -352,6 +352,28 @@ def test_signif_subcommand_deterministic(tmp_path, capsys):
     second = capsys.readouterr().out
     assert first == second
     assert json.loads(first)["p_value"] == pytest.approx(1 / 1001)
+
+
+def test_successive_calls_share_the_parser_but_not_their_flags(tmp_path, capsys):
+    from currikit import cli
+
+    refs, a, b = tmp_path / "refs.txt", tmp_path / "a.txt", tmp_path / "b.txt"
+    refs.write_text("".join(f"line {i} of tokens\n" for i in range(10)), encoding="utf-8")
+    a.write_text(refs.read_text(encoding="utf-8"), encoding="utf-8")
+    b.write_text("".join(f"junk {i}\n" for i in range(10)), encoding="utf-8")
+    files = ["--hypotheses-a", str(a), "--hypotheses-b", str(b), "--references", str(refs)]
+
+    assert main(["signif", *files, "--n", "5", "--seed", "3", "--mode", "zh", "--json"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert (first["n_samples"], first["seed"], first["mode"]) == (5, 3, "zh")
+    assert main(["bleu", "--hypotheses", str(a), "--references", str(refs)]) == 0
+    assert capsys.readouterr().out.startswith("BLEU = 100.00")
+    assert main(["signif", *files, "--n", "7", "--json"]) == 0
+    again = json.loads(capsys.readouterr().out)
+    assert (again["n_samples"], again["seed"], again["mode"]) == (7, 0, "default")
+    assert main(["signif", *files, "--n", "7"]) == 0
+    assert not capsys.readouterr().out.startswith("{")
+    assert cli._build_parser() is cli._build_parser()
 
 
 @pytest.mark.parametrize("n", ["0", "-3", "ten"])

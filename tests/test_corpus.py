@@ -1,12 +1,15 @@
 import json
+import logging
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from currikit.corpus import (
+    MAX_ROW_WARNINGS,
     CorpusSource,
     ReadCounter,
+    SentencePair,
     SampleReport,
     ShortfallError,
     corpus_stats,
@@ -84,6 +87,43 @@ def test_pair_reader_skips_bad_rows(tmp_path):
     assert len(pairs) == 1
     assert counter.records == 4
     assert counter.skipped == 3
+
+
+def test_read_pairs_equal_checked_pairs_and_direct_pairs_are_checked(tmp_path):
+    path = tmp_path / "pairs.tsv"
+    path.write_text("  Hello. \tHalo.\n", encoding="utf-8")
+    assert list(read_parallel(path, "id")) == [
+        SentencePair("Hello.", "Halo.", language("id"), str(path), 0)
+    ]
+    with pytest.raises(ValueError, match="must not be English"):
+        next(read_parallel(path, "en"))
+    for en_text, sea_text, code in [("", "Halo.", "id"), ("Hello.", " \t", "id"),
+                                    ("Hello.", "Hello.", "en")]:
+        with pytest.raises(ValueError):
+            SentencePair(en_text, sea_text, language(code), "direct", 0)
+
+
+def test_malformed_row_warnings_are_capped_per_source(tmp_path, caplog):
+    bad = MAX_ROW_WARNINGS + 7
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text(
+        "".join(f"en {i}\tsea {i}\n" + f"row {i} has no tab\n" * (i < bad) for i in range(20)),
+        encoding="utf-8",
+    )
+    mono = tmp_path / "mono.jsonl"
+    mono.write_text("{broken\n" * 2 + json.dumps({"text": "kept"}) + "\n", encoding="utf-8")
+    pair_counter, mono_counter = ReadCounter(), ReadCounter()
+    with caplog.at_level(logging.WARNING, logger="currikit.corpus"):
+        assert len(list(read_parallel(pairs, "id", pair_counter, source_id="p"))) == 20
+        assert len(list(read_monolingual(mono, "id", mono_counter, source_id="m"))) == 1
+    assert (pair_counter.skipped, pair_counter.emitted) == (bad, 20)
+    assert (mono_counter.skipped, mono_counter.emitted) == (2, 1)
+    assert [r.getMessage() for r in caplog.records] == [
+        *(f"p: row {2 * i + 1} has 1 fields (want 2), skipping" for i in range(MAX_ROW_WARNINGS)),
+        f"p: skipped {bad} malformed rows, the first {MAX_ROW_WARNINGS} logged",
+        "m: record 0 is malformed, skipping",
+        "m: record 1 is malformed, skipping",
+    ]
 
 
 def test_pair_count_matches_line_count_oracle(tmp_path):

@@ -40,32 +40,32 @@ _VOCAB_WORDS = (
 
 GOLDEN = {
     "multilingual": (
-        "ec1558e08c8542afe3eece9d9c2c083e"
-        "965edc99160dd5dac866308a1ba92bd4"
+        "c42a62b056e11fca78ea52783aa6894d"
+        "c1f58bbef561e6b1a20d7c9afb1d7a0e"
     ),
     "mixed": (
-        "9c775641b2a6fab33a5b16446d7ab5e5"
-        "c5d09d7a74f33df00fcb8d3d0399814d"
+        "6e14e58e862bcbebe4d1ddcc5f7a8227"
+        "799aca5f13fcfa3d21c38966516f72aa"
     ),
     "parallel-first": (
-        "decc0dec59897c68c4055222bf425d78"
-        "0d4c4426f7d3c4f7a93e15d93902e7c8"
+        "643deefb4fee5ea318f81c1b4521a37d"
+        "0686f9bca4124cbb1bd65199f66a092a"
     ),
     "parallel-last": (
-        "ef047620586f63fbd7083919933beccf"
-        "2badcbf13546f7f5aa5083cc70f8b4d3"
+        "acbf6b15b592540bb36eaaa38bf8301d"
+        "a5adece164d985e20c198d73f3450a36"
     ),
     "parallel-only": (
-        "5d5d5a2fdb6f3b4496f248d41d5e8a09"
-        "a379f0e05cbcdcc3caf1800080c3fe30"
+        "dedb6b93189f0a00dd781916a41f155e"
+        "1ca792e2d1745c37473e2f7476c5312a"
     ),
     "multilingual-replacement": (
-        "ab8d977a2a0bd59a00ca26539ebda04b"
-        "882fcca0750ff85ade8bbd2f5b9fd2de"
+        "ec9bdf1be81aaae3e9f0c3eed1f5548e"
+        "c7fbeca4aaabcd5e5e8b2ddb0c8757dd"
     ),
     "multilingual-replacement/bpe": (
-        "4473fccce9b5b5d75a7d50c79e2bd095"
-        "20729d62d66a3f422753063154d2d976"
+        "a97b5529e9848744a7f253bd0f76695a"
+        "50eab8987f225522dfae9d6c29d0d642"
     ),
 }
 

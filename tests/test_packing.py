@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 from collections import Counter
 from itertools import islice
 from unittest import mock
@@ -60,10 +59,12 @@ def test_fnv1a64_reference_values():
 
 
 def test_block_checksum_reference_values():
-    # 64-bit BLAKE2b (RFC 7693); each value matches `b2sum -l 64` of the bytes
-    assert hashlib.blake2b(b"abc", digest_size=8).hexdigest() == "d8bb14d833d59559"
-    assert block_checksum(np.zeros(BLOCK_TOKENS, dtype=np.uint32)) == 0xCCD4145DD510BCA9
-    assert block_checksum(np.arange(BLOCK_TOKENS, dtype=np.uint32)) == 0x5DB2F02C66496908
+    # The first 8 bytes of SHA-256; each value is the start of `sha256sum` of the bytes.
+    # FIPS 180-2, appendix B.1: SHA-256("abc") = ba7816bf 8f01cfea 414140de ...
+    assert packing._sha256_64([b"abc"]) == "ba7816bf8f01cfea"
+    assert packing._sha256_64([b"a", b"", b"bc"]) == "ba7816bf8f01cfea"
+    assert block_checksum(np.zeros(BLOCK_TOKENS, dtype=np.uint32)) == 0x30E14955EBF13522
+    assert block_checksum(np.arange(BLOCK_TOKENS, dtype=np.uint32)) == 0x21B9BF484E8BB6CA
 
 
 def test_format_pair_both_directions():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from currikit import rng, schedule
 from currikit.packing import BLOCK_TOKENS, BlockKind
 from currikit.schedule import (
+    MANIFEST_FORMAT,
     ConstraintError,
     CurriculumManifest,
     SizingError,
@@ -155,11 +156,11 @@ def test_manifest_json_round_trip():
     assert again.strategy is Strategy.PARALLEL_LAST
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_from_json_refuses_every_other_format(version):
     text = build_schedule(Strategy.MIXED, blocks_budget(8), ["id"], 4, seed=5).to_json()
-    assert json.loads(text)["format"] == "curriculum-manifest-v4"
-    old = text.replace('"curriculum-manifest-v4"', f'"curriculum-manifest-v{version}"')
+    assert json.loads(text)["format"] == MANIFEST_FORMAT
+    old = text.replace(f'"{MANIFEST_FORMAT}"', f'"curriculum-manifest-v{version}"')
     with pytest.raises(ValueError) as err:
         CurriculumManifest.from_json(old)
     assert str(err.value) == (

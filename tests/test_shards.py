@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import shutil
+import subprocess
 
 import pytest
 
@@ -13,9 +14,10 @@ from currikit.packing import (
     pack_replay,
 )
 from currikit.pipeline import compile_corpus
-from currikit.schedule import CurriculumManifest, Strategy, build_schedule
+from currikit.schedule import MANIFEST_FORMAT, CurriculumManifest, Strategy, build_schedule
 from currikit.shards import (
     BLOCK_BYTES,
+    PROVENANCE_NAME,
     ConsistencyError,
     LayoutError,
     audit_shards,
@@ -28,6 +30,11 @@ from currikit.shards import (
 from currikit.synthetic import write_corpus
 from currikit.tokenizer import BYTE_FALLBACK
 from helpers import make_doc, make_pair, tree_digest, write_tree
+
+
+def _sha256_16(data):
+    """The first 16 hex digits of sha256(data), what ``sha256sum | cut -c1-16`` prints."""
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def _make_stream(name, lang, count, seed):
@@ -98,12 +105,9 @@ def test_write_shards_fills_checksums_and_leaves_the_manifest_to_the_caller(tmp_
     layout = write_shards(_block_streams(manifest), manifest, tmp_path / "w")
     assert not layout.manifest_path.exists()
     assert manifest.checksums == [
-        f"{hashlib.blake2b(layout.block_path(i).read_bytes(), digest_size=8).hexdigest()}"
-        for i in range(manifest.n_blocks)
+        _sha256_16(layout.block_path(i).read_bytes()) for i in range(manifest.n_blocks)
     ]
-    assert manifest.provenance_checksum == hashlib.blake2b(
-        layout.provenance_path.read_bytes(), digest_size=8
-    ).hexdigest()
+    assert manifest.provenance_checksum == _sha256_16(layout.provenance_path.read_bytes())
     commit_manifest(layout, manifest)
     assert audit_shards(layout.directory).passed
 
@@ -190,15 +194,27 @@ def test_provenance_file_holds_each_blocks_spans(tmp_path):
         for block in blocks
     ]
     doc = json.loads(layout.manifest_path.read_text())
-    assert doc["provenance_checksum"] == hashlib.blake2b(data, digest_size=8).hexdigest()
+    assert doc["provenance_checksum"] == _sha256_16(data)
 
 
 def test_manifest_lists_the_block_checksums(small_corpus):
     doc = json.loads(small_corpus.manifest_path.read_text())
-    assert doc["format"] == "curriculum-manifest-v4"
+    assert doc["format"] == MANIFEST_FORMAT == "curriculum-manifest-v5"
     assert doc["checksums"] == [
-        hashlib.blake2b(small_corpus.block_path(i).read_bytes(), digest_size=8).hexdigest()
-        for i in range(8)
+        _sha256_16(small_corpus.block_path(i).read_bytes()) for i in range(8)
+    ]
+
+
+@pytest.mark.skipif(shutil.which("sha256sum") is None, reason="needs coreutils sha256sum")
+def test_manifest_checksums_are_the_sha256sum_prefix(small_corpus):
+    doc = json.loads(small_corpus.manifest_path.read_text())
+    names = [small_corpus.block_path(i).name for i in range(8)] + [PROVENANCE_NAME]
+    out = subprocess.run(
+        ["sha256sum", *names], cwd=small_corpus.directory, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert [line[:16] for line in out.splitlines()] == [
+        *doc["checksums"], doc["provenance_checksum"]
     ]
 
 
