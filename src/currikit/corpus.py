@@ -22,7 +22,9 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .tokenizer import TokenizerSpec, count_tokens
+import numpy as np
+
+from .tokenizer import TokenizerSpec, count_tokens, encode
 
 log = logging.getLogger(__name__)
 
@@ -91,6 +93,11 @@ class Document:
     language: LanguageTag
     source_id: str
     ordinal: int
+    # (spec, encode(text, spec)) once sample_uniform has measured the document,
+    # so a packer with the same spec takes the ids instead of matching the text.
+    encoding: tuple[TokenizerSpec, np.ndarray] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not self.text.strip():
@@ -294,11 +301,14 @@ def _pair_fields(
     return en_text, sea_text
 
 
-def record_token_count(item: Document | SentencePair, spec: TokenizerSpec) -> int:
-    """Raw text tokens of one record (separators are not counted)."""
+def _measure(item: Document | SentencePair, spec: TokenizerSpec) -> int:
+    """Raw text tokens of one record (separators are not counted). A
+    document is measured by its ids, which it keeps as its ``encoding``."""
     if isinstance(item, SentencePair):
         return count_tokens(item.en_text, spec) + count_tokens(item.sea_text, spec)
-    return count_tokens(item.text, spec)
+    ids = encode(item.text, spec)
+    item.encoding = (spec, ids)
+    return len(ids)
 
 
 @dataclass
@@ -328,7 +338,9 @@ def sample_uniform(
     tokens reach ``token_budget / len(sources)``, so per-source draws differ
     by at most one record's length. Sources that run dry end early and are
     listed in the report's deficits; only a completely empty pull with a
-    positive budget raises.
+    positive budget raises. A drawn document is measured by its ids and keeps
+    them as its ``encoding``, so a packer with the same spec does not match
+    its text again.
     """
     if not sources:
         raise ValueError("sample_uniform requires at least one source")
@@ -355,7 +367,7 @@ def sample_uniform(
                 if drawn[i] < quota:
                     report.deficits[i] = math.ceil(quota - drawn[i])
                 continue
-            drawn[i] += record_token_count(item, spec)
+            drawn[i] += _measure(item, spec)
             records[i] += 1
             emitted_any = True
             yield item

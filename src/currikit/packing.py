@@ -6,10 +6,12 @@ encoded and its ids, then one end-of-text separator, are appended to the
 stream's byte accumulator (one byte per id for ``byte_fallback``, whose
 separator is 0xFF, a byte UTF-8 never holds, rewritten to ``eot_id`` when
 the block is built; four bytes per id for ``bpe_file``). Records are pulled
-one at a time: the record that brings the accumulator to a block's worth of
-ids yields that block at once, and the rest of the record carries over into
-a fresh accumulator, so records may straddle sequence and block boundaries
-and the records read are those a record-by-record packer reads. A block's
+in runs, each encoded by one call (``encode_run`` for ``bpe_file``). A run
+ends at the record that could bring the accumulator to a block's worth of
+ids, so that record yields its blocks at once, and the rest of it carries
+over into a fresh accumulator: records may straddle sequence and block
+boundaries, and the records read are those a record-by-record packer reads.
+A document that a sampler already encoded is packed from its ids. A block's
 ``uint32`` ids are converted from the byte accumulator, or for ``bpe_file``
 are a view of the replaced one. The final partial accumulator is discarded
 and its size reported, never padded.
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator
 
@@ -36,11 +38,12 @@ import numpy as np
 
 from . import rng
 from .corpus import EN, Document, LanguageTag, SentencePair, ShortfallError, language
-from .tokenizer import TokenizerSpec, count_tokens, encode
+from .tokenizer import TokenizerSpec, count_tokens, encode, encode_run
 
 SEQUENCE_LENGTH = 4_096
 SEQUENCES_PER_BLOCK = 64
 BLOCK_TOKENS = SEQUENCE_LENGTH * SEQUENCES_PER_BLOCK  # 262,144
+RUN_CHARS = 16_384  # text characters encoded by one call; bounds a run's transient memory
 
 
 KIND_NAMES = ("monolingual", "parallel", "replay", "replacement")
@@ -203,59 +206,107 @@ def _spans(sources: list[str], ordinals: list[int]) -> tuple[ProvenanceSpan, ...
 
 
 def _pack(
-    records: Iterable[tuple[str, str, int]],
+    records: Iterable[tuple[str | np.ndarray, str, int]],
     kind: BlockKind,
     spec: TokenizerSpec,
     report: PackReport,
 ) -> Iterator[TokenBlock]:
     """The one packing loop: ``(text, source_id, ordinal)`` records -> blocks.
 
-    Each record's ids and one end-of-text separator are appended to a byte
-    accumulator, one byte per id for ``byte_fallback`` (the separator is
-    0xFF, a byte UTF-8 never holds, and becomes ``eot_id`` in the block) and
-    four for ``bpe_file``. Records are pulled one at a time; the record that
-    brings the accumulator to a block's worth of ids yields that block at
-    once, and the rest of the record, if any, starts a fresh accumulator.
+    A record's text may already be its ids. Each record's ids and one
+    end-of-text separator are appended to a byte accumulator, one byte per
+    id for ``byte_fallback`` (the separator is 0xFF, a byte UTF-8 never
+    holds, and becomes ``eot_id`` in the block) and four for ``bpe_file``.
+    Records are pulled in runs and each run's texts are encoded by one call.
+    A run takes another record only while its records could not complete a
+    block even at their most ids (one per character for ``bpe_file``, four
+    UTF-8 bytes for ``byte_fallback``), and at most ``RUN_CHARS`` characters
+    of text, so only its last record may complete blocks and the records
+    read are those a record-by-record packer reads. Blocks are yielded as
+    soon as the run is in, and the rest of the last record, if any, starts a
+    fresh accumulator. A record that is already ids ends its run.
     """
     if spec.kind == "byte_fallback":
-        width, separator = 1, b"\xff"
+        width, separator, most_ids = 1, b"\xff", 4
+
+        def encode_texts(texts: list[str]) -> bytes:
+            # the ids are the UTF-8 bytes, which encode would wrap in arrays
+            return b"\xff".join([*map(str.encode, texts), b""])
+
     else:
-        width, separator = 4, np.array(spec.eot_id, dtype=np.uint32).tobytes()
-    block_bytes = BLOCK_TOKENS * width
+        eot = np.array([spec.eot_id], dtype=np.uint32)
+        width, separator, most_ids = 4, eot.tobytes(), 1
+
+        def encode_texts(texts: list[str]) -> np.ndarray:
+            ids = encode_run(texts, spec)
+            if ids is None:  # one text at a time, for the error encode raises
+                ids = np.concatenate([np.append(encode(text, spec), eot) for text in texts])
+            return ids
+
+    block_tokens = BLOCK_TOKENS
+    block_bytes = block_tokens * width
     acc = bytearray()
     # The accumulator's records: every one has ids not yet in a block.
     sources: list[str] = []
     ordinals: list[int] = []
-    for text, source_id, ordinal in records:
-        # byte_fallback ids are the text's UTF-8 bytes, which encode would wrap
-        # in an array at several times the cost of the bytes themselves
-        ids = text.encode("utf-8") if width == 1 else encode(text, spec)
-        acc.extend(ids)
-        acc += separator
-        sources.append(source_id)
-        ordinals.append(ordinal)
-        report.records += 1
-        report.tokens_in += len(ids) + 1
+    records = iter(records)
+    while True:
+        texts: list[str] = []
+        ids = None
+        room = block_tokens - len(acc) // width
+        chars = 0
+        pull_error = None
+        try:
+            for text, source_id, ordinal in records:
+                sources.append(source_id)
+                ordinals.append(ordinal)
+                if not isinstance(text, str):
+                    ids = text
+                    break
+                texts.append(text)
+                room -= most_ids * len(text) + 1
+                chars += len(text)
+                if room <= 0 or chars >= RUN_CHARS:
+                    break
+        except Exception as exc:  # raised after the run's records, as one at a time
+            pull_error = exc
+        filled = len(acc)
+        if texts:
+            acc.extend(encode_texts(texts))
+        if ids is not None:
+            acc.extend(ids)
+            acc += separator
+        report.records += len(texts) + (ids is not None)
+        report.tokens_in += (len(acc) - filled) // width
+        if pull_error is not None:
+            raise pull_error
+        if not texts and ids is None:
+            return
         while len(acc) >= block_bytes:
             if width == 1:
-                block = np.frombuffer(acc, np.uint8, count=BLOCK_TOKENS).astype(np.uint32)
+                block = np.frombuffer(acc, np.uint8, count=block_tokens).astype(np.uint32)
                 block[block == 0xFF] = spec.eot_id
             else:  # the block views this accumulator, which the stream then drops
-                block = np.frombuffer(acc, np.uint32, count=BLOCK_TOKENS)
+                block = np.frombuffer(acc, np.uint32, count=block_tokens)
             provenance = _spans(sources, ordinals)
             acc = acc[block_bytes:]
-            sources, ordinals = ([source_id], [ordinal]) if acc else ([], [])
+            sources, ordinals = (sources[-1:], ordinals[-1:]) if acc else ([], [])
             report.blocks += 1
             yield TokenBlock(
                 ids=block, kind=kind, checksum=block_checksum(block), provenance=provenance
             )
 
 
-def _documents(docs: Iterable[Document], code: str | None) -> Iterator[tuple[str, str, int]]:
+def _documents(
+    docs: Iterable[Document], code: str | None, spec: TokenizerSpec
+) -> Iterator[tuple[str | np.ndarray, str, int]]:
+    """Document records; a document a sampler measured with ``spec`` brings its ids."""
     for doc in docs:
         if code is not None and doc.language.code != code:
             raise ValueError(f"document language {doc.language.code} in a {code} stream")
-        yield doc.text, doc.source_id, doc.ordinal
+        encoding = doc.encoding
+        text = encoding[1] if encoding is not None and encoding[0] is spec else doc.text
+        yield text, doc.source_id, doc.ordinal
 
 
 def pack_monolingual(
@@ -267,7 +318,7 @@ def pack_monolingual(
     """Pack one language's documents, end-of-text separated, into blocks."""
     code = language(lang).code
     report = report if report is not None else PackReport()
-    return _pack(_documents(docs, code), BlockKind.monolingual(code), spec, report)
+    return _pack(_documents(docs, code, spec), BlockKind.monolingual(code), spec, report)
 
 
 def pack_replay(
@@ -277,7 +328,7 @@ def pack_replay(
 ) -> Iterator[TokenBlock]:
     """Pack replay documents; identical mechanics, kind = replay."""
     report = report if report is not None else PackReport()
-    return _pack(_documents(docs, None), BlockKind.replay(), spec, report)
+    return _pack(_documents(docs, None, spec), BlockKind.replay(), spec, report)
 
 
 def _pair_records(
@@ -341,7 +392,10 @@ def _substituted(
         report.replacement_token_delta += count_tokens(substitute, spec) - count_tokens(
             pair.sea_text, spec
         )
-        yield replace(pair, sea_text=substitute)
+        # split_sentences strips its sentences and drops empty ones
+        yield SentencePair._checked(
+            pair.en_text, substitute, pair.sea_language, pair.source_id, pair.ordinal
+        )
 
 
 def pack_replacement(

@@ -7,14 +7,17 @@ are loadable, immutable specs. Two kinds are supported:
   end-of-text marker. Lossless and self-contained, used by default.
 * ``bpe_file`` -- a vocabulary file with a token-to-id table (plus merge
   rules kept as provenance); encoding is greedy longest-match against the
-  table. The matcher is one compiled regular expression per spec, built on
-  first use (not at load) and kept on the spec; ``sre`` then finds each
-  longest piece in C. See ``load_vocab`` for the line format.
+  table. The matcher is one compiled regular expression per spec, a prefix
+  trie of the pieces, built on first use (not at load) and kept on the spec;
+  ``sre`` then finds each longest piece in C. See ``load_vocab`` for the line
+  format.
 
 ``encode`` returns a 1-D numpy id array (``uint8`` for ``byte_fallback``,
 ``uint32`` for ``bpe_file``), so packers copy it into their block buffers
-without a per-id Python loop. Every id lies in ``[0, 2**32)``, the range of
-the ``uint32`` block format.
+without a per-id Python loop. For ``bpe_file``, ``encode_run`` encodes many
+texts, each closed by the end-of-text id, with one match: packers encode
+their records in runs through it. Every id lies in ``[0, 2**32)``, the range
+of the ``uint32`` block format.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -31,6 +34,7 @@ EOT_TEXT = "<|endoftext|>"
 
 BYTE_FALLBACK_VOCAB = 257  # 256 byte values + 1 end-of-text id
 ID_LIMIT = 2**32  # block files store ids as uint32
+MATCH_DEPTH = 4  # trie levels of the longest-match pattern; remainders are flat below
 
 
 class TokenizerError(ValueError):
@@ -47,7 +51,7 @@ class TokenizerSpec:
 
     For ``bpe_file`` specs, ``pieces`` holds the id -> token-string table;
     it is runtime payload, not part of the spec identity. ``piece_ids`` is
-    derived from it, and so is the longest-match pattern, built on first use.
+    derived from it, and so is the longest-match matcher, built on first use.
     """
 
     id: str
@@ -56,9 +60,7 @@ class TokenizerSpec:
     kind: str  # "byte_fallback" | "bpe_file"
     pieces: Mapping[int, str] | None = field(default=None, compare=False, repr=False)
     piece_ids: Mapping[str, int] | None = field(default=None, compare=False, repr=False)
-    _pattern: re.Pattern[str] | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
+    _matcher: _Matcher | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("byte_fallback", "bpe_file"):
@@ -97,6 +99,27 @@ def encode(text: str, spec: TokenizerSpec = BYTE_FALLBACK) -> np.ndarray:
     )
 
 
+def encode_run(texts: Sequence[str], spec: TokenizerSpec) -> np.ndarray | None:
+    """``encode`` of each text followed by ``eot_id``, as one ``uint32``
+    array, for a ``bpe_file`` spec; None if the texts must be encoded one by
+    one instead.
+
+    The texts are joined by the spec's separator, a character no piece
+    contains, and matched by one call: no piece spans a separator, so each
+    text gets the pieces ``encode`` finds, and each separator is the
+    end-of-text id. The result is None when that match leaves the joined
+    text uncovered or a text holds the separator itself; ``encode`` then
+    raises for the first text it fails on.
+    """
+    matcher = _matcher(spec)
+    joined = matcher.separator.join([*texts, ""])
+    pieces = matcher.pattern.findall(joined)
+    if joined.count(matcher.separator) != len(texts) or len("".join(pieces)) != len(joined):
+        return None
+    ids = map(matcher.ids.__getitem__, pieces)
+    return np.fromiter(ids, dtype=np.uint32, count=len(pieces))
+
+
 def decode(ids: Sequence[int] | np.ndarray, spec: TokenizerSpec = BYTE_FALLBACK) -> str:
     """Decode token ids back to text; the eot id renders as its marker text."""
     for i in ids:
@@ -129,69 +152,99 @@ def count_tokens(text: str, spec: TokenizerSpec = BYTE_FALLBACK) -> int:
     """Number of ids ``encode`` would produce (raw text, no separators).
 
     Always equal to ``len(encode(text, spec))``, and raises the same error
-    for uncovered text, but builds no id array.
+    for uncovered text, but builds no id array: for ``bpe_file`` one
+    ``subn`` counts the pieces, and the text is covered when nothing of it
+    is left.
     """
     if spec.kind == "byte_fallback":
         return len(text.encode("utf-8"))
-    return len(_match_pieces(text, spec))
+    matcher = _matcher(spec)
+    rest, count = matcher.pattern.subn("", text)
+    if rest or matcher.separator in text:
+        _raise_uncovered(text, matcher.pattern.findall(text), spec)
+    return count
+
+
+class _Matcher(NamedTuple):
+    """A ``bpe_file`` spec's longest-match pattern, with its run separator
+    as the last alternative, and the piece ids with the separator mapped to
+    the end-of-text id."""
+
+    pattern: re.Pattern[str]
+    separator: str
+    ids: dict[str, int]
+
+
+def _matcher(spec: TokenizerSpec) -> _Matcher:
+    """The spec's matcher, built on its first use and kept on the spec."""
+    matcher = spec._matcher
+    if matcher is None:
+        assert spec.piece_ids is not None
+        used = set("".join(spec.piece_ids))
+        separator = next(chr(c) for c in range(0xE000, 0x110000) if chr(c) not in used)
+        pattern = "|".join(_trie_branches(list(spec.piece_ids), 0))
+        matcher = _Matcher(
+            re.compile(pattern + "|" + re.escape(separator)),
+            separator,
+            {**spec.piece_ids, separator: spec.eot_id},
+        )
+        object.__setattr__(spec, "_matcher", matcher)
+    return matcher
 
 
 def _match_pieces(text: str, spec: TokenizerSpec) -> list[str]:
     """The greedy longest-match pieces of ``text``, in order.
 
     ``findall`` skips text no piece covers, so the pieces cover ``text``
-    exactly when their lengths add up to it; otherwise the first gap is
-    reported.
+    exactly when they join back to its length and none is the separator;
+    otherwise the first gap is reported.
     """
-    pattern = spec._pattern
-    if pattern is None:
-        pattern = _longest_match_pattern(spec)
-        object.__setattr__(spec, "_pattern", pattern)
-    pieces = pattern.findall(text)
-    if sum(map(len, pieces)) != len(text):
-        pos = 0
-        for piece in pieces:
-            if not text.startswith(piece, pos):
-                break
-            pos += len(piece)
-        raise TokenizerError(
-            f"no token covers {text[pos]!r} at position {pos} "
-            f"(tokenizer {spec.id!r})"
-        )
+    matcher = _matcher(spec)
+    pieces = matcher.pattern.findall(text)
+    if len("".join(pieces)) != len(text) or matcher.separator in text:
+        _raise_uncovered(text, pieces, spec)
     return pieces
 
 
-def _longest_match_pattern(spec: TokenizerSpec) -> re.Pattern[str]:
-    """One alternation whose first matching branch is the longest piece.
+def _raise_uncovered(text: str, pieces: list[str], spec: TokenizerSpec) -> NoReturn:
+    """Report the first character of ``text`` that ``pieces``, its matches
+    in order, leave uncovered or match only as the separator."""
+    separator = _matcher(spec).separator
+    pos = 0
+    for piece in pieces:
+        if piece == separator or not text.startswith(piece, pos):
+            break
+        pos += len(piece)
+    raise TokenizerError(
+        f"no token covers {text[pos]!r} at position {pos} (tokenizer {spec.id!r})"
+    )
 
-    Pieces are grouped by first character, then by second; below that the
-    remainders are listed longest first, the empty remainder (the two-char
-    piece itself) last, and a one-char piece is the empty branch after its
-    second-char groups. ``sre`` tries alternatives in order and nothing
-    follows the match, so the first branch that matches is the longest
-    piece. Grouping by prefix keeps the nesting at two groups whatever the
-    piece length (``sre`` hits its recursion limit at a few hundred nested
-    groups).
+
+def _trie_branches(pieces: list[str], depth: int) -> list[str]:
+    """The alternatives of one trie node, whose ``pieces`` are what follows
+    its prefix; the first alternative that matches is the longest piece.
+
+    Down to ``MATCH_DEPTH`` characters the pieces are grouped by their next
+    character, and the node's own piece (the empty rest) comes last. Below
+    that the rests are listed longest first. ``sre`` tries alternatives in
+    order and nothing follows the match, so the first match is the longest;
+    the nesting stays at ``MATCH_DEPTH`` groups whatever the piece length
+    (``sre`` hits its recursion limit at a few hundred nested groups).
     """
-    assert spec.piece_ids is not None
-    tree: dict[str, dict[str, list[str]]] = {}
-    for piece in spec.piece_ids:
-        seconds = tree.setdefault(piece[0], {})
-        if len(piece) > 1:
-            seconds.setdefault(piece[1], []).append(piece[2:])
+    if depth == MATCH_DEPTH:
+        return [re.escape(rest) for rest in sorted(pieces, key=len, reverse=True)]
+    children: dict[str, list[str]] = {}
+    for piece in pieces:
+        if piece:
+            children.setdefault(piece[0], []).append(piece[1:])
     branches = []
-    for first, seconds in tree.items():
-        inner = [
-            re.escape(second)
-            + "(?:"
-            + "|".join(map(re.escape, sorted(rests, key=len, reverse=True)))
-            + ")"
-            for second, rests in seconds.items()
-        ]
-        if first in spec.piece_ids:
-            inner.append("")
-        branches.append(re.escape(first) + "(?:" + "|".join(inner) + ")")
-    return re.compile("|".join(branches))
+    for char, rests in children.items():
+        inner = _trie_branches(rests, depth + 1)
+        group = inner[0] if len(inner) == 1 else "(?:" + "|".join(inner) + ")"
+        branches.append(re.escape(char) + group)
+    if "" in pieces:
+        branches.append("")
+    return branches
 
 
 def load_vocab(path: str | os.PathLike[str]) -> TokenizerSpec:

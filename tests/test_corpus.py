@@ -137,7 +137,8 @@ def test_pair_count_matches_line_count_oracle(tmp_path):
                 malformed += 1
             else:
                 fh.write(f"en side {i}\tsea side {i}\n")
-    line_count = sum(1 for _ in open(path, encoding="utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        line_count = sum(1 for _ in fh)
     counter = ReadCounter()
     pairs = list(read_parallel(path, "vi", counter))
     assert line_count == 10_000

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from currikit import packing, rng
-from currikit.corpus import ShortfallError
+from currikit import corpus, packing, rng, tokenizer
+from currikit.corpus import SampleReport, ShortfallError, sample_uniform
 from currikit.packing import (
     BLOCK_TOKENS,
     BlockKind,
@@ -24,9 +24,10 @@ from currikit.packing import (
     pack_replay,
     split_sentences,
 )
-from currikit.tokenizer import BYTE_FALLBACK, TokenizerSpec
+from currikit.tokenizer import BYTE_FALLBACK, TokenizerSpec, encode
 from helpers import (
     decode_segments,
+    greedy_encode,
     make_doc,
     make_pair,
     parse_segment,
@@ -359,6 +360,144 @@ def test_pack_matches_reference_packer(plans, spec, block_tokens, take):
             reference_pack(iter(records), kind, spec, reference_report),
             report, reference_report, take,
         )
+
+
+# --- runs: the packer against the same reference ------------------------------
+
+RUN_SEPARATOR = tokenizer._matcher(ORACLE_BPE).separator
+# Per tokenizer kind: texts it encodes, and texts that must fail as they fail
+# one record at a time. For bpe_file those hold the run separator or a
+# character no piece covers; for byte_fallback a lone surrogate, which UTF-8
+# cannot encode.
+COVERED_TEXTS = {
+    "bpe_file": st.text(alphabet="abc", max_size=12),
+    "byte_fallback": st.text(alphabet="ab\xe9\u20ac\U0001F600", max_size=12),
+}
+FAILING_TEXTS = {
+    "bpe_file": st.text(alphabet="abcx" + RUN_SEPARATOR, min_size=1, max_size=12).filter(
+        lambda text: set(text) - set("abc")
+    ),
+    "byte_fallback": st.text(alphabet="a\u20ac\ud800", min_size=1, max_size=12).filter(
+        lambda text: "\ud800" in text
+    ),
+}
+
+
+class PullError(Exception):
+    """Raised by a record stream after its last record."""
+
+
+def _pulled(records, pulls, fail):
+    for record in records:
+        pulls.append(record)
+        yield record
+    if fail:
+        raise PullError("no more records")
+
+
+def _outcome(stream, take):
+    """The blocks a stream yields, up to ``take``, and what it raised."""
+    blocks = []
+    try:
+        blocks.extend(islice(stream, take))
+    except Exception as exc:
+        return blocks, (type(exc), str(exc))
+    return blocks, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    spec=st.sampled_from([BYTE_FALLBACK, ORACLE_BPE]),
+    block_tokens=st.sampled_from([1, 2, 5, 64]),
+    run_chars=st.sampled_from([1, 4, 16, packing.RUN_CHARS]),
+    take=st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
+    fail=st.booleans(),
+)
+def test_run_packer_matches_reference_packer(data, spec, block_tokens, run_chars, take, fail):
+    """Same blocks, the same records pulled and the same counts, with small
+    runs and blocks; a text that cannot be encoded raises what it raises one
+    record at a time (having pulled the rest of its run), before a failing
+    pull after it. Some records come as the ids a sampler measured them by."""
+    texts = data.draw(st.lists(COVERED_TEXTS[spec.kind], max_size=30))
+    at = st.integers(0, len(texts))
+    failing = data.draw(st.one_of(st.none(), st.tuples(at, FAILING_TEXTS[spec.kind])))
+    if failing is not None:
+        texts.insert(*failing)
+    as_ids = data.draw(st.sets(st.integers(0, len(texts))))
+    records = [(text, "a.txt", i) for i, text in enumerate(texts)]
+    failing_at = None if failing is None else failing[0]
+    given_ids = [
+        (encode(text, spec) if i in as_ids and i != failing_at else text, source, ordinal)
+        for i, (text, source, ordinal) in enumerate(records)
+    ]
+    kind = BlockKind.replay()
+    report, reference_report = PackReport(), PackReport()
+    pulls, reference_pulls = [], []
+    with mock.patch.multiple(packing, BLOCK_TOKENS=block_tokens, RUN_CHARS=run_chars):
+        blocks, error = _outcome(
+            packing._pack(_pulled(given_ids, pulls, fail), kind, spec, report), take
+        )
+        reference = reference_pack(
+            _pulled(records, reference_pulls, fail), kind, spec, reference_report
+        )
+        want, want_error = _outcome(reference, take)
+    assert error == want_error
+    assert [b.ids.tolist() for b in blocks] == [b.ids.tolist() for b in want]
+    assert [b.provenance for b in blocks] == [b.provenance for b in want]
+    assert [b.checksum for b in blocks] == [b.checksum for b in want]
+    if error is None or error[0] is PullError:  # a text that fails ends its run early
+        assert len(pulls) == len(reference_pulls)
+        assert dataclasses.asdict(report) == dataclasses.asdict(reference_report)
+
+
+def test_sampled_bpe_documents_are_matched_once():
+    """The sampler measures each drawn document by its ids and the packer
+    takes them: every document text is matched once, and the blocks and the
+    sample report are what matching it twice gave."""
+    names = ("r0.txt", "r1.txt")
+    sources = [
+        [make_doc("ab" * (2 + i % 5) + "c", code="en", source=name, ordinal=i) for i in range(40)]
+        for name in names
+    ]
+    matched = Counter()
+
+    def counted(fn, texts_of=lambda text: [text]):
+        def wrapper(texts, spec):
+            matched.update(texts_of(texts))
+            return fn(texts, spec)
+        return wrapper
+
+    drawn = []
+
+    def recorded(docs):
+        for doc in docs:
+            drawn.append(doc)
+            yield doc
+
+    report = SampleReport()
+    with mock.patch.multiple(
+        corpus, encode=counted(corpus.encode), count_tokens=counted(corpus.count_tokens)
+    ), mock.patch.multiple(
+        packing,
+        BLOCK_TOKENS=64,
+        encode=counted(packing.encode),
+        encode_run=counted(packing.encode_run, list),
+        count_tokens=counted(packing.count_tokens),
+    ):
+        sampled = recorded(sample_uniform(sources, 400, ORACLE_BPE, report))
+        blocks = list(pack_replay(sampled, ORACLE_BPE))
+        records = [(d.text, d.source_id, d.ordinal) for d in drawn]
+        want = list(reference_pack(iter(records), BlockKind.replay(), ORACLE_BPE, PackReport()))
+    assert blocks and matched == Counter(d.text for d in drawn)
+    assert [b.ids.tolist() for b in blocks] == [b.ids.tolist() for b in want]
+    assert [b.provenance for b in blocks] == [b.provenance for b in want]
+    assert (report.quota, report.deficits) == (200, {})
+    for index, name in enumerate(names):
+        mine = [d for d in drawn if d.source_id == name]
+        assert report.drawn_records[index] == len(mine)
+        tokens = sum(len(greedy_encode(d.text, ORACLE_BPE)) for d in mine)
+        assert report.drawn_tokens[index] == tokens
 
 
 SENTENCES = st.text(

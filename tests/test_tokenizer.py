@@ -3,15 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from currikit import tokenizer
 from currikit.tokenizer import (
     BYTE_FALLBACK,
     EOT_TEXT,
+    MATCH_DEPTH,
     TokenizerError,
     TokenizerSpec,
     UnknownTokenizerError,
     count_tokens,
     decode,
     encode,
+    encode_run,
     load_vocab,
     resolve_spec,
 )
@@ -195,6 +198,57 @@ def test_pieces_longer_than_the_nesting_limit():
     text = "a" * 2500 + "b"
     assert encode(text, spec).tolist() == [2000, 500, 2001]
     assert count_tokens(text, spec) == 3
+
+
+# Pieces one shorter than the trie's depth, as long and one longer, over two
+# characters: many are prefixes of one another across the trie's last level.
+DEPTH_PIECES = st.sets(
+    st.text(alphabet="ab", min_size=MATCH_DEPTH - 1, max_size=MATCH_DEPTH + 1), max_size=30
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DEPTH_PIECES, st.text(alphabet="ab", max_size=60))
+def test_trie_matches_greedy_reference_across_its_depth(pieces, text):
+    spec = bpe_spec(sorted(pieces | {"a", "b"}), name="depth")
+    expected = greedy_encode(text, spec)
+    assert encode(text, spec).tolist() == expected
+    assert count_tokens(text, spec) == len(expected)
+
+
+def test_trie_prefix_chain_across_its_depth():
+    # Every piece from one character short of the depth to two beyond it, but
+    # not the one exactly at the depth: the match falls back across the level.
+    chain = ["a" * k for k in range(MATCH_DEPTH - 1, MATCH_DEPTH + 3) if k != MATCH_DEPTH]
+    spec = bpe_spec(["a", *chain], name="chain")
+    ids = {piece: i for i, piece in spec.pieces.items()}
+    for n in range(1, 3 * MATCH_DEPTH):
+        text = "a" * n
+        assert encode(text, spec).tolist() == greedy_encode(text, spec)
+    assert encode("a" * MATCH_DEPTH, spec).tolist() == [ids[chain[0]], ids["a"]]
+
+
+def test_encode_run_is_encode_with_end_of_text_ids():
+    spec = bpe_spec(["a", "b", "ab", "ba", "aba"], name="run")
+    texts = ["abab", "", "ba", "a"]
+    want = [i for text in texts for i in (*encode(text, spec).tolist(), spec.eot_id)]
+    run = encode_run(texts, spec)
+    assert run.dtype == np.uint32
+    assert run.tolist() == want
+    assert encode_run([], spec).tolist() == []
+
+
+def test_encode_run_declines_what_one_text_at_a_time_refuses():
+    spec = bpe_spec(["a", "b"], name="run")
+    separator = tokenizer._matcher(spec).separator
+    assert encode_run(["ab", "x"], spec) is None
+    assert encode_run(["ab", "a" + separator + "b"], spec) is None
+    for text, pos in (("a" + separator, 1), (separator + "b", 0)):
+        message = f"no token covers {separator!r} at position {pos} (tokenizer 'run')"
+        for fn in (encode, count_tokens):
+            with pytest.raises(TokenizerError) as info:
+                fn(text, spec)
+            assert str(info.value) == message
 
 
 def test_equal_specs_stay_equal_after_encoding(tmp_path):
