@@ -8,6 +8,7 @@ evaluation subcommands need no compiled corpus.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -199,20 +200,7 @@ def _cmd_prompts(args: argparse.Namespace) -> int:
 def _cmd_bleu(args: argparse.Namespace) -> int:
     score = bleu(read_lines(args.hypotheses), read_lines(args.references), args.mode)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "score": score.score,
-                    "precisions": list(score.precisions),
-                    "brevity_penalty": score.brevity_penalty,
-                    "hyp_len": score.hyp_len,
-                    "ref_len": score.ref_len,
-                    "mode": score.mode,
-                    "case_sensitive": True,
-                },
-                sort_keys=True,
-            )
-        )
+        print(json.dumps({**dataclasses.asdict(score), "case_sensitive": True}, sort_keys=True))
     else:
         print(score.format())
     return 0
@@ -228,20 +216,7 @@ def _cmd_signif(args: argparse.Namespace) -> int:
         mode=args.mode,
     )
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "score_a": result.score_a,
-                    "score_b": result.score_b,
-                    "delta": result.delta,
-                    "p_value": result.p_value,
-                    "n_samples": result.n_samples,
-                    "seed": result.seed,
-                    "mode": result.mode,
-                },
-                sort_keys=True,
-            )
-        )
+        print(json.dumps(dataclasses.asdict(result), sort_keys=True))
     else:
         print(result.format())
     return 0
@@ -257,6 +232,13 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     else:
         with open(args.scores_json, encoding="utf-8") as fh:
             mapping = json.load(fh)
+        if not isinstance(mapping, dict):
+            raise ValueError(f"{args.scores_json}: not a JSON object mapping codes to scores")
+        for code, score in mapping.items():
+            if type(score) not in (int, float):
+                raise ValueError(
+                    f"{args.scores_json}: score of {code!r} is {json.dumps(score)}, not a number"
+                )
     row = aggregate(mapping, label=args.label)
     if args.json:
         print(json.dumps(

@@ -301,13 +301,11 @@ def _pair_fields(
     return en_text, sea_text
 
 
-def _measure(item: Document | SentencePair, spec: TokenizerSpec) -> int:
-    """Raw text tokens of one record (separators are not counted). A
-    document is measured by its ids, which it keeps as its ``encoding``."""
-    if isinstance(item, SentencePair):
-        return count_tokens(item.en_text, spec) + count_tokens(item.sea_text, spec)
-    ids = encode(item.text, spec)
-    item.encoding = (spec, ids)
+def _measure(doc: Document, spec: TokenizerSpec) -> int:
+    """Raw text tokens of one document (separators are not counted),
+    measured by its ids, which it keeps as its ``encoding``."""
+    ids = encode(doc.text, spec)
+    doc.encoding = (spec, ids)
     return len(ids)
 
 
@@ -327,16 +325,16 @@ class SampleReport:
 
 
 def sample_uniform(
-    sources: Sequence[Iterable[Document] | Iterable[SentencePair]],
+    sources: Sequence[Iterable[Document]],
     token_budget: int,
     spec: TokenizerSpec,
     report: SampleReport | None = None,
-) -> Iterator[Document | SentencePair]:
-    """Interleave sources round-robin, equalizing tokens drawn from each.
+) -> Iterator[Document]:
+    """Interleave document sources round-robin, equalizing tokens drawn from each.
 
-    Whole records are drawn (never split); a source stops once its drawn
+    Whole documents are drawn (never split); a source stops once its drawn
     tokens reach ``token_budget / len(sources)``, so per-source draws differ
-    by at most one record's length. Sources that run dry end early and are
+    by at most one document's length. Sources that run dry end early and are
     listed in the report's deficits; only a completely empty pull with a
     positive budget raises. A drawn document is measured by its ids and keeps
     them as its ``encoding``, so a packer with the same spec does not match
@@ -411,24 +409,42 @@ def load_corpus_config(path: str | os.PathLike[str]) -> list[CorpusSource]:
     """Read a corpus configuration file.
 
     JSON shape: ``{"sources": [{"path": ..., "kind": ..., "language": ...}]}``.
-    Relative paths are resolved against the config file's directory.
+    Relative paths are resolved against the config file's directory. A file
+    of any other shape raises one ``ValueError`` naming the file and, for a
+    bad source, its index.
     """
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise ValueError(f"{path}: {exc}") from None
+    entries = raw.get("sources") if isinstance(raw, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError(f'{path}: not a corpus configuration: want {{"sources": [...]}}')
     base = os.path.dirname(os.path.abspath(path))
     sources = []
-    for entry in raw["sources"]:
+    for index, entry in enumerate(entries):
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("path"), str)
+            and isinstance(entry.get("kind"), str)
+            and isinstance(entry.get("language", ""), (str, type(None)))
+        ):
+            raise ValueError(
+                f'{path}: source {index} needs string "path" and "kind" and an '
+                f'optional string "language", got {entry!r}'
+            )
         p = entry["path"]
         if not os.path.isabs(p):
             p = os.path.join(base, p)
-        sources.append(
-            CorpusSource(
-                path=p,
-                kind=entry["kind"],
-                language=entry.get("language"),
+        try:
+            source = CorpusSource(
+                path=p, kind=entry["kind"], language=entry.get("language"),
                 source_id=entry["path"],
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"{path}: source {index}: {exc}") from None
+        sources.append(source)
     return sources
 
 

@@ -394,6 +394,9 @@ def aggregate(per_language_scores: Mapping[str, float], label: str = "") -> Resu
     if not per_language_scores:
         raise ValueError("no per-language scores to aggregate")
     scores = {language(code).code: float(v) for code, v in per_language_scores.items()}
+    for code, score in scores.items():
+        if not math.isfinite(score):
+            raise ValueError(f"score of {code!r} is {score}, not a finite number")
     mean = sum(Decimal(str(v)) for v in scores.values()) / len(scores)
     return ResultRow(label=label, scores=scores, average=round_half_up(mean))
 

@@ -6,7 +6,8 @@ encoded and its ids, then one end-of-text separator, are appended to the
 stream's byte accumulator (one byte per id for ``byte_fallback``, whose
 separator is 0xFF, a byte UTF-8 never holds, rewritten to ``eot_id`` when
 the block is built; four bytes per id for ``bpe_file``). Records are pulled
-in runs, each encoded by one call (``encode_run`` for ``bpe_file``). A run
+in runs, each encoded by one call (``encode_run`` for ``bpe_file``), which
+raises the error of the first record that cannot be encoded. A run
 ends at the record that could bring the accumulator to a block's worth of
 ids, so that record yields its blocks at once, and the rest of it carries
 over into a fresh accumulator: records may straddle sequence and block
@@ -38,7 +39,8 @@ import numpy as np
 
 from . import rng
 from .corpus import EN, Document, LanguageTag, SentencePair, ShortfallError, language
-from .tokenizer import TokenizerSpec, count_tokens, encode, encode_run
+from .tokenizer import TokenizerSpec, count_tokens, encode_run
+from .tokenizer import encode  # noqa: F401  the benchmark's tracer looks up packing.encode
 
 SEQUENCE_LENGTH = 4_096
 SEQUENCES_PER_BLOCK = 64
@@ -234,14 +236,10 @@ def _pack(
             return b"\xff".join([*map(str.encode, texts), b""])
 
     else:
-        eot = np.array([spec.eot_id], dtype=np.uint32)
-        width, separator, most_ids = 4, eot.tobytes(), 1
+        width, separator, most_ids = 4, np.uint32(spec.eot_id).tobytes(), 1
 
         def encode_texts(texts: list[str]) -> np.ndarray:
-            ids = encode_run(texts, spec)
-            if ids is None:  # one text at a time, for the error encode raises
-                ids = np.concatenate([np.append(encode(text, spec), eot) for text in texts])
-            return ids
+            return encode_run(texts, spec)
 
     block_tokens = BLOCK_TOKENS
     block_bytes = block_tokens * width

@@ -223,6 +223,11 @@ class CurriculumManifest:
                     f"malformed curriculum manifest: label_style={doc['label_style']!r}, "
                     f"want one of {', '.join(LABEL_STYLES)}"
                 )
+            metadata = doc.get("metadata", {})
+            if not isinstance(metadata, dict):
+                raise ValueError(
+                    f"malformed curriculum manifest: metadata is a {type(metadata).__name__}"
+                )
             if not entries or len(entries) % batch:
                 raise ValueError(
                     f"malformed curriculum manifest: {len(entries)} entries, "
@@ -236,7 +241,7 @@ class CurriculumManifest:
                 language_set=list(doc["language_set"]),
                 token_budget=_manifest_int(doc, "token_budget"),
                 tokenizer_id=doc["tokenizer_id"],
-                metadata=doc.get("metadata", {}),
+                metadata=metadata,
                 label_style=doc["label_style"],
                 checksums=checksums,
                 provenance_checksum=provenance_checksum,
@@ -421,7 +426,6 @@ def build_schedule(
     batch_size_blocks: int,
     seed: int,
     tokenizer_id: str = "byte_fallback",
-    metadata: dict | None = None,
 ) -> CurriculumManifest:
     """Build the full ordered schedule for one strategy and seed.
 
@@ -473,7 +477,6 @@ def build_schedule(
         language_set=langs,
         token_budget=token_budget,
         tokenizer_id=tokenizer_id,
-        metadata=metadata or {},
     )
 
 

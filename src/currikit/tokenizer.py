@@ -15,9 +15,10 @@ are loadable, immutable specs. Two kinds are supported:
 ``encode`` returns a 1-D numpy id array (``uint8`` for ``byte_fallback``,
 ``uint32`` for ``bpe_file``), so packers copy it into their block buffers
 without a per-id Python loop. For ``bpe_file``, ``encode_run`` encodes many
-texts, each closed by the end-of-text id, with one match: packers encode
-their records in runs through it. Every id lies in ``[0, 2**32)``, the range
-of the ``uint32`` block format.
+texts, each closed by the end-of-text id, with one match, and raises
+``encode``'s error for the first text that is not covered: packers encode
+their records in runs through it, and ``encode`` is a run of one text. Every
+id lies in ``[0, 2**32)``, the range of the ``uint32`` block format.
 """
 
 from __future__ import annotations
@@ -92,30 +93,28 @@ def encode(text: str, spec: TokenizerSpec = BYTE_FALLBACK) -> np.ndarray:
     """Encode UTF-8 text to a 1-D id array. Pure and deterministic per spec."""
     if spec.kind == "byte_fallback":
         return np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    pieces = _match_pieces(text, spec)
-    assert spec.piece_ids is not None
-    return np.fromiter(
-        map(spec.piece_ids.__getitem__, pieces), dtype=np.uint32, count=len(pieces)
-    )
+    return encode_run([text], spec)[:-1]
 
 
-def encode_run(texts: Sequence[str], spec: TokenizerSpec) -> np.ndarray | None:
+def encode_run(texts: Sequence[str], spec: TokenizerSpec) -> np.ndarray:
     """``encode`` of each text followed by ``eot_id``, as one ``uint32``
-    array, for a ``bpe_file`` spec; None if the texts must be encoded one by
-    one instead.
+    array, for a ``bpe_file`` spec: the one place ``bpe_file`` text becomes
+    ids.
 
     The texts are joined by the spec's separator, a character no piece
     contains, and matched by one call: no piece spans a separator, so each
-    text gets the pieces ``encode`` finds, and each separator is the
-    end-of-text id. The result is None when that match leaves the joined
-    text uncovered or a text holds the separator itself; ``encode`` then
-    raises for the first text it fails on.
+    text gets its own greedy longest-match pieces, and each separator is the
+    end-of-text id. When that match leaves the joined text uncovered or a
+    text holds the separator itself, the texts are counted one by one, and
+    ``count_tokens`` raises for the first that is not covered.
     """
     matcher = _matcher(spec)
     joined = matcher.separator.join([*texts, ""])
     pieces = matcher.pattern.findall(joined)
     if joined.count(matcher.separator) != len(texts) or len("".join(pieces)) != len(joined):
-        return None
+        for text in texts:
+            count_tokens(text, spec)
+        raise AssertionError("covered texts joined into an uncovered run")
     ids = map(matcher.ids.__getitem__, pieces)
     return np.fromiter(ids, dtype=np.uint32, count=len(pieces))
 
@@ -190,20 +189,6 @@ def _matcher(spec: TokenizerSpec) -> _Matcher:
         )
         object.__setattr__(spec, "_matcher", matcher)
     return matcher
-
-
-def _match_pieces(text: str, spec: TokenizerSpec) -> list[str]:
-    """The greedy longest-match pieces of ``text``, in order.
-
-    ``findall`` skips text no piece covers, so the pieces cover ``text``
-    exactly when they join back to its length and none is the separator;
-    otherwise the first gap is reported.
-    """
-    matcher = _matcher(spec)
-    pieces = matcher.pattern.findall(text)
-    if len("".join(pieces)) != len(text) or matcher.separator in text:
-        _raise_uncovered(text, pieces, spec)
-    return pieces
 
 
 def _raise_uncovered(text: str, pieces: list[str], spec: TokenizerSpec) -> NoReturn:

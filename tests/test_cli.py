@@ -156,6 +156,7 @@ _TAMPERED = {
     "checksum not hex": (
         lambda doc: doc["checksums"].__setitem__(0, "z" * 16), "lowercase hex"
     ),
+    "metadata not an object": (lambda doc: doc.update(metadata=[]), "metadata is a list"),
 }
 
 
@@ -521,3 +522,133 @@ def test_compile_reports_missing_source_kind(
     assert wanted in err
     if languages:
         assert " th" in err
+
+
+@pytest.mark.parametrize("where", ["pair", "replay document"])
+@pytest.mark.parametrize("bad", ["é", ""])
+def test_compile_reports_the_first_uncovered_character(tmp_path, capsys, where, bad):
+    """A character no piece covers, or the one the runs are joined by (the
+    first private-use code point no piece holds), fails the compile with
+    the line that record alone raises. Streams are packed in schedule order
+    and the corpus is too small for any to finish, so the seed puts the
+    failing record's stream first."""
+    config = write_corpus(
+        tmp_path, languages=("id",), n_pairs=40, n_docs=4, sentences_per_doc=4, seed=3
+    )
+    if where == "pair":
+        path = tmp_path / "pairs_en_id.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        en, sea = lines[5].rstrip("\n").split("\t")
+        lines[5] = f"{en}\t{sea[:7]}{bad}{sea[7:]}\n"
+        texts = [f"English: {en}\nIndonesian: {sea[:7]}{bad}", f"Indonesian: {sea[:7]}{bad}"]
+        seed = "0"  # parallel:id first
+    else:
+        path = tmp_path / "replay_0.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        text = json.loads(lines[2])["text"]
+        lines[2] = json.dumps({"text": text[:11] + bad + text[11:]}) + "\n"
+        texts = [text[:11] + bad]
+        seed = "4"  # replay first
+    path.write_text("".join(lines), encoding="utf-8")
+    corpus_texts = [
+        (tmp_path / name).read_text(encoding="utf-8") for name in ("pairs_en_id.tsv", "mono_id.txt")
+    ] + [
+        json.loads(line)["text"]
+        for name in ("replay_0.jsonl", "replay_1.jsonl")
+        for line in (tmp_path / name).read_text(encoding="utf-8").splitlines()
+    ]
+    chars = set("".join(corpus_texts) + "English: Indonesian:\n") - {bad, "\t"}
+    vocab = tmp_path / "cover.vocab"
+    vocab.write_text(
+        "bpe-vocab-v1\nname cover\neot 0\n"
+        + "".join(f"token {i} {json.dumps(c)}\n" for i, c in enumerate(sorted(chars), start=1)),
+        encoding="utf-8",
+    )
+    code = main([
+        "compile", "--config", str(config), "--strategy", "parallel-only",
+        "--budget-tokens", str(4 * BLOCK_TOKENS), "--batch-blocks", "4", "--seed", seed,
+        "--tokenizer", str(vocab), "--out", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err in {
+        f"error: no token covers {bad!r} at position {len(t) - 1} (tokenizer 'cover')\n"
+        for t in texts
+    }
+
+
+@pytest.mark.parametrize(
+    "content, wanted",
+    [
+        ("{not json", "Expecting property name"),
+        ("{}", 'want {"sources": [...]}'),
+        ("[]", 'want {"sources": [...]}'),
+        ('{"sources": 5}', 'want {"sources": [...]}'),
+        ('{"sources": [5]}', "source 0 needs"),
+        ('{"sources": [{"kind": "replay"}]}', "source 0 needs"),
+        ('{"sources": [{"path": "a.txt", "kind": "replay"}, {"path": "b.txt"}]}',
+         "source 1 needs"),
+        ('{"sources": [{"path": 5, "kind": "replay"}]}', "source 0 needs"),
+        ('{"sources": [{"path": "a.txt", "kind": "monolingual", "language": ["id"]}]}',
+         "source 0 needs"),
+        ('{"sources": [{"path": "a.txt", "kind": "mystery"}]}',
+         "source 0: unknown source kind 'mystery'"),
+    ],
+)
+@pytest.mark.parametrize("command", ["compile", "stats"])
+def test_malformed_corpus_config_is_one_error_line(tmp_path, capsys, command, content, wanted):
+    config = tmp_path / "corpus.json"
+    config.write_text(content, encoding="utf-8")
+    if command == "compile":
+        argv = ["compile", "--config", str(config), "--strategy", "mixed",
+                "--budget-tokens", "1048576", "--batch-blocks", "4", "--out", str(tmp_path / "out")]
+    else:
+        argv = ["stats", "--config", str(config)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {config}: ") and captured.err.count("\n") == 1
+    assert wanted in captured.err
+
+
+@pytest.mark.parametrize(
+    "content, wanted",
+    [
+        ('[["id", 1.0]]', "not a JSON object mapping codes to scores"),
+        ('"id=1.0"', "not a JSON object mapping codes to scores"),
+        ('{"id": 1.0, "th": null}', "score of 'th' is null, not a number"),
+        ('{"id": [1.0]}', "score of 'id' is [1.0], not a number"),
+        ('{"id": "1.0"}', "score of 'id' is \"1.0\", not a number"),
+        ('{"id": true}', "score of 'id' is true, not a number"),
+    ],
+)
+def test_aggregate_rejects_bad_scores_json(tmp_path, capsys, content, wanted):
+    scores = tmp_path / "scores.json"
+    scores.write_text(content, encoding="utf-8")
+    assert main(["aggregate", "--scores-json", str(scores)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {scores}: {wanted}\n"
+
+
+def test_bleu_and_signif_json_bytes(tmp_path, capsys):
+    hyp, other, ref = tmp_path / "hyp.txt", tmp_path / "other.txt", tmp_path / "ref.txt"
+    hyp.write_text("the cat sat on the mat .\na quick brown fox jumps\nhello world again\n",
+                   encoding="utf-8")
+    other.write_text("the cat sat on mat .\nthe quick fox jumps\nhello world again\n",
+                     encoding="utf-8")
+    ref.write_text("the cat sat on a mat .\nthe quick brown fox jumped\nhello there world again\n",
+                   encoding="utf-8")
+    assert main(["bleu", "--hypotheses", str(hyp), "--references", str(ref), "--json"]) == 0
+    assert capsys.readouterr().out == (
+        '{"brevity_penalty": 0.9355069850316178, "case_sensitive": true, "hyp_len": 15, '
+        '"mode": "default", "precisions": [0.8, 0.5833333333333334, 0.3333333333333333, '
+        '0.16666666666666666], "ref_len": 16, "score": 37.53881884790789}\n'
+    )
+    assert main(["signif", "--hypotheses-a", str(hyp), "--hypotheses-b", str(other),
+                 "--references", str(ref), "--n", "50", "--seed", "3", "--json"]) == 0
+    assert capsys.readouterr().out == (
+        '{"delta": 2.1314648026774634, "mode": "default", "n_samples": 50, '
+        '"p_value": 0.5882352941176471, "score_a": 37.53881884790789, '
+        '"score_b": 35.40735404523043, "seed": 3}\n'
+    )

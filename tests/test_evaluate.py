@@ -430,6 +430,12 @@ def test_aggregate_empty_raises():
         aggregate({})
 
 
+@pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
+def test_aggregate_rejects_non_finite_scores(score):
+    with pytest.raises(ValueError, match="not a finite number"):
+        aggregate({"id": 1.0, "th": score})
+
+
 def test_aggregate_rejects_unknown_code():
     with pytest.raises(ValueError):
         aggregate({"xx": 1.0})

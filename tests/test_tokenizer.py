@@ -231,18 +231,34 @@ def test_trie_prefix_chain_across_its_depth():
 def test_encode_run_is_encode_with_end_of_text_ids():
     spec = bpe_spec(["a", "b", "ab", "ba", "aba"], name="run")
     texts = ["abab", "", "ba", "a"]
-    want = [i for text in texts for i in (*encode(text, spec).tolist(), spec.eot_id)]
+    want = [i for text in texts for i in (*greedy_encode(text, spec), spec.eot_id)]
     run = encode_run(texts, spec)
     assert run.dtype == np.uint32
     assert run.tolist() == want
+    assert [encode(text, spec).tolist() for text in texts] == [
+        greedy_encode(text, spec) for text in texts
+    ]
     assert encode_run([], spec).tolist() == []
 
 
-def test_encode_run_declines_what_one_text_at_a_time_refuses():
+def test_encode_run_raises_what_encode_raises():
+    """A run raises the error of its first text that ``encode`` and
+    ``count_tokens`` refuse: an uncovered character, or the separator."""
     spec = bpe_spec(["a", "b"], name="run")
     separator = tokenizer._matcher(spec).separator
-    assert encode_run(["ab", "x"], spec) is None
-    assert encode_run(["ab", "a" + separator + "b"], spec) is None
+    for texts, first in (
+        (["ab", "x"], "x"),
+        (["ab", "bxa", "ya"], "bxa"),
+        (["ab", "a" + separator + "b", "x"], "a" + separator + "b"),
+        ([separator + "b"], separator + "b"),
+    ):
+        with pytest.raises(TokenizerError) as info:
+            encode_run(texts, spec)
+        for fn in (encode, count_tokens):
+            with pytest.raises(TokenizerError) as alone:
+                fn(first, spec)
+            assert type(info.value) is type(alone.value)
+            assert str(info.value) == str(alone.value)
     for text, pos in (("a" + separator, 1), (separator + "b", 0)):
         message = f"no token covers {separator!r} at position {pos} (tokenizer 'run')"
         for fn in (encode, count_tokens):
