@@ -100,11 +100,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="re-verify a compiled corpus")
     p.add_argument("--dir", required=True)
+    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("stats", help="summarize a compiled corpus or raw corpus files")
     p.add_argument("--dir", help="compiled corpus directory")
     p.add_argument("--config", help="corpus configuration JSON (raw accounting)")
     p.add_argument("--tokenizer", default="byte_fallback")
+    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("prompts", help="assemble fixed few-shot translation prompts")
     p.add_argument("--dev", required=True, help="bitext file supplying exemplars")
@@ -166,7 +168,10 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     report = audit_shards(args.dir)
-    print(report.render())
+    if args.json:
+        print(json.dumps({**dataclasses.asdict(report), "passed": report.passed}, sort_keys=True))
+    else:
+        print(report.render())
     return 0 if report.passed else 1
 
 
@@ -175,10 +180,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print("error: stats needs exactly one of --dir or --config", file=sys.stderr)
         return 2
     if args.dir:
-        print(shard_stats(args.dir).render())
+        stats = shard_stats(args.dir)
     else:
-        spec = resolve_spec(args.tokenizer)
-        print(corpus_stats(load_corpus_config(args.config), spec).render())
+        stats = corpus_stats(load_corpus_config(args.config), resolve_spec(args.tokenizer))
+    print(json.dumps(dataclasses.asdict(stats), sort_keys=True) if args.json else stats.render())
     return 0
 
 

@@ -150,9 +150,6 @@ class TokenBlock:
         if len(self.ids) != BLOCK_TOKENS:
             raise ValueError(f"block has {len(self.ids)} ids, want {BLOCK_TOKENS}")
 
-    def verify_checksum(self) -> bool:
-        return block_checksum(self.ids) == self.checksum
-
 
 @dataclass
 class PackReport:

@@ -12,8 +12,11 @@ A file's checksum is SHA-256-64: the first 16 hex digits of its SHA-256,
 which ``sha256sum FILE | cut -c1-16`` prints. The manifest lists the
 checksum of every block in its ``checksums`` array and of the provenance
 file in ``provenance_checksum``, so it commits to the content of the whole
-tree. ``audit`` hashes each file once and checks the digest against the
-manifest. Any other entry in the directory, such as the tail of an
+tree. ``audit`` reads and hashes each file once and checks the digest
+against the manifest; the block files are checked on one worker thread per
+CPU the process may run on (``hashlib`` releases the interpreter lock while
+it hashes), and the report lists their failures in position order, as one
+thread would. Any other entry in the directory, such as the tail of an
 earlier, larger compile, is an orphan.
 """
 
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -193,9 +197,83 @@ class AuditReport:
         return "\n".join(lines)
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has
+    one, else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _check_block(
+    layout: ShardLayout, checksums: list[str] | None, position: int
+) -> BlockFailure | None:
+    """The failure of the block at ``position``, or None when it is intact."""
+    bin_path = layout.block_path(position)
+    if not bin_path.exists():
+        return BlockFailure(bin_path.name, "missing file")
+    size = bin_path.stat().st_size
+    if size != BLOCK_BYTES:
+        return BlockFailure(bin_path.name, f"size {size} != {BLOCK_BYTES}")
+    digest = _sha256_64((bin_path.read_bytes(),))
+    if checksums is not None and digest != checksums[position]:
+        return BlockFailure(bin_path.name, f"checksum {digest} != manifest {checksums[position]}")
+    return None
+
+
+def _check_blocks(
+    layout: ShardLayout, checksums: list[str] | None, n_blocks: int
+) -> list[BlockFailure | None]:
+    """``_check_block`` of every position, in position order, on
+    ``min(n_blocks, CPUs)`` workers.
+
+    The calling thread is one worker, so on one CPU no thread starts. Workers
+    take positions from one shared iterator and store each result at its
+    position. Once a check raises, the others take no new position; every
+    thread is joined before this returns or raises. Positions are taken in
+    order and each taken check runs to its end, so every position below the
+    lowest that raised was checked, and that position's exception, the one
+    a single thread would have met first, is re-raised.
+    """
+    results: list[BlockFailure | None] = [None] * n_blocks
+    raised: dict[int, BaseException] = {}
+    positions = iter(range(n_blocks))
+    take = threading.Lock()
+    stop = threading.Event()
+
+    def work() -> None:
+        while not stop.is_set():
+            with take:
+                position = next(positions, None)
+            if position is None:
+                return
+            try:
+                results[position] = _check_block(layout, checksums, position)
+            except BaseException as exc:  # re-raised below, in the caller's thread
+                raised[position] = exc
+                stop.set()
+
+    started = []
+    try:
+        for _ in range(min(n_blocks, _available_cpus()) - 1):
+            thread = threading.Thread(target=work, name="currikit-audit")
+            thread.start()
+            started.append(thread)
+        work()
+    finally:
+        stop.set()
+        for thread in started:
+            thread.join()
+    if raised:
+        raise raised[min(raised)]
+    return results
+
+
 def audit_shards(directory: str | os.PathLike[str]) -> AuditReport:
     """Re-verify a compiled corpus: sizes, checksums, the provenance file,
-    orphans and schedule constraints. Each file is read and hashed once."""
+    orphans and schedule constraints. Each file is read and hashed once, the
+    block files on one worker per available CPU; failures are listed in
+    position order."""
     manifest = read_manifest(directory)
     layout = ShardLayout(Path(directory))
     report = AuditReport(discards=manifest.metadata.get("discards", {}))
@@ -205,21 +283,9 @@ def audit_shards(directory: str | os.PathLike[str]) -> AuditReport:
         failures.append(
             BlockFailure(MANIFEST_NAME, "checksums is null; a compiled tree lists one per block")
         )
-    for position in range(manifest.n_blocks):
-        bin_path = layout.block_path(position)
-        report.blocks_checked += 1
-        if not bin_path.exists():
-            failures.append(BlockFailure(bin_path.name, "missing file"))
-            continue
-        size = bin_path.stat().st_size
-        if size != BLOCK_BYTES:
-            failures.append(BlockFailure(bin_path.name, f"size {size} != {BLOCK_BYTES}"))
-            continue
-        digest = _sha256_64((bin_path.read_bytes(),))
-        if checksums is not None and digest != checksums[position]:
-            failures.append(
-                BlockFailure(bin_path.name, f"checksum {digest} != manifest {checksums[position]}")
-            )
+    checked = _check_blocks(layout, checksums, manifest.n_blocks)
+    report.blocks_checked = len(checked)
+    failures.extend(f for f in checked if f is not None)
     if not layout.provenance_path.exists():
         failures.append(BlockFailure(PROVENANCE_NAME, "missing file"))
     else:

@@ -1,5 +1,9 @@
 import importlib.util
 import json
+import shutil
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -55,6 +59,92 @@ def test_audit_fails_on_corruption(compiled, tmp_path, capsys):
     victim.write_bytes(bytes(data))
     assert main(["audit", "--dir", str(broken)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+# The compiled fixture's discard accounting, as every ``audit --json`` of it prints it.
+_DISCARDS_JSON = (
+    '"discards": {"parallel:id": {"blocks": 9, "discarded_tokens": 18, "en_first": 7850, '
+    '"records": 15568, "replacement_token_delta": 0, "tokens_in": 2359314}, '
+    '"replay": {"blocks": 3, "discarded_tokens": 3567, "en_first": 0, "records": 181, '
+    '"replacement_token_delta": 0, "tokens_in": 789999}}'
+)
+
+
+def test_audit_json_of_a_passing_tree(compiled, capsys):
+    assert main(["audit", "--dir", str(compiled), "--json"]) == 0
+    assert capsys.readouterr().out == (
+        '{"blocks_checked": 12, "checksum_failures": [], ' + _DISCARDS_JSON + ', '
+        '"orphans": [], "passed": true, "schedule_violations": []}\n'
+    )
+
+
+def test_audit_json_of_a_failing_tree(compiled, tmp_path, capsys):
+    broken = tmp_path / "broken"
+    shutil.copytree(compiled, broken)
+    (broken / "block_00000003.bin").unlink()
+    victim = broken / "block_00000008.bin"
+    data = bytearray(victim.read_bytes())
+    data[0] ^= 0xFF
+    victim.write_bytes(bytes(data))
+    (broken / "stray.bin").write_bytes(b"")
+    doc = json.loads((broken / "manifest.json").read_text())
+    doc["entries"][doc["entries"].index("replay")] = "parallel:id"
+    (broken / "manifest.json").write_text(json.dumps(doc))
+    assert main(["audit", "--dir", str(broken), "--json"]) == 1
+    assert capsys.readouterr().out == (
+        '{"blocks_checked": 12, "checksum_failures": ['
+        '{"block_file": "block_00000003.bin", "reason": "missing file"}, '
+        '{"block_file": "block_00000008.bin", '
+        '"reason": "checksum bc76ab99e6724380 != manifest c825b40f75c6b9cc"}], '
+        + _DISCARDS_JSON + ', "orphans": ["stray.bin"], "passed": false, '
+        '"schedule_violations": [{"detail": "batch 0 has 0 replay blocks, want 1", '
+        '"positions": [0, 1, 2, 3], "rule": "replay-ratio"}]}\n'
+    )
+    assert main(["audit", "--dir", str(broken)]) == 1
+    assert capsys.readouterr().out.splitlines()[4:8] == [
+        "  block_00000003.bin: missing file",
+        "  block_00000008.bin: checksum bc76ab99e6724380 != manifest c825b40f75c6b9cc",
+        "  stray.bin: orphan, not named by the manifest",
+        "  replay-ratio @ [0,1,2,3]: batch 0 has 0 replay blocks, want 1",
+    ]
+
+
+def test_audit_read_error_is_one_error_line_and_leaves_no_thread(
+    compiled, monkeypatch, capsys
+):
+    read_bytes = Path.read_bytes
+
+    def failing_read_bytes(path):
+        if path.name == "block_00000005.bin":
+            raise OSError(5, "Input/output error", str(path))
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", failing_read_bytes)
+    before = threading.active_count()
+    assert main(["audit", "--dir", str(compiled)]) == 1
+    assert threading.active_count() == before
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: [Errno 5] Input/output error: '{compiled / 'block_00000005.bin'}'\n"
+    )
+
+
+def test_import_loads_no_concurrency_framework():
+    # Importing currikit is part of every command's start-up time; the audit's
+    # workers use threading, which logging loads anyway.
+    import currikit
+
+    src = str(Path(currikit.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import currikit; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing', 'asyncio') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
 
 
 @pytest.mark.parametrize("content", [b"[]", b"{not json", b"\xff\xfe"])
@@ -283,6 +373,24 @@ def test_stats_compiled_dir(compiled, capsys):
     assert main(["stats", "--dir", str(compiled)]) == 0
     out = capsys.readouterr().out
     assert "Total blocks: 12" in out
+
+
+def test_stats_json(compiled, corpus, capsys):
+    assert main(["stats", "--dir", str(compiled), "--json"]) == 0
+    assert capsys.readouterr().out == (
+        '{"by_language": {"-": {"replay": 3}, "id": {"parallel": 9}}, '
+        '"total_blocks": 12, "total_tokens": 3145728}\n'
+    )
+    assert main(["stats", "--config", str(corpus), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["tokenizer_id"] == "byte_fallback"
+    assert doc["parallel"] == {
+        "id": {"en_tokens": 1158796, "records": 18000, "skipped": 0, "tokens": 1158521}
+    }
+    assert doc["replay"] == {"en_tokens": 0, "records": 520, "skipped": 0, "tokens": 2289941}
+    assert sorted(doc["by_source"]) == [
+        "mono_id.txt", "pairs_en_id.tsv", "replay_0.jsonl", "replay_1.jsonl"
+    ]
 
 
 def test_compiled_corpus_has_expected_split(compiled):

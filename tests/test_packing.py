@@ -193,7 +193,7 @@ def test_block_checksum_and_provenance():
     blocks = list(pack_monolingual(docs, "id", SPEC))
     assert len(blocks) == 2
     for block in blocks:
-        assert block.verify_checksum()
+        assert block_checksum(block.ids) == block.checksum
     spans = blocks[0].provenance
     assert spans[0].source_id == "src.txt"
     assert spans[0].first_ordinal == 0

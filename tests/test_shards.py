@@ -2,8 +2,12 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -235,6 +239,114 @@ def _swap_in_block_from_another_compile(tmp_path):
     ours[position] = theirs[position]
     trees[0].provenance_path.write_text("".join(ours))
     return trees[0], trees[0].block_path(position).name
+
+
+@pytest.fixture(scope="module")
+def sixteen_blocks(tmp_path_factory):
+    manifest = build_schedule(Strategy.MIXED, 16 * BLOCK_TOKENS, ["id", "th"], 4, seed=10)
+    return write_tree(_block_streams(manifest, seed=10), manifest,
+                      tmp_path_factory.mktemp("sixteen") / "tree")
+
+
+@pytest.fixture
+def scattered_failures(sixteen_blocks, tmp_path):
+    """A copy of the 16-block tree with a flipped byte at position 2, a
+    missing block at 5, a directory in place of block 9 and a truncated
+    block at 14; returns the tree and the lines ``render`` must print."""
+    tree = tmp_path / "tree"
+    shutil.copytree(sixteen_blocks.directory, tree)
+    checksums = read_manifest(tree).checksums
+    flipped = tree / "block_00000002.bin"
+    data = bytearray(flipped.read_bytes())
+    data[4096] ^= 0x01
+    flipped.write_bytes(bytes(data))
+    (tree / "block_00000005.bin").unlink()
+    (tree / "block_00000009.bin").unlink()
+    (tree / "block_00000009.bin").mkdir()
+    truncated = tree / "block_00000014.bin"
+    truncated.write_bytes(truncated.read_bytes()[:-4])
+    return tree, [
+        "blocks checked: 16",
+        "checksum/size failures: 4",
+        "orphan files: 0",
+        "schedule violations: 0",
+        f"  block_00000002.bin: checksum {_sha256_16(bytes(data))} != manifest {checksums[2]}",
+        "  block_00000005.bin: missing file",
+        f"  block_00000009.bin: size {(tree / 'block_00000009.bin').stat().st_size} != 1048576",
+        "  block_00000014.bin: size 1048572 != 1048576",
+        "audit: FAIL",
+    ]
+
+
+def _count_started_threads(monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 16])
+def test_audit_lists_scattered_failures_in_position_order_on_any_worker_count(
+    scattered_failures, monkeypatch, cpus
+):
+    tree, lines = scattered_failures
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    started = _count_started_threads(monkeypatch)
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        report = audit_shards(tree)
+    finally:
+        sys.setswitchinterval(interval)
+    assert report.render().splitlines() == lines
+    assert report.blocks_checked == 16
+    assert len(started) == min(16, cpus) - 1
+    assert threading.active_count() == before
+    assert not any(thread.is_alive() for thread in started)
+
+
+def test_audit_counts_every_cpu_where_there_is_no_affinity_mask(
+    sixteen_blocks, monkeypatch
+):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    started = _count_started_threads(monkeypatch)
+    assert audit_shards(sixteen_blocks.directory).passed
+    assert len(started) == 2
+
+
+@pytest.mark.parametrize("cpus", [1, 16])
+def test_audit_raises_the_read_error_of_the_lowest_position(sixteen_blocks, monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    read_bytes = Path.read_bytes
+    read = []
+    later_failed = threading.Event()
+
+    def failing_read_bytes(path):
+        if path.name == "block_00000011.bin":
+            later_failed.set()
+            raise OSError(5, "Input/output error", str(path))
+        if path.name == "block_00000006.bin":
+            if cpus > 1:  # the higher position raises first
+                assert later_failed.wait(timeout=30)
+            raise OSError(5, "Input/output error", str(path))
+        read.append(path.name)
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", failing_read_bytes)
+    before = threading.active_count()
+    with pytest.raises(OSError) as err:
+        audit_shards(sixteen_blocks.directory)
+    assert err.value.filename == str(sixteen_blocks.block_path(6))
+    assert threading.active_count() == before
+    if cpus == 1:
+        assert read == [f"block_{i:08d}.bin" for i in range(6)]
 
 
 def test_audit_flags_block_and_record_swapped_in_from_another_compile(tmp_path):
