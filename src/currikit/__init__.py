@@ -54,7 +54,6 @@ from .shards import (
     AuditReport,
     ShardLayout,
     audit_shards,
-    commit_manifest,
     shard_stats,
     write_shards,
 )

@@ -11,9 +11,11 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
+from typing import Callable
 
-from .corpus import load_corpus_config, read_parallel, corpus_stats
+from .corpus import corpus_stats, language, load_corpus_config, read_parallel
 from .evaluate import (
     ResultTable,
     aggregate,
@@ -22,38 +24,58 @@ from .evaluate import (
     paired_bootstrap,
     read_lines,
 )
+from .packing import BLOCK_TOKENS
 from .pipeline import compile_corpus
 from .schedule import REPLAY_DIVISOR, Strategy
 from .shards import audit_shards, shard_stats
 from .tokenizer import resolve_spec
 
 
-def positive_int(text: str) -> int:
-    """argparse type for a count that must be at least 1."""
+def _int_flag(text: str, ok: Callable[[int], bool], expected: str) -> int:
+    """``text`` as an integer that ``ok`` accepts, else the argparse error."""
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        value = None
+    if value is None or not ok(value):
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
     return value
+
+
+def positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1."""
+    return _int_flag(text, lambda v: v >= 1, "a positive integer")
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type for a count that may be 0."""
+    return _int_flag(text, lambda v: v >= 0, "a non-negative integer")
 
 
 def batch_blocks(text: str) -> int:
     """argparse type for blocks per batch: a positive multiple of REPLAY_DIVISOR."""
+    return _int_flag(
+        text, lambda v: v >= 1 and v % REPLAY_DIVISOR == 0,
+        f"a positive multiple of {REPLAY_DIVISOR}",
+    )
+
+
+def _language_code(text: str) -> str:
+    """argparse type for one known ISO code."""
     try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1 or value % REPLAY_DIVISOR:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive multiple of {REPLAY_DIVISOR}, got {text!r}"
-        )
-    return value
+        return language(text).code
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _language_codes(text: str) -> list[str]:
+    """argparse type for known ISO codes separated by commas."""
+    return [_language_code(code) for code in text.split(",")]
 
 
 def _inline_scores(text: str) -> dict[str, float]:
-    """argparse type for ``code=score`` items separated by commas, each code once."""
+    """argparse type for ``code=score`` items separated by commas, each known
+    code once, each score finite."""
     mapping: dict[str, float] = {}
     for item in text.split(","):
         code, _, value = item.partition("=")
@@ -64,6 +86,9 @@ def _inline_scores(text: str) -> dict[str, float]:
             score = None
         if not code or score is None:
             raise argparse.ArgumentTypeError(f"expected code=score, got {item!r}")
+        code = _language_code(code)
+        if not math.isfinite(score):
+            raise argparse.ArgumentTypeError(f"score of {code!r} is {score}, not a finite number")
         if code in mapping:
             raise argparse.ArgumentTypeError(f"{code!r} is scored twice, again in {item!r}")
         mapping[code] = score
@@ -86,7 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--strategy", required=True, choices=[s.value for s in Strategy]
     )
-    p.add_argument("--budget-tokens", required=True, type=int)
+    p.add_argument("--budget-tokens", required=True, type=positive_int,
+                   help="tokens to place, at least one batch of blocks")
     p.add_argument("--batch-blocks", type=batch_blocks, default=8,
                    help="blocks per optimizer step (8 or 16 in the studied regimes)")
     p.add_argument("--seed", type=int, default=0)
@@ -95,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="'byte_fallback' or a vocabulary file path")
     p.add_argument("--labels", choices=("name", "code"), default="name",
                    help="segment label style for parallel formatting")
-    p.add_argument("--languages", default=None,
+    p.add_argument("--languages", type=_language_codes, default=None,
                    help="comma-separated ISO codes (default: inferred from config)")
 
     p = sub.add_parser("audit", help="re-verify a compiled corpus")
@@ -111,9 +137,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prompts", help="assemble fixed few-shot translation prompts")
     p.add_argument("--dev", required=True, help="bitext file supplying exemplars")
     p.add_argument("--test", required=True, help="bitext file to prompt over")
-    p.add_argument("--source-lang", required=True)
-    p.add_argument("--target-lang", required=True)
-    p.add_argument("-k", "--shots", type=int, default=5)
+    p.add_argument("--source-lang", required=True, type=_language_code)
+    p.add_argument("--target-lang", required=True, type=_language_code)
+    p.add_argument("-k", "--shots", type=_non_negative_int, default=5)
     p.add_argument("--labels", choices=("name", "code"), default="name")
     p.add_argument("--out", required=True, help="output JSONL path")
 
@@ -143,8 +169,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """The checks between flags that need no input; each fails as argparse does."""
+    if args.command == "compile" and args.budget_tokens < args.batch_blocks * BLOCK_TOKENS:
+        parser.error(
+            f"argument --budget-tokens: {args.budget_tokens} is below one batch "
+            f"({args.batch_blocks} x {BLOCK_TOKENS} tokens)"
+        )
+    if args.command == "prompts" and (args.source_lang == "en") == (args.target_lang == "en"):
+        parser.error("argument --target-lang: the direction must pair English with a SEA language")
+
+
 def _cmd_compile(args: argparse.Namespace) -> int:
-    languages = args.languages.split(",") if args.languages else None
     result = compile_corpus(
         sources=args.config,
         strategy=args.strategy,
@@ -154,7 +190,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         out_dir=args.out,
         tokenizer_ref=args.tokenizer,
         label_style=args.labels,
-        languages=languages,
+        languages=args.languages,
     )
     m = result.manifest
     print(
@@ -267,7 +303,9 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    _check_flags(parser, args)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, RuntimeError, OSError) as exc:

@@ -316,7 +316,6 @@ class SampleReport:
 
     quota: float = 0.0
     drawn_tokens: dict[int, int] = field(default_factory=dict)
-    drawn_records: dict[int, int] = field(default_factory=dict)
     deficits: dict[int, int] = field(default_factory=dict)
 
     @property
@@ -349,7 +348,6 @@ def sample_uniform(
     report = report if report is not None else SampleReport()
     report.quota = quota
     report.drawn_tokens = drawn = dict.fromkeys(range(n), 0)
-    report.drawn_records = records = dict.fromkeys(range(n), 0)
     report.deficits = {}
     iters = [iter(s) for s in sources]
     done = [quota <= 0] * n
@@ -366,7 +364,6 @@ def sample_uniform(
                     report.deficits[i] = math.ceil(quota - drawn[i])
                 continue
             drawn[i] += _measure(item, spec)
-            records[i] += 1
             emitted_any = True
             yield item
             if drawn[i] >= quota:

@@ -7,9 +7,10 @@ data are drawn token-uniformly across their source files; parallel files
 for one language are concatenated in configuration order.
 
 Every reader gets a ``ReadCounter`` and every sampled group keeps its
-``SampleReport``. Once the block stream is drained, the pack reports and
-these counts go into the manifest's ``metadata`` (``discards`` and
-``sources``), and only then is the manifest written. A replacement
+``SampleReport``. ``write_shards`` takes one generator of the schedule's
+blocks, which after the last one pulls no stream again and puts the pack
+reports and these counts into the manifest's ``metadata`` (``discards`` and
+``sources``), before ``write_shards`` writes the manifest. A replacement
 stream's ``sources`` list its parallel files, then its monolingual files.
 
 The tree records each flag once, in the manifest, and no path: the same
@@ -50,7 +51,7 @@ from .schedule import (
     Strategy,
     build_schedule,
 )
-from .shards import ShardLayout, commit_manifest, write_shards
+from .shards import ShardLayout, write_shards
 from .tokenizer import TokenizerSpec, resolve_spec
 
 # The source kinds each non-replay block kind is read from; replacement
@@ -170,9 +171,9 @@ def compile_corpus(
 ) -> CompileResult:
     """Compile one strategy at one seed into a shard directory.
 
-    The manifest is written last, so a directory with a manifest is always
-    complete. Identical inputs, flags, and seed produce a byte-identical
-    tree.
+    ``write_shards`` writes the tree and the manifest last, so a directory
+    with a manifest is always complete. Identical inputs, flags, and seed
+    produce a byte-identical tree.
     """
     strategy = Strategy(strategy)
     if label_style not in LABEL_STYLES:
@@ -240,23 +241,22 @@ def compile_corpus(
                     f"{key} stream exhausted at schedule position {position}: "
                     f"corpus too small for the requested budget"
                 ) from None
+        # No stream is pulled again: every count below is final.
+        manifest.metadata["discards"] = {
+            key: {
+                "records": r.records,
+                "tokens_in": r.tokens_in,
+                "blocks": r.blocks,
+                "discarded_tokens": r.unused_tokens,
+                "en_first": r.en_first,
+                "replacement_token_delta": r.replacement_token_delta,
+            }
+            for key, r in sorted(reports.items())
+        }
+        manifest.metadata["sources"] = {
+            key: [read.to_json() for read in stream_reads]
+            for key, stream_reads in sorted(reads.items())
+        }
 
     layout = write_shards(block_stream(), manifest, out_dir)
-    # The streams are drained: every count below is final.
-    manifest.metadata["discards"] = {
-        key: {
-            "records": r.records,
-            "tokens_in": r.tokens_in,
-            "blocks": r.blocks,
-            "discarded_tokens": r.unused_tokens,
-            "en_first": r.en_first,
-            "replacement_token_delta": r.replacement_token_delta,
-        }
-        for key, r in sorted(reports.items())
-    }
-    manifest.metadata["sources"] = {
-        key: [read.to_json() for read in stream_reads]
-        for key, stream_reads in sorted(reads.items())
-    }
-    commit_manifest(layout, manifest)
     return CompileResult(layout=layout, manifest=manifest, reports=reports)

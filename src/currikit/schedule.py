@@ -56,7 +56,6 @@ REPLAY_DIVISOR = 4  # one block in four is replay, in every batch
 MAX_PERMUTATION_ATTEMPTS = 1_000
 
 MANIFEST_FORMAT = "curriculum-manifest-v5"
-MANIFEST_NAME = "manifest.json"
 LABEL_STYLES = ("name", "code")
 
 _CHECKSUMS = re.compile(r"(?:[0-9a-f]{16})*")
@@ -129,8 +128,8 @@ class CurriculumManifest:
     metadata: dict = field(default_factory=dict)
     label_style: str = "name"
     # The bare 16-hex SHA-256-64 of each block file in schedule order and of
-    # the provenance file, filled by write_shards; None for a schedule that
-    # has not been compiled.
+    # the provenance file, filled by write_shards just before it writes the
+    # manifest; None for a schedule that has not been compiled.
     checksums: list[str] | None = None
     provenance_checksum: str | None = None
 

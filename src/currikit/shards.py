@@ -1,12 +1,14 @@
 """Bit-exact on-disk layout for compiled corpora.
 
 A tree holds one file per block (little-endian uint32 ids, exactly
-1,048,576 bytes), one provenance file and the manifest, written last as the
-commit marker: a directory containing a manifest is guaranteed to contain
-every block it names. Every fact is stored once: the manifest holds the
-schedule and the checksums, ``provenance.jsonl`` holds one line per block
-in position order, a compact sorted-key JSON array of the block's
-``{"source", "first", "last"}`` record spans.
+1,048,576 bytes), one provenance file and the manifest. ``write_shards`` is
+the one writer of a tree: it takes the block stream and the manifest, and
+writes the manifest last, once the stream has ended, as the commit marker:
+a directory containing a manifest is guaranteed to contain every block it
+names. Every fact is stored once: the manifest holds the schedule and the
+checksums, ``provenance.jsonl`` holds one line per block in position
+order, a compact sorted-key JSON array of the block's ``{"source",
+"first", "last"}`` record spans.
 
 A file's checksum is SHA-256-64: the first 16 hex digits of its SHA-256,
 which ``sha256sum FILE | cut -c1-16`` prints. The manifest lists the
@@ -34,9 +36,10 @@ import numpy as np
 from .corpus import LANGUAGES, SEA_CODES
 from .packing import BLOCK_TOKENS, TokenBlock, _sha256_64
 from .packing import fnv1a64  # noqa: F401  the benchmark's tracer looks up shards.fnv1a64
-from .schedule import MANIFEST_NAME, CurriculumManifest, Violation, validate_schedule
+from .schedule import CurriculumManifest, Violation, validate_schedule
 
 BLOCK_BYTES = BLOCK_TOKENS * 4
+MANIFEST_NAME = "manifest.json"
 PROVENANCE_NAME = "provenance.jsonl"
 
 
@@ -81,16 +84,17 @@ def write_shards(
     manifest: CurriculumManifest,
     directory: str | os.PathLike[str],
 ) -> ShardLayout:
-    """Persist a block stream whose order matches the manifest entries.
+    """Write a tree from a block stream whose order matches the manifest.
 
     Writes every block and its provenance line as it arrives, the lines to
-    ``provenance.jsonl.tmp``. Once the stream has ended where the manifest
-    does, that file is hashed and replaces ``provenance.jsonl``; then
-    ``manifest.checksums`` and ``manifest.provenance_checksum`` are filled.
-    It never writes the manifest: the caller finishes it and writes it with
-    ``commit_manifest``. A kind mismatch or a count mismatch raises before
-    either, and any exception removes the temporary file, so a crashed or
-    inconsistent run never looks complete.
+    ``provenance.jsonl.tmp``. After the last entry the stream is pulled once
+    more and must end there; that pull runs whatever the stream does after
+    its last block, such as filling ``manifest.metadata``. Then the file is
+    hashed and replaces ``provenance.jsonl``, ``manifest.checksums`` and
+    ``manifest.provenance_checksum`` are filled, and ``manifest.json`` is
+    written last, the marker that the tree is complete. A kind or count
+    mismatch raises before any of these, and any exception removes the
+    temporary file, so a crashed or inconsistent run never looks complete.
     """
     layout = ShardLayout(Path(directory))
     layout.directory.mkdir(parents=True, exist_ok=True)
@@ -133,12 +137,8 @@ def write_shards(
         partial.unlink(missing_ok=True)
     manifest.checksums = checksums
     manifest.provenance_checksum = provenance_checksum
-    return layout
-
-
-def commit_manifest(layout: ShardLayout, manifest: CurriculumManifest) -> None:
-    """Write the manifest, the marker that the tree is complete."""
     layout.manifest_path.write_text(manifest.to_json(), encoding="utf-8")
+    return layout
 
 
 def read_manifest(directory: str | os.PathLike[str]) -> CurriculumManifest:

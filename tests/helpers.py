@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from currikit import evaluate, packing, rng, schedule, shards
+from currikit import evaluate, packing, rng, schedule
 from currikit.corpus import EN, Document, SentencePair, language
 from currikit.rng import hash64
 from currikit.tokenizer import EOT_TEXT, TokenizerError, encode
@@ -55,13 +55,6 @@ def tree_digest(directory, pattern="*"):
             digest.update(path.name.encode())
             digest.update(path.read_bytes())
     return digest.hexdigest()
-
-
-def write_tree(blocks, manifest, directory):
-    """A finished tree: every block and record, then the manifest."""
-    layout = shards.write_shards(blocks, manifest, directory)
-    shards.commit_manifest(layout, manifest)
-    return layout
 
 
 def greedy_encode(text, spec):

@@ -54,3 +54,24 @@ def test_readers_fill_a_positional_counter(tmp_path):
         counter = ReadCounter()
         list(reader(path, "id", counter))
         assert (counter.records, counter.emitted, counter.skipped) == want, reader.__name__
+
+
+def test_tracer_counts_the_pack_reports_of_a_compile(perfbench, tmp_path):
+    """The tracer reads ``CompileResult.reports`` through a default, so a
+    compile that stopped returning them would count 0 tokens, not fail."""
+    from currikit import cli
+    from currikit.synthetic import write_corpus
+
+    spans, _ = perfbench
+    config = write_corpus(tmp_path / "corpus", languages=("id",), n_pairs=6000, seed=1)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["compile", "--config", str(config), "--strategy", "parallel-only",
+                         "--budget-tokens", "1048576", "--batch-blocks", "4",
+                         "--out", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.counters["packing.tokens_in"] > 0
+    assert tracer.counters["packing.placed_tokens"] > 0

@@ -543,6 +543,8 @@ def test_aggregate_subcommand_json_file(tmp_path, capsys):
         ("id=abc", "expected code=score, got 'id=abc'"),
         ("id", "expected code=score, got 'id'"),
         ("id=1,id=2", "'id' is scored twice, again in 'id=2'"),
+        ("xx=1", "unknown language code 'xx'"),
+        ("id=1,th=nan", "score of 'th' is nan, not a finite number"),
     ],
 )
 def test_aggregate_rejects_bad_inline_scores(scores, message, capsys):
@@ -560,6 +562,50 @@ def test_compile_rejects_bad_batch_blocks_before_reading(batch, tmp_path, capsys
               "--out", str(tmp_path / "out")])
     assert err.value.code == 2
     assert "argument --batch-blocks: expected a positive multiple of 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--budget-tokens", "-5"],
+         "argument --budget-tokens: expected a positive integer, got '-5'"),
+        (["--budget-tokens", "1000", "--batch-blocks", "4"],
+         f"argument --budget-tokens: 1000 is below one batch (4 x {BLOCK_TOKENS} tokens)"),
+        (["--budget-tokens", "1048576", "--batch-blocks", "8"],
+         f"argument --budget-tokens: 1048576 is below one batch (8 x {BLOCK_TOKENS} tokens)"),
+        (["--budget-tokens", "1048576", "--languages", "xx"],
+         "argument --languages: unknown language code 'xx'"),
+        (["--budget-tokens", "1048576", "--languages", "id,"],
+         "argument --languages: unknown language code ''"),
+    ],
+)
+def test_compile_rejects_bad_flags_before_reading(flags, message, tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["compile", "--config", str(tmp_path / "missing.json"), "--strategy", "mixed",
+              "--out", str(tmp_path / "out"), *flags])
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["-k", "-1"], "argument -k/--shots: expected a non-negative integer, got '-1'"),
+        (["--source-lang", "xx"], "argument --source-lang: unknown language code 'xx'"),
+        (["--target-lang", "xx"], "argument --target-lang: unknown language code 'xx'"),
+        (["--source-lang", "id", "--target-lang", "th"],
+         "argument --target-lang: the direction must pair English with a SEA language"),
+    ],
+)
+def test_prompts_rejects_bad_flags_before_reading(flags, message, tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["prompts", "--dev", str(tmp_path / "missing_dev.tsv"),
+              "--test", str(tmp_path / "missing_test.tsv"), "--source-lang", "en",
+              "--target-lang", "id", "--out", str(tmp_path / "prompts.jsonl"), *flags])
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "prompts.jsonl").exists()
 
 
 def test_compile_all_strategies_rejects_bad_batch_blocks(tmp_path, capsys):

@@ -495,7 +495,6 @@ def test_sampled_bpe_documents_are_matched_once():
     assert (report.quota, report.deficits) == (200, {})
     for index, name in enumerate(names):
         mine = [d for d in drawn if d.source_id == name]
-        assert report.drawn_records[index] == len(mine)
         tokens = sum(len(greedy_encode(d.text, ORACLE_BPE)) for d in mine)
         assert report.drawn_tokens[index] == tokens
 

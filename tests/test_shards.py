@@ -25,7 +25,6 @@ from currikit.shards import (
     ConsistencyError,
     LayoutError,
     audit_shards,
-    commit_manifest,
     iter_block_ids,
     read_manifest,
     shard_stats,
@@ -33,7 +32,7 @@ from currikit.shards import (
 )
 from currikit.synthetic import write_corpus
 from currikit.tokenizer import BYTE_FALLBACK
-from helpers import make_doc, make_pair, tree_digest, write_tree
+from helpers import make_doc, make_pair, tree_digest
 
 
 def _sha256_16(data):
@@ -72,7 +71,7 @@ def small_corpus(tmp_path_factory):
     manifest = build_schedule(
         Strategy.MULTILINGUAL, 8 * BLOCK_TOKENS, ["id", "th"], 4, seed=1
     )
-    layout = write_tree(_block_streams(manifest), manifest, out)
+    layout = write_shards(_block_streams(manifest), manifest, out)
     return layout
 
 
@@ -99,21 +98,42 @@ def test_iter_block_ids_roundtrip(small_corpus):
 
 def test_rewrite_is_byte_identical(tmp_path):
     manifest = build_schedule(Strategy.MULTILINGUAL, 4 * BLOCK_TOKENS, ["id"], 4, seed=2)
-    write_tree(_block_streams(manifest), manifest, tmp_path / "a")
-    write_tree(_block_streams(manifest), manifest, tmp_path / "b")
+    write_shards(_block_streams(manifest), manifest, tmp_path / "a")
+    write_shards(_block_streams(manifest), manifest, tmp_path / "b")
     assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
 
 
-def test_write_shards_fills_checksums_and_leaves_the_manifest_to_the_caller(tmp_path):
+def test_write_shards_writes_the_manifest_as_the_stream_finished_it(tmp_path):
     manifest = build_schedule(Strategy.MULTILINGUAL, 4 * BLOCK_TOKENS, ["id"], 4, seed=2)
-    layout = write_shards(_block_streams(manifest), manifest, tmp_path / "w")
-    assert not layout.manifest_path.exists()
+
+    def finishing():
+        yield from _block_streams(manifest)
+        manifest.metadata["closing"] = {"blocks": manifest.n_blocks}
+
+    layout = write_shards(finishing(), manifest, tmp_path / "w")
     assert manifest.checksums == [
         _sha256_16(layout.block_path(i).read_bytes()) for i in range(manifest.n_blocks)
     ]
     assert manifest.provenance_checksum == _sha256_16(layout.provenance_path.read_bytes())
-    commit_manifest(layout, manifest)
+    assert manifest.metadata == {"closing": {"blocks": 4}}
+    assert layout.manifest_path.read_text(encoding="utf-8") == manifest.to_json()
     assert audit_shards(layout.directory).passed
+
+
+def test_stream_that_raises_after_its_last_block_leaves_no_manifest(tmp_path):
+    manifest = build_schedule(Strategy.MULTILINGUAL, 4 * BLOCK_TOKENS, ["id"], 4, seed=3)
+
+    def failing():
+        yield from _block_streams(manifest)
+        raise RuntimeError("accounting failed")
+
+    out = tmp_path / "closing"
+    with pytest.raises(RuntimeError, match="accounting failed"):
+        write_shards(failing(), manifest, out)
+    assert sorted(p.name for p in out.iterdir()) == [
+        f"block_{i:08d}.bin" for i in range(manifest.n_blocks)
+    ]
+    assert manifest.checksums is None
 
 
 def test_kind_mismatch_names_position_and_leaves_no_manifest(tmp_path):
@@ -125,7 +145,7 @@ def test_kind_mismatch_names_position_and_leaves_no_manifest(tmp_path):
     blocks[swap - 1], blocks[swap] = blocks[swap], blocks[swap - 1]
     out = tmp_path / "bad"
     with pytest.raises(ConsistencyError) as err:
-        write_tree(blocks, manifest, out)
+        write_shards(blocks, manifest, out)
     assert err.value.position == swap - 1
     assert not (out / "manifest.json").exists()
     assert not (out / "provenance.jsonl").exists()
@@ -135,7 +155,7 @@ def test_short_stream_raises_and_leaves_no_manifest(tmp_path):
     manifest = build_schedule(Strategy.MULTILINGUAL, 4 * BLOCK_TOKENS, ["id"], 4, seed=3)
     blocks = list(_block_streams(manifest))[:2]
     with pytest.raises(ConsistencyError) as err:
-        write_tree(blocks, manifest, tmp_path / "short")
+        write_shards(blocks, manifest, tmp_path / "short")
     assert err.value.position == 2
     assert not (tmp_path / "short" / "manifest.json").exists()
     assert not (tmp_path / "short" / "provenance.jsonl").exists()
@@ -156,7 +176,7 @@ def test_stream_that_raises_midway_leaves_no_provenance_temp_file(tmp_path):
 
 def test_audit_flags_truncated_block(tmp_path):
     manifest = build_schedule(Strategy.MULTILINGUAL, 4 * BLOCK_TOKENS, ["id"], 4, seed=4)
-    layout = write_tree(_block_streams(manifest), manifest, tmp_path / "t")
+    layout = write_shards(_block_streams(manifest), manifest, tmp_path / "t")
     victim = layout.block_path(2)
     victim.write_bytes(victim.read_bytes()[:-4])
     report = audit_shards(layout.directory)
@@ -169,7 +189,7 @@ def test_audit_flags_truncated_block(tmp_path):
 
 def test_audit_flags_flipped_byte(tmp_path):
     manifest = build_schedule(Strategy.MULTILINGUAL, 4 * BLOCK_TOKENS, ["id"], 4, seed=5)
-    layout = write_tree(_block_streams(manifest), manifest, tmp_path / "f")
+    layout = write_shards(_block_streams(manifest), manifest, tmp_path / "f")
     victim = layout.block_path(1)
     data = bytearray(victim.read_bytes())
     data[100] ^= 0xFF
@@ -185,7 +205,7 @@ def test_audit_flags_flipped_byte(tmp_path):
 def test_provenance_file_holds_each_blocks_spans(tmp_path):
     manifest = build_schedule(Strategy.MIXED, 8 * BLOCK_TOKENS, ["id"], 4, seed=14)
     blocks = list(_block_streams(manifest, seed=14))
-    layout = write_tree(blocks, manifest, tmp_path / "p")
+    layout = write_shards(blocks, manifest, tmp_path / "p")
     data = layout.provenance_path.read_bytes()
     assert data.decode("utf-8").splitlines() == [
         json.dumps(
@@ -228,7 +248,7 @@ def _swap_in_block_from_another_compile(tmp_path):
     trees = []
     for seed in (1, 2):
         manifest = build_schedule(Strategy.PARALLEL_ONLY, 8 * BLOCK_TOKENS, ["id"], 4, seed=seed)
-        trees.append(write_tree(_block_streams(manifest, seed), manifest, tmp_path / f"s{seed}"))
+        trees.append(write_shards(_block_streams(manifest, seed), manifest, tmp_path / f"s{seed}"))
     ours, theirs = (read_manifest(t.directory) for t in trees)
     position = next(
         i for i, (a, b) in enumerate(zip(ours.entries, theirs.entries))
@@ -244,7 +264,7 @@ def _swap_in_block_from_another_compile(tmp_path):
 @pytest.fixture(scope="module")
 def sixteen_blocks(tmp_path_factory):
     manifest = build_schedule(Strategy.MIXED, 16 * BLOCK_TOKENS, ["id", "th"], 4, seed=10)
-    return write_tree(_block_streams(manifest, seed=10), manifest,
+    return write_shards(_block_streams(manifest, seed=10), manifest,
                       tmp_path_factory.mktemp("sixteen") / "tree")
 
 
@@ -382,9 +402,9 @@ def test_audit_flags_v3_manifest_without_checksums(small_corpus, tmp_path):
 
 def test_audit_flags_orphan_files(tmp_path):
     big = build_schedule(Strategy.MULTILINGUAL, 8 * BLOCK_TOKENS, ["id"], 4, seed=1)
-    write_tree(_block_streams(big), big, tmp_path / "t")
+    write_shards(_block_streams(big), big, tmp_path / "t")
     small = build_schedule(Strategy.MULTILINGUAL, 4 * BLOCK_TOKENS, ["id"], 4, seed=1)
-    write_tree(_block_streams(small), small, tmp_path / "t")
+    write_shards(_block_streams(small), small, tmp_path / "t")
     strays = [
         "block_x.bin", "block_000000001.bin", "block_1.meta.json",
         "block_00000000.meta.json", "run_config.json",
@@ -405,7 +425,7 @@ def test_audit_missing_manifest_raises(tmp_path):
 
 def test_audit_flags_schedule_violation(tmp_path):
     manifest = build_schedule(Strategy.PARALLEL_ONLY, 8 * BLOCK_TOKENS, ["id"], 4, seed=6)
-    layout = write_tree(_block_streams(manifest), manifest, tmp_path / "v")
+    layout = write_shards(_block_streams(manifest), manifest, tmp_path / "v")
     # corrupt the manifest's replay accounting: replace a replay entry kind
     doc = json.loads(layout.manifest_path.read_text())
     doc["entries"][doc["entries"].index("replay")] = "parallel:id"
@@ -417,7 +437,7 @@ def test_audit_flags_schedule_violation(tmp_path):
 
 def test_shard_stats_twelve_block_parallel_only(tmp_path):
     manifest = build_schedule(Strategy.PARALLEL_ONLY, 12 * BLOCK_TOKENS, ["id"], 4, seed=7)
-    write_tree(_block_streams(manifest), manifest, tmp_path / "s")
+    write_shards(_block_streams(manifest), manifest, tmp_path / "s")
     stats = shard_stats(tmp_path / "s")
     assert stats.by_language["id"]["parallel"] == 9
     assert stats.by_language["-"]["replay"] == 3
@@ -428,7 +448,7 @@ def test_shard_stats_twelve_block_parallel_only(tmp_path):
 
 def test_shard_stats_totals_are_conserved(tmp_path):
     manifest = build_schedule(Strategy.MIXED, 8 * BLOCK_TOKENS, ["id", "th"], 4, seed=8)
-    write_tree(_block_streams(manifest), manifest, tmp_path / "c")
+    write_shards(_block_streams(manifest), manifest, tmp_path / "c")
     stats = shard_stats(tmp_path / "c")
     summed = sum(sum(row.values()) for row in stats.by_language.values())
     assert summed == stats.total_blocks == 8
