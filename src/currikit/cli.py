@@ -26,7 +26,7 @@ from .evaluate import (
 )
 from .packing import BLOCK_TOKENS
 from .pipeline import compile_corpus
-from .schedule import REPLAY_DIVISOR, Strategy
+from .schedule import REPLAY_DIVISOR, STRATEGY_KINDS, Strategy
 from .shards import audit_shards, shard_stats
 from .tokenizer import resolve_spec
 
@@ -175,6 +175,14 @@ def _check_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> N
         parser.error(
             f"argument --budget-tokens: {args.budget_tokens} is below one batch "
             f"({args.batch_blocks} x {BLOCK_TOKENS} tokens)"
+        )
+    if (
+        args.command == "compile"
+        and "en" in (args.languages or ())
+        and STRATEGY_KINDS[Strategy(args.strategy)] != ("monolingual",)
+    ):
+        parser.error(
+            f"argument --languages: English is implicit in {args.strategy}; list SEA languages"
         )
     if args.command == "prompts" and (args.source_lang == "en") == (args.target_lang == "en"):
         parser.error("argument --target-lang: the direction must pair English with a SEA language")

@@ -15,7 +15,9 @@ boundaries, and the records read are those a record-by-record packer reads.
 A document that a sampler already encoded is packed from its ids. A block's
 ``uint32`` ids are converted from the byte accumulator, or for ``bpe_file``
 are a view of the replaced one. The final partial accumulator is discarded
-and its size reported, never padded.
+and its size reported, never padded. A block is its ids, its kind and its
+provenance: the tree writer hashes it as it writes it, and
+``block_checksum`` is the reference for that digest.
 
 Parallel segments are rendered as two labeled lines::
 
@@ -128,7 +130,8 @@ def _sha256_64(chunks: Iterable) -> str:
 def block_checksum(ids: np.ndarray) -> int:
     """SHA-256-64 of the block's little-endian uint32 bytes, as an integer:
     ``f"{checksum:016x}"`` is the start of what ``sha256sum`` prints for the
-    block file."""
+    block file, and the manifest's entry for it. The packer does not call
+    it; ``shards.write_shards`` hashes the same bytes."""
     return int(_sha256_64((ids.astype("<u4", copy=False),)), 16)
 
 
@@ -143,7 +146,6 @@ class ProvenanceSpan:
 class TokenBlock:
     ids: np.ndarray  # uint32, exactly BLOCK_TOKENS entries
     kind: BlockKind
-    checksum: int
     provenance: tuple[ProvenanceSpan, ...]
 
     def __post_init__(self) -> None:
@@ -287,9 +289,7 @@ def _pack(
             acc = acc[block_bytes:]
             sources, ordinals = (sources[-1:], ordinals[-1:]) if acc else ([], [])
             report.blocks += 1
-            yield TokenBlock(
-                ids=block, kind=kind, checksum=block_checksum(block), provenance=provenance
-            )
+            yield TokenBlock(ids=block, kind=kind, provenance=provenance)
 
 
 def _documents(

@@ -12,6 +12,8 @@ blocks, which after the last one pulls no stream again and puts the pack
 reports and these counts into the manifest's ``metadata`` (``discards`` and
 ``sources``), before ``write_shards`` writes the manifest. A replacement
 stream's ``sources`` list its parallel files, then its monolingual files.
+The packers only build blocks: ``write_shards`` hashes and writes each one
+on its writer thread while this thread packs the next.
 
 The tree records each flag once, in the manifest, and no path: the same
 corpus, flags and seed give the same bytes wherever the tree is written.

@@ -5,10 +5,13 @@ A tree holds one file per block (little-endian uint32 ids, exactly
 the one writer of a tree: it takes the block stream and the manifest, and
 writes the manifest last, once the stream has ended, as the commit marker:
 a directory containing a manifest is guaranteed to contain every block it
-names. Every fact is stored once: the manifest holds the schedule and the
-checksums, ``provenance.jsonl`` holds one line per block in position
-order, a compact sorted-key JSON array of the block's ``{"source",
-"first", "last"}`` record spans.
+names. Block files are hashed and written on one writer thread while the
+stream builds the next block (``hashlib`` and file writes release the
+interpreter lock); everything else stays on the calling thread. Every fact
+is stored once: the manifest holds the schedule and the checksums,
+``provenance.jsonl`` holds one line per block in position order, a compact
+sorted-key JSON array of the block's ``{"source", "first", "last"}`` record
+spans.
 
 A file's checksum is SHA-256-64: the first 16 hex digits of its SHA-256,
 which ``sha256sum FILE | cut -c1-16`` prints. The manifest lists the
@@ -79,6 +82,72 @@ def _provenance_line(block: TokenBlock) -> str:
     return json.dumps(spans, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+class _BlockWriter:
+    """Hashes and writes block files on one thread, ``currikit-write``, in
+    the order they are handed in, and lists each file's SHA-256-64 in
+    ``checksums``.
+
+    ``put`` hands the thread one block's bytes and waits only while an
+    earlier block is still waiting, so at most one block waits while
+    another is being written. After a hash or write fails, the thread takes
+    no further block and ``put`` raises that error. Leaving the ``with``
+    block lets the thread write every block already handed in, joins it,
+    and raises its error, ahead of any exception the block raised. The thread
+    calls ``_sha256_64`` and file writes only, both of which release the
+    interpreter lock, and nothing that a tracer of the calling thread may
+    have wrapped.
+    """
+
+    def __init__(self, layout: ShardLayout):
+        self.checksums: list[str] = []
+        self._layout = layout
+        self._waiting: tuple[int, np.ndarray] | None = None
+        self._closed = False
+        self._error: BaseException | None = None
+        self._changed = threading.Condition()
+        self._thread = threading.Thread(target=self._run, name="currikit-write")
+        self._thread.start()
+
+    def __enter__(self) -> "_BlockWriter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        with self._changed:
+            self._closed = True
+            self._changed.notify()
+        self._thread.join()
+        if self._error is not None and exc is not self._error:  # put raised it already
+            raise self._error
+
+    def put(self, position: int, data: np.ndarray) -> None:
+        """Hand in block ``position``'s bytes, or raise the error of a failed write."""
+        with self._changed:
+            while self._waiting is not None and self._error is None:
+                self._changed.wait()
+            if self._error is not None:
+                raise self._error
+            self._waiting = (position, data)
+            self._changed.notify()
+
+    def _run(self) -> None:
+        while True:
+            with self._changed:
+                while self._waiting is None and not self._closed:
+                    self._changed.wait()
+                if self._waiting is None:
+                    return
+                (position, data), self._waiting = self._waiting, None
+                self._changed.notify()
+            try:
+                self.checksums.append(_sha256_64((data,)))
+                self._layout.block_path(position).write_bytes(data)
+            except BaseException as exc:  # raised on exit, in the caller's thread
+                with self._changed:
+                    self._error = exc
+                    self._changed.notify()
+                return
+
+
 def write_shards(
     blocks: Iterable[TokenBlock],
     manifest: CurriculumManifest,
@@ -86,22 +155,28 @@ def write_shards(
 ) -> ShardLayout:
     """Write a tree from a block stream whose order matches the manifest.
 
-    Writes every block and its provenance line as it arrives, the lines to
-    ``provenance.jsonl.tmp``. After the last entry the stream is pulled once
-    more and must end there; that pull runs whatever the stream does after
-    its last block, such as filling ``manifest.metadata``. Then the file is
-    hashed and replaces ``provenance.jsonl``, ``manifest.checksums`` and
+    Hands every block's bytes to a writer thread as it arrives, which hashes
+    and writes the file while the stream builds the next block, and writes
+    its provenance line to ``provenance.jsonl.tmp``. A block's ids must not
+    change once the stream has yielded it. After the last entry the stream
+    is pulled once more and must end there; that pull runs whatever the
+    stream does after its last block, such as filling ``manifest.metadata``.
+    Once the thread has written every block and ended, the provenance file
+    is hashed and replaces ``provenance.jsonl``, ``manifest.checksums`` and
     ``manifest.provenance_checksum`` are filled, and ``manifest.json`` is
-    written last, the marker that the tree is complete. A kind or count
-    mismatch raises before any of these, and any exception removes the
-    temporary file, so a crashed or inconsistent run never looks complete.
+    written last, the marker that the tree is complete.
+
+    A kind or count mismatch, or an exception from the stream, at position
+    p raises after every block before p is written; a failed hash or write
+    at position k raises after no later block is written, and ahead of any
+    later error. Either way the thread has ended, and the temporary file is
+    removed, so a crashed or inconsistent run never looks complete.
     """
     layout = ShardLayout(Path(directory))
     layout.directory.mkdir(parents=True, exist_ok=True)
     partial = layout.provenance_path.with_name(PROVENANCE_NAME + ".tmp")
-    checksums = []
     try:
-        with open(partial, "wb") as provenance:
+        with open(partial, "wb") as provenance, _BlockWriter(layout) as writer:
             it = iter(blocks)
             for position, entry in enumerate(manifest.entries):
                 try:
@@ -118,24 +193,23 @@ def write_shards(
                         f"{block.kind.key()}, manifest wants {entry.kind.key()}",
                         position,
                     )
-                layout.block_path(position).write_bytes(block.ids.astype("<u4", copy=False))
-                checksums.append(f"{block.checksum:016x}")
+                writer.put(position, block.ids.astype("<u4", copy=False))
                 provenance.write(_provenance_line(block).encode("utf-8"))
             try:
                 next(it)
             except StopIteration:
                 pass
             else:
+                n_blocks = len(manifest.entries)
                 raise ConsistencyError(
-                    f"block stream continues past the {len(checksums)} manifest entries",
-                    len(checksums),
+                    f"block stream continues past the {n_blocks} manifest entries", n_blocks
                 )
         with open(partial, "rb") as provenance:
             provenance_checksum = _sha256_64(provenance)
         os.replace(partial, layout.provenance_path)
     finally:
         partial.unlink(missing_ok=True)
-    manifest.checksums = checksums
+    manifest.checksums = writer.checksums
     manifest.provenance_checksum = provenance_checksum
     layout.manifest_path.write_text(manifest.to_json(), encoding="utf-8")
     return layout

@@ -128,7 +128,6 @@ def reference_pack(records, kind, spec, report):
             yield packing.TokenBlock(
                 ids=buffer,
                 kind=kind,
-                checksum=packing.block_checksum(buffer),
                 provenance=tuple(packing.ProvenanceSpan(*span) for span in closed),
             )
             buffer = np.empty(block_tokens, dtype=np.uint32)

@@ -8,6 +8,7 @@ fail here.
 
 import importlib
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -75,3 +76,36 @@ def test_tracer_counts_the_pack_reports_of_a_compile(perfbench, tmp_path):
     assert code == 0
     assert tracer.counters["packing.tokens_in"] > 0
     assert tracer.counters["packing.placed_tokens"] > 0
+
+
+def test_a_traced_compile_opens_every_span_on_the_calling_thread(
+    perfbench, tmp_path, monkeypatch
+):
+    """The tracer keeps one span stack for the process, so the compile's
+    writer thread must call no function it wraps; the packer no longer
+    hashes blocks, so no ``packing.checksum`` span is opened."""
+    from currikit import cli
+    from currikit.synthetic import write_corpus
+
+    spans, _ = perfbench
+    threads = []
+    begin = spans.Tracer.begin
+
+    def recording_begin(self, name):
+        threads.append(threading.current_thread())
+        return begin(self, name)
+
+    monkeypatch.setattr(spans.Tracer, "begin", recording_begin)
+    config = write_corpus(tmp_path / "corpus", languages=("id",), n_pairs=6000, seed=1)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["compile", "--config", str(config), "--strategy", "parallel-only",
+                         "--budget-tokens", "1048576", "--batch-blocks", "4",
+                         "--out", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert set(threads) == {threading.current_thread()}
+    assert "shards.write" in tracer.names
+    assert "packing.checksum" not in tracer.names

@@ -10,7 +10,7 @@ import pytest
 
 from currikit.cli import main
 from currikit.packing import BLOCK_TOKENS
-from currikit.schedule import CurriculumManifest
+from currikit.schedule import CurriculumManifest, Strategy
 from currikit.synthetic import write_corpus
 from helpers import tree_digest
 
@@ -132,13 +132,14 @@ def test_audit_read_error_is_one_error_line_and_leaves_no_thread(
 
 def test_import_loads_no_concurrency_framework():
     # Importing currikit is part of every command's start-up time; the audit's
-    # workers use threading, which logging loads anyway.
+    # workers and the compile's writer thread use threading, which logging
+    # loads anyway, and hand work over without the queue module.
     import currikit
 
     src = str(Path(currikit.__file__).resolve().parent.parent)
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import currikit; "
-        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing', 'asyncio') "
+        "print(sorted(m for m in ('queue', 'concurrent.futures', 'multiprocessing', 'asyncio') "
         "if m in sys.modules))"
     )
     out = subprocess.run(
@@ -586,6 +587,31 @@ def test_compile_rejects_bad_flags_before_reading(flags, message, tmp_path, caps
     assert err.value.code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("strategy", [s.value for s in Strategy if s is not Strategy.MULTILINGUAL])
+@pytest.mark.parametrize("languages", ["en", "id,en"])
+def test_compile_rejects_english_in_pairs_before_reading(strategy, languages, tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["compile", "--config", str(tmp_path / "missing.json"), "--strategy", strategy,
+              "--budget-tokens", "2097152", "--languages", languages,
+              "--out", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert (
+        f"argument --languages: English is implicit in {strategy}; list SEA languages"
+        in capsys.readouterr().err
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_compile_takes_english_for_a_multilingual_compile(tmp_path, capsys):
+    # English monolingual blocks are a multilingual schedule; the flags pass
+    # and the missing config is the first error.
+    code = main(["compile", "--config", str(tmp_path / "missing.json"),
+                 "--strategy", "multilingual", "--budget-tokens", "2097152",
+                 "--languages", "en", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "No such file or directory" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from collections import Counter
 from itertools import islice
 from unittest import mock
@@ -193,7 +194,8 @@ def test_block_checksum_and_provenance():
     blocks = list(pack_monolingual(docs, "id", SPEC))
     assert len(blocks) == 2
     for block in blocks:
-        assert block_checksum(block.ids) == block.checksum
+        digest = hashlib.sha256(block.ids.astype("<u4").tobytes()).hexdigest()
+        assert block_checksum(block.ids) == int(digest[:16], 16)
     spans = blocks[0].provenance
     assert spans[0].source_id == "src.txt"
     assert spans[0].first_ordinal == 0
@@ -268,8 +270,8 @@ def test_unused_tokens_of_stream_abandoned_mid_record():
 
 def test_pack_determinism():
     mk = lambda: [make_pair(f"en {i} words here.", f"sea {i} kata.", ordinal=i) for i in range(9000)]
-    sums_a = [b.checksum for b in pack_parallel(mk(), "id", SPEC, seed=3)]
-    sums_b = [b.checksum for b in pack_parallel(mk(), "id", SPEC, seed=3)]
+    sums_a = [block_checksum(b.ids) for b in pack_parallel(mk(), "id", SPEC, seed=3)]
+    sums_b = [block_checksum(b.ids) for b in pack_parallel(mk(), "id", SPEC, seed=3)]
     assert sums_a == sums_b and sums_a
 
 
@@ -333,7 +335,7 @@ def _assert_same_blocks(stream, reference, report, reference_report, take):
     for block, ref in zip(got, want):
         assert block.ids.dtype == np.uint32
         assert np.array_equal(block.ids, ref.ids)
-        assert block.checksum == ref.checksum
+        assert block_checksum(block.ids) == block_checksum(ref.ids)
         assert block.provenance == ref.provenance
         assert block.kind == ref.kind
     assert dataclasses.asdict(report) == dataclasses.asdict(reference_report)
@@ -445,7 +447,7 @@ def test_run_packer_matches_reference_packer(data, spec, block_tokens, run_chars
     assert error == want_error
     assert [b.ids.tolist() for b in blocks] == [b.ids.tolist() for b in want]
     assert [b.provenance for b in blocks] == [b.provenance for b in want]
-    assert [b.checksum for b in blocks] == [b.checksum for b in want]
+    assert [block_checksum(b.ids) for b in blocks] == [block_checksum(b.ids) for b in want]
     if error is None or error[0] is PullError:  # a text that fails ends its run early
         assert len(pulls) == len(reference_pulls)
         assert dataclasses.asdict(report) == dataclasses.asdict(reference_report)

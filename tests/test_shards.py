@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from currikit import shards
+from currikit.cli import main
 from currikit.packing import (
     BLOCK_TOKENS,
     pack_monolingual,
@@ -118,6 +120,7 @@ def test_write_shards_writes_the_manifest_as_the_stream_finished_it(tmp_path):
     assert manifest.metadata == {"closing": {"blocks": 4}}
     assert layout.manifest_path.read_text(encoding="utf-8") == manifest.to_json()
     assert audit_shards(layout.directory).passed
+    assert not _writer_threads()
 
 
 def test_stream_that_raises_after_its_last_block_leaves_no_manifest(tmp_path):
@@ -172,6 +175,115 @@ def test_stream_that_raises_midway_leaves_no_provenance_temp_file(tmp_path):
     with pytest.raises(RuntimeError, match="source failed"):
         write_shards(failing(), manifest, out)
     assert sorted(p.name for p in out.iterdir()) == ["block_00000000.bin", "block_00000001.bin"]
+
+
+def _writer_threads():
+    return [thread for thread in threading.enumerate() if thread.name == "currikit-write"]
+
+
+def _hashing_held_at(monkeypatch, position, release):
+    """Make the writer thread wait at block ``position``'s hash until
+    ``release`` is set, so the stream runs as far ahead as it may."""
+    sha256_64 = shards._sha256_64
+    calls = itertools.count()
+
+    def held(chunks):
+        if next(calls) == position:
+            assert release.wait(timeout=30)
+        return sha256_64(chunks)
+
+    monkeypatch.setattr(shards, "_sha256_64", held)
+
+
+def test_write_shards_starts_one_writer_thread_and_joins_it(tmp_path, monkeypatch):
+    manifest = build_schedule(Strategy.MULTILINGUAL, 4 * BLOCK_TOKENS, ["id"], 4, seed=2)
+    started = _count_started_threads(monkeypatch)
+    write_shards(_block_streams(manifest), manifest, tmp_path / "w")
+    assert [thread.name for thread in started] == ["currikit-write"]
+    assert not _writer_threads()
+
+
+def test_stream_error_at_five_is_raised_after_blocks_zero_to_four_are_written(
+    tmp_path, monkeypatch
+):
+    manifest = build_schedule(Strategy.MULTILINGUAL, 8 * BLOCK_TOKENS, ["id", "th"], 4, seed=3)
+    failed = threading.Event()
+    _hashing_held_at(monkeypatch, 3, failed)  # blocks 3 and 4 are written after the raise
+
+    def failing():
+        yield from itertools.islice(_block_streams(manifest), 5)
+        failed.set()
+        raise RuntimeError("source failed")
+
+    out = tmp_path / "failed"
+    with pytest.raises(RuntimeError, match="source failed"):
+        write_shards(failing(), manifest, out)
+    assert sorted(p.name for p in out.iterdir()) == [f"block_{i:08d}.bin" for i in range(5)]
+    want = list(itertools.islice(_block_streams(manifest), 5))
+    for position, block in enumerate(want):
+        assert (out / f"block_{position:08d}.bin").read_bytes() == block.ids.tobytes()
+    assert manifest.checksums is None
+    assert not _writer_threads()
+
+
+@pytest.mark.parametrize("held", [False, True])
+def test_write_error_at_three_stops_the_writer_there(tmp_path, monkeypatch, held):
+    manifest = build_schedule(Strategy.MULTILINGUAL, 8 * BLOCK_TOKENS, ["id", "th"], 4, seed=3)
+    handed = threading.Event()
+    if held:  # block 4 is handed in, and the stream is at 5, before 3 fails
+        _hashing_held_at(monkeypatch, 3, handed)
+
+    def stream():
+        for position, block in enumerate(_block_streams(manifest)):
+            if position == 5:
+                handed.set()
+            yield block
+
+    out = tmp_path / "w"
+    (out / "block_00000003.bin").mkdir(parents=True)
+    with pytest.raises(OSError) as err:
+        write_shards(stream(), manifest, out)
+    assert err.value.filename == str(out / "block_00000003.bin")
+    assert sorted(p.name for p in out.iterdir()) == [f"block_{i:08d}.bin" for i in range(4)]
+    assert (out / "block_00000003.bin").is_dir()
+    assert manifest.checksums is None
+    assert not _writer_threads()
+
+
+def test_write_error_is_raised_ahead_of_a_later_stream_error(tmp_path, monkeypatch):
+    manifest = build_schedule(Strategy.MULTILINGUAL, 8 * BLOCK_TOKENS, ["id", "th"], 4, seed=3)
+    failed = threading.Event()
+    _hashing_held_at(monkeypatch, 3, failed)
+
+    def failing():
+        yield from itertools.islice(_block_streams(manifest), 5)
+        failed.set()
+        raise RuntimeError("source failed")
+
+    out = tmp_path / "w"
+    (out / "block_00000003.bin").mkdir(parents=True)
+    with pytest.raises(OSError) as err:
+        write_shards(failing(), manifest, out)
+    assert err.value.filename == str(out / "block_00000003.bin")
+    assert isinstance(err.value.__context__, RuntimeError)
+    assert sorted(p.name for p in out.iterdir()) == [f"block_{i:08d}.bin" for i in range(4)]
+    assert not _writer_threads()
+
+
+def test_compile_write_error_is_one_error_line(tmp_path, two_language_corpus, capsys):
+    out = tmp_path / "out"
+    (out / "block_00000003.bin").mkdir(parents=True)
+    code = main(["compile", "--config", str(two_language_corpus), "--strategy", "parallel-only",
+                 "--budget-tokens", str(8 * BLOCK_TOKENS), "--batch-blocks", "4",
+                 "--seed", "12", "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: [Errno 21] Is a directory: '{out / 'block_00000003.bin'}'\n"
+    )
+    assert sorted(p.name for p in out.iterdir()) == [f"block_{i:08d}.bin" for i in range(4)]
+    assert not _writer_threads()
 
 
 def test_audit_flags_truncated_block(tmp_path):
