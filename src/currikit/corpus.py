@@ -11,6 +11,16 @@ Malformed rows are never fatal: they are skipped and show up in the skip
 counts so dirty corpora stay auditable. Each read of a source logs a
 warning for its first ``MAX_ROW_WARNINGS`` malformed rows and, if it met
 more, one line with their total when the read ends.
+
+A pair file has one row loop, ``pair_runs``: it reads the file in line
+runs, checks each row, and yields the run's pairs as one ``PairRun``. A
+run is read ahead of its use, so nothing is counted or logged when it is
+read: ``PairRun.commit(n)`` marks its first ``n`` pairs as pulled, which
+counts them and counts and logs the malformed rows before the last of
+them, and the malformed rows after a file's last pair count when the
+loop reads past its end. A stream that stops mid-file thus counts the
+rows a pair-by-pair reader would have read, and no more. ``read_parallel``
+yields the loop's pairs one ``SentencePair`` at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +29,9 @@ import json
 import logging
 import math
 import os
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -29,6 +41,7 @@ from .tokenizer import TokenizerSpec, count_tokens, encode
 log = logging.getLogger(__name__)
 
 MAX_ROW_WARNINGS = 5  # malformed rows logged one by one per source read
+LINE_RUN_CHARS = 1 << 16  # characters of lines one read of a pair file takes (a readlines hint)
 
 
 @dataclass(frozen=True)
@@ -118,21 +131,6 @@ class SentencePair:
         if self.sea_language.code == "en":
             raise ValueError("sea_language must not be English")
 
-    @classmethod
-    def _checked(
-        cls, en_text: str, sea_text: str, sea_language: LanguageTag, source_id: str,
-        ordinal: int,
-    ) -> "SentencePair":
-        """A pair whose sides a reader has stripped and found non-empty, in a
-        SEA language it has checked once: ``__post_init__`` is not repeated."""
-        pair = object.__new__(cls)
-        pair.en_text = en_text
-        pair.sea_text = sea_text
-        pair.sea_language = sea_language
-        pair.source_id = source_id
-        pair.ordinal = ordinal
-        return pair
-
 
 @dataclass
 class ReadCounter:
@@ -179,11 +177,22 @@ class _RowWarnings:
     def __init__(self, source_id: str):
         self.source_id = source_id
         self.rows = 0
+        # Malformed rows read ahead of the pulls, as (ordinal, message, args).
+        self.held: deque[tuple[int, str, tuple]] = deque()
 
     def __call__(self, message: str, *args: object) -> None:
         self.rows += 1
         if self.rows <= MAX_ROW_WARNINGS:
             log.warning("%s: " + message + ", skipping", self.source_id, *args)
+
+    def read_to(self, ordinal: int, counter: ReadCounter) -> None:
+        """A pull has passed every row before ``ordinal``: count and log the
+        held malformed rows among them."""
+        held = self.held
+        while held and held[0][0] < ordinal:
+            _, message, args = held.popleft()
+            counter.skipped += 1
+            self(message, *args)
 
     def close(self) -> None:
         if self.rows > MAX_ROW_WARNINGS:
@@ -244,16 +253,65 @@ def _jsonl_text(line: str, ordinal: int, warn: _RowWarnings) -> str | None:
     return text.strip()
 
 
-def read_parallel(
+class PairRun:
+    """Consecutive pairs of one source, in file order: their stripped sides
+    and their row ordinals, all in one SEA language.
+
+    ``commit(n)`` marks the first ``n`` pairs as pulled. For a run that
+    ``pair_runs`` read, that counts them as emitted and counts and logs the
+    malformed rows before the last of them; a run of pairs given one by one
+    counts nothing.
+    """
+
+    __slots__ = ("sea_language", "source_id", "en", "sea", "ordinals", "taken",
+                 "_counter", "_rows")
+
+    def __init__(
+        self, sea_language: LanguageTag, source_id: str, en: list[str], sea: list[str],
+        ordinals: list[int], counter: ReadCounter | None = None,
+        rows: _RowWarnings | None = None,
+    ):
+        self.sea_language = sea_language
+        self.source_id = source_id
+        self.en = en
+        self.sea = sea
+        self.ordinals = ordinals
+        self.taken = 0  # pairs committed so far
+        self._counter = counter
+        self._rows = rows
+
+    @classmethod
+    def of(cls, pair: SentencePair) -> "PairRun":
+        """The run of one given pair."""
+        return cls(pair.sea_language, pair.source_id, [pair.en_text], [pair.sea_text],
+                   [pair.ordinal])
+
+    def commit(self, n: int) -> None:
+        if n <= self.taken:
+            return
+        if self._counter is not None:
+            if self._rows.held:
+                self._rows.read_to(self.ordinals[n - 1], self._counter)
+            self._counter.emitted += n - self.taken
+        self.taken = n
+
+
+def pair_runs(
     path: str | os.PathLike[str],
     sea_lang: str | LanguageTag,
     counter: ReadCounter | None = None,
     source_id: str | None = None,
-) -> Iterator[SentencePair]:
-    """Stream english/SEA sentence pairs from a bitext file in file order.
+) -> Iterator[PairRun]:
+    """The one row loop of a bitext file: its english/SEA pairs in line runs.
 
-    The language is checked once and each row's sides once, here: the pairs
-    are built without repeating ``SentencePair``'s checks.
+    Lines are read ``LINE_RUN_CHARS`` characters at a time with
+    ``readlines``, which splits on newlines alone (not on ``\\u2028``,
+    ``\\x85`` or ``\\x0c``). A TSV row needs exactly two fields and a JSONL
+    row string ``"en"`` and ``"sea"`` fields; a row with a side that strips
+    to nothing is malformed too. Each run's pairs count, and the malformed
+    rows before them count and are logged, as the run is committed (see
+    ``PairRun``); the rest of the file's malformed rows count once the loop
+    reads past its last line.
     """
     tag = language(sea_lang)
     if tag.code == "en":
@@ -261,44 +319,99 @@ def read_parallel(
     counter = counter if counter is not None else ReadCounter()
     source_id = source_id if source_id is not None else str(path)
     jsonl = _is_jsonl(path)
-    warn = _RowWarnings(source_id)
+    rows = _RowWarnings(source_id)
+    hold = rows.held.append
+    end = 0
     try:
-        with open(path, encoding="utf-8") as fh:
-            for ordinal, line in enumerate(fh):
-                sides = _pair_fields(line, jsonl, ordinal, warn)
-                if sides is None:
-                    counter.skipped += 1
-                    continue
-                counter.emitted += 1
-                yield SentencePair._checked(*sides, tag, source_id, ordinal)
+        for start, lines in _line_runs(path):
+            en: list[str] = []
+            sea: list[str] = []
+            ordinals: list[int] = []
+            for ordinal, line in enumerate(lines, start):
+                if jsonl:
+                    sides = _json_sides(line)
+                    if isinstance(sides, str):
+                        hold((ordinal, sides, (ordinal,)))
+                        continue
+                    en_text, sea_text = sides
+                else:
+                    en_text, tab, sea_text = line.partition("\t")
+                    if not tab or "\t" in sea_text:
+                        fields = line.count("\t") + 1
+                        hold((ordinal, "row %d has %d fields (want 2)", (ordinal, fields)))
+                        continue
+                en_text = en_text.strip()
+                sea_text = sea_text.strip()
+                if en_text and sea_text:
+                    en.append(en_text)
+                    sea.append(sea_text)
+                    ordinals.append(ordinal)
+                else:
+                    hold((ordinal, "row %d has an empty side", (ordinal,)))
+            end = start + len(lines)
+            if ordinals:
+                yield PairRun(tag, source_id, en, sea, ordinals, counter, rows)
+        rows.read_to(end, counter)
+    except UnicodeDecodeError:
+        rows.read_to(end, counter)  # a line-by-line read passes them before the bad bytes
+        raise
     finally:
-        warn.close()
+        rows.close()
 
 
-def _pair_fields(
-    line: str, jsonl: bool, ordinal: int, warn: _RowWarnings
-) -> tuple[str, str] | None:
-    if jsonl:
+def _line_runs(path: str | os.PathLike[str]) -> Iterator[tuple[int, list[str]]]:
+    """A text file's lines, ``LINE_RUN_CHARS`` characters at a time, each run
+    with the ordinal of its first line. Where the file is not UTF-8, the
+    lines that a line-by-line read yields before the bad bytes come as the
+    last run, and that read's error is raised after it."""
+    start = 0
+    with open(path, encoding="utf-8") as fh:
+        while True:
+            try:
+                lines = fh.readlines(LINE_RUN_CHARS)
+            except UnicodeDecodeError as exc:
+                error = exc
+                break
+            if not lines:
+                return
+            yield start, lines
+            start += len(lines)
+    lines = []
+    with open(path, encoding="utf-8") as fh:
         try:
-            obj = json.loads(line)
-            en_text, sea_text = obj["en"], obj["sea"]
-        except (json.JSONDecodeError, KeyError, TypeError):
-            warn("row %d is malformed", ordinal)
-            return None
-        if not isinstance(en_text, str) or not isinstance(sea_text, str):
-            warn("row %d has non-string sides", ordinal)
-            return None
-    else:
-        fields = line.rstrip("\n").split("\t")
-        if len(fields) != 2:
-            warn("row %d has %d fields (want 2)", ordinal, len(fields))
-            return None
-        en_text, sea_text = fields
-    en_text, sea_text = en_text.strip(), sea_text.strip()
-    if not en_text or not sea_text:
-        warn("row %d has an empty side", ordinal)
-        return None
+            lines.extend(islice(fh, start, None))
+        except UnicodeDecodeError as exc:
+            error = exc
+    yield start, lines
+    raise error
+
+
+def _json_sides(line: str) -> tuple[str, str] | str:
+    """A JSONL pair row's unstripped sides, or the warning for a malformed row."""
+    try:
+        obj = json.loads(line)
+        en_text, sea_text = obj["en"], obj["sea"]
+    except (json.JSONDecodeError, KeyError, TypeError):
+        return "row %d is malformed"
+    if not isinstance(en_text, str) or not isinstance(sea_text, str):
+        return "row %d has non-string sides"
     return en_text, sea_text
+
+
+def read_parallel(
+    path: str | os.PathLike[str],
+    sea_lang: str | LanguageTag,
+    counter: ReadCounter | None = None,
+    source_id: str | None = None,
+) -> Iterator[SentencePair]:
+    """Stream english/SEA sentence pairs from a bitext file in file order:
+    the pairs of ``pair_runs``, each committed as it is yielded."""
+    for run in pair_runs(path, sea_lang, counter, source_id):
+        for taken, (en_text, sea_text, ordinal) in enumerate(
+            zip(run.en, run.sea, run.ordinals), 1
+        ):
+            run.commit(taken)
+            yield SentencePair(en_text, sea_text, run.sea_language, run.source_id, ordinal)
 
 
 def _measure(doc: Document, spec: TokenizerSpec) -> int:

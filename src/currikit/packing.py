@@ -1,17 +1,26 @@
 """Fixed-size token-block construction.
 
 Every training block holds exactly 262,144 token ids (64 sequences of
-4,096, the context window). Every packer feeds one loop: each record is
-encoded and its ids, then one end-of-text separator, are appended to the
-stream's byte accumulator (one byte per id for ``byte_fallback``, whose
-separator is 0xFF, a byte UTF-8 never holds, rewritten to ``eot_id`` when
-the block is built; four bytes per id for ``bpe_file``). Records are pulled
-in runs, each encoded by one call (``encode_run`` for ``bpe_file``), which
-raises the error of the first record that cannot be encoded. A run
-ends at the record that could bring the accumulator to a block's worth of
-ids, so that record yields its blocks at once, and the rest of it carries
-over into a fresh accumulator: records may straddle sequence and block
-boundaries, and the records read are those a record-by-record packer reads.
+4,096, the context window). Every packer feeds one loop, ``_pack``: each
+record is encoded and its ids, then one end-of-text separator, are appended
+to the stream's byte accumulator (one byte per id for ``byte_fallback``,
+whose separator is 0xFF, a byte UTF-8 never holds, rewritten to ``eot_id``
+when the block is built; four bytes per id for ``bpe_file``). Records reach
+the loop in runs: a document is a run of one, and a pair file's rows come
+in the line runs of ``corpus.pair_runs``. The loop takes records in rounds,
+each encoded by one call (``encode_run`` for ``bpe_file``), which raises the
+error of the first record that cannot be encoded. A round ends at the
+record that could bring the accumulator to a block's worth of ids, found by
+a cumulative sum of the run's text lengths, so that record yields its
+blocks at once, and the rest of it carries over into a fresh accumulator:
+records may straddle sequence and block boundaries.
+
+A run is read and rendered ahead of its use, so it carries a commit: the
+loop commits the records it takes, before it yields a block, and a record
+that it has not taken is not counted anywhere. The records read, the
+readers' counts and warnings, and the pack report are thus those of a
+record-by-record packer, however a stream is cut.
+
 A document that a sampler already encoded is packed from its ids. A block's
 ``uint32`` ids are converted from the byte accumulator, or for ``bpe_file``
 are a view of the replaced one. The final partial accumulator is discarded
@@ -33,14 +42,16 @@ from __future__ import annotations
 
 import hashlib
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, islice, repeat
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from . import rng
-from .corpus import EN, Document, LanguageTag, SentencePair, ShortfallError, language
+from .corpus import EN, Document, LanguageTag, PairRun, SentencePair, ShortfallError, language
 from .tokenizer import TokenizerSpec, count_tokens, encode_run
 from .tokenizer import encode  # noqa: F401  the benchmark's tracer looks up packing.encode
 
@@ -172,23 +183,25 @@ class PackReport:
         return self.tokens_in - self.blocks * BLOCK_TOKENS
 
 
-def _pair_renderers(
-    sea_language: LanguageTag, label_style: str
-) -> dict[Direction, Callable[[str, str], str]]:
-    """The pair format: per side order, a function rendering ``(english, sea)``
-    sentences as two labeled lines, with both labels resolved once."""
-    en_label = EN.label(label_style)
-    sea_label = sea_language.label(label_style)
-    return {
-        Direction.EN_FIRST: lambda en, sea: f"{en_label}: {en}\n{sea_label}: {sea}",
-        Direction.SEA_FIRST: lambda en, sea: f"{sea_label}: {sea}\n{en_label}: {en}",
-    }
+def _pair_texts(
+    en: list[str], sea: list[str], bits: list[int], en_label: str, sea_label: str
+) -> list[str]:
+    """The pair format: each ``(english, sea)`` pair as two labeled lines,
+    English first where its bit is 0 and the SEA side first where it is 1."""
+    return [
+        f"{sea_label}: {sea_text}\n{en_label}: {en_text}" if bit
+        else f"{en_label}: {en_text}\n{sea_label}: {sea_text}"
+        for en_text, sea_text, bit in zip(en, sea, bits)
+    ]
 
 
 def format_pair(pair: SentencePair, direction: Direction, label_style: str = "name") -> str:
     """Render one aligned pair as two labeled lines (no trailing marker)."""
-    render = _pair_renderers(pair.sea_language, label_style)[direction]
-    return render(pair.en_text, pair.sea_text)
+    bit = int(direction is Direction.SEA_FIRST)
+    return _pair_texts(
+        [pair.en_text], [pair.sea_text], [bit],
+        EN.label(label_style), pair.sea_language.label(label_style),
+    )[0]
 
 
 def _spans(sources: list[str], ordinals: list[int]) -> tuple[ProvenanceSpan, ...]:
@@ -206,26 +219,36 @@ def _spans(sources: list[str], ordinals: list[int]) -> tuple[ProvenanceSpan, ...
     )
 
 
+# A packer run: consecutive records of one source, as ``(texts, source_id,
+# ordinals, commit)``. A record's text may instead be its ids, in a run of
+# that record alone. ``commit(n)``, when not None, is called once the first
+# ``n`` records of the run are taken.
+Run = tuple[list[str | np.ndarray], str, list[int], Callable[[int], None] | None]
+
+
 def _pack(
-    records: Iterable[tuple[str | np.ndarray, str, int]],
+    runs: Iterable[Run],
     kind: BlockKind,
     spec: TokenizerSpec,
     report: PackReport,
 ) -> Iterator[TokenBlock]:
-    """The one packing loop: ``(text, source_id, ordinal)`` records -> blocks.
+    """The one packing loop: runs of records -> blocks.
 
-    A record's text may already be its ids. Each record's ids and one
-    end-of-text separator are appended to a byte accumulator, one byte per
-    id for ``byte_fallback`` (the separator is 0xFF, a byte UTF-8 never
-    holds, and becomes ``eot_id`` in the block) and four for ``bpe_file``.
-    Records are pulled in runs and each run's texts are encoded by one call.
-    A run takes another record only while its records could not complete a
-    block even at their most ids (one per character for ``bpe_file``, four
-    UTF-8 bytes for ``byte_fallback``), and at most ``RUN_CHARS`` characters
-    of text, so only its last record may complete blocks and the records
-    read are those a record-by-record packer reads. Blocks are yielded as
-    soon as the run is in, and the rest of the last record, if any, starts a
-    fresh accumulator. A record that is already ids ends its run.
+    Each record's ids and one end-of-text separator are appended to a byte
+    accumulator, one byte per id for ``byte_fallback`` (the separator is
+    0xFF, a byte UTF-8 never holds, and becomes ``eot_id`` in the block) and
+    four for ``bpe_file``. Records are taken in rounds and each round's
+    texts are encoded by one call. A round takes another record only while
+    its records could not complete a block even at their most ids (one per
+    character for ``bpe_file``, four UTF-8 bytes for ``byte_fallback``), and
+    at most ``RUN_CHARS`` characters of text, so only its last record may
+    complete blocks. The record that ends a round is found with a cumulative
+    sum over the run's text lengths; the records after it stay in the run for
+    the next round, and the next run is pulled only when a round needs more
+    records. So the records taken, and committed, before a block is yielded
+    are those a record-by-record packer pulls. Blocks are yielded as soon as
+    the round is in, and the rest of the last record, if any, starts a fresh
+    accumulator. A record that is already ids ends its round.
     """
     if spec.kind == "byte_fallback":
         width, separator, most_ids = 1, b"\xff", 4
@@ -241,43 +264,87 @@ def _pack(
             return encode_run(texts, spec)
 
     block_tokens = BLOCK_TOKENS
+    run_chars = RUN_CHARS
     block_bytes = block_tokens * width
     acc = bytearray()
     # The accumulator's records: every one has ids not yet in a block.
     sources: list[str] = []
     ordinals: list[int] = []
-    records = iter(records)
+    runs = iter(runs)
+    # The current run, its records taken so far and its text lengths summed.
+    texts: list = []
+    source_id = ""
+    run_ordinals: list[int] = []
+    commit = None
+    first = 0
+    chars_to: list[int] = []
+
+    def cost_to(k: int) -> int:
+        return most_ids * chars_to[k] + k
+
     while True:
-        texts: list[str] = []
+        taken: list[str] = []
         ids = None
         room = block_tokens - len(acc) // width
         chars = 0
         pull_error = None
         try:
-            for text, source_id, ordinal in records:
-                sources.append(source_id)
-                ordinals.append(ordinal)
-                if not isinstance(text, str):
-                    ids = text
+            while True:
+                if first == len(texts):
+                    run = next(runs, None)
+                    if run is None:
+                        break
+                    texts, source_id, run_ordinals, commit = run
+                    first = 0
+                    if len(texts) == 1:  # a record alone: its ids, or a text with no sum
+                        record = texts[0]
+                        first = 1
+                        sources.append(source_id)
+                        ordinals.append(run_ordinals[0])
+                        if commit is not None:
+                            commit(1)
+                        if not isinstance(record, str):
+                            ids = record
+                            break
+                        taken.append(record)
+                        room -= most_ids * len(record) + 1
+                        chars += len(record)
+                        if room <= 0 or chars >= run_chars:
+                            break
+                        continue
+                    chars_to = list(accumulate(map(len, texts)))
+                before = chars_to[first - 1] if first else 0
+                # the first record at which the round reaches RUN_CHARS characters,
+                # or earlier, at which its records could complete a block
+                end = bisect_left(chars_to, run_chars - chars + before, first)
+                end = bisect_left(
+                    range(end), room + most_ids * before + first - 1, first, key=cost_to
+                )
+                stop = min(end + 1, len(texts))
+                taken += texts[first:stop]
+                sources.extend(repeat(source_id, stop - first))
+                ordinals += run_ordinals[first:stop]
+                if commit is not None:
+                    commit(stop)
+                if end < len(texts):
+                    first = stop
                     break
-                texts.append(text)
-                room -= most_ids * len(text) + 1
-                chars += len(text)
-                if room <= 0 or chars >= RUN_CHARS:
-                    break
-        except Exception as exc:  # raised after the run's records, as one at a time
+                room -= most_ids * (chars_to[-1] - before) + stop - first
+                chars += chars_to[-1] - before
+                first = stop
+        except Exception as exc:  # raised after the round's records, as one at a time
             pull_error = exc
         filled = len(acc)
-        if texts:
-            acc.extend(encode_texts(texts))
+        if taken:
+            acc.extend(encode_texts(taken))
         if ids is not None:
             acc.extend(ids)
             acc += separator
-        report.records += len(texts) + (ids is not None)
+        report.records += len(taken) + (ids is not None)
         report.tokens_in += (len(acc) - filled) // width
         if pull_error is not None:
             raise pull_error
-        if not texts and ids is None:
+        if not taken and ids is None:
             return
         while len(acc) >= block_bytes:
             if width == 1:
@@ -294,14 +361,14 @@ def _pack(
 
 def _documents(
     docs: Iterable[Document], code: str | None, spec: TokenizerSpec
-) -> Iterator[tuple[str | np.ndarray, str, int]]:
-    """Document records; a document a sampler measured with ``spec`` brings its ids."""
+) -> Iterator[Run]:
+    """A run per document; a document a sampler measured with ``spec`` brings its ids."""
     for doc in docs:
         if code is not None and doc.language.code != code:
             raise ValueError(f"document language {doc.language.code} in a {code} stream")
         encoding = doc.encoding
         text = encoding[1] if encoding is not None and encoding[0] is spec else doc.text
-        yield text, doc.source_id, doc.ordinal
+        yield [text], doc.source_id, [doc.ordinal], None
 
 
 def pack_monolingual(
@@ -326,36 +393,56 @@ def pack_replay(
     return _pack(_documents(docs, None, spec), BlockKind.replay(), spec, report)
 
 
-def _pair_records(
-    pairs: Iterable[SentencePair], code: str, seed: int, label_style: str, report: PackReport
-) -> Iterator[tuple[str, str, int]]:
-    """Render pairs in their drawn direction, counting English-first draws.
+def _runs_in(pairs: Iterable[SentencePair | PairRun], code: str) -> Iterator[PairRun]:
+    """Pairs given one by one or in runs, as runs, each checked to be in ``code``."""
+    for run in pairs:
+        if not isinstance(run, PairRun):
+            run = PairRun.of(run)
+        if run.sea_language.code != code:
+            raise ValueError(f"pair language {run.sea_language.code} in a {code} stream")
+        yield run
 
-    Pair ``i`` renders English first when ``coin(seed, "direction", code, i)``
-    is 0: a keyed draw, independent of chunking.
+
+def _rendered(
+    pairs: Iterable[SentencePair | PairRun], code: str, seed: int, label_style: str,
+    report: PackReport,
+) -> Iterator[Run]:
+    """Packer runs of pairs, given one by one or in ``PairRun``s, rendered in
+    their drawn side order.
+
+    Pair ``i`` of the stream renders English first when ``coin(seed,
+    "direction", code, i)`` is 0: a keyed draw, independent of chunking. A
+    run's bits are drawn when it is rendered; its English-first draws are
+    counted, and the run committed, as the packer takes its pairs.
     """
-    renderers = _pair_renderers(language(code), label_style)
-    by_coin = (renderers[Direction.EN_FIRST], renderers[Direction.SEA_FIRST])
-    for pair, bit in zip(pairs, rng.coins(seed, "direction", code)):
-        if pair.sea_language.code != code:
-            raise ValueError(f"pair language {pair.sea_language.code} in a {code} stream")
-        if bit == 0:
-            report.en_first += 1
-        yield by_coin[bit](pair.en_text, pair.sea_text), pair.source_id, pair.ordinal
+    en_label = EN.label(label_style)
+    sea_label = language(code).label(label_style)
+    coins = rng.coins(seed, "direction", code)
+    for run in _runs_in(pairs, code):
+        bits = list(islice(coins, len(run.en)))
+
+        def commit(n: int, run: PairRun = run, bits: list[int] = bits) -> None:
+            report.en_first += n - run.taken - sum(bits[run.taken : n])
+            run.commit(n)
+
+        texts = _pair_texts(run.en, run.sea, bits, en_label, sea_label)
+        yield texts, run.source_id, run.ordinals, commit
 
 
 def pack_parallel(
-    pairs: Iterable[SentencePair],
+    pairs: Iterable[SentencePair | PairRun],
     sea_lang: str | LanguageTag,
     spec: TokenizerSpec,
     seed: int,
     label_style: str = "name",
     report: PackReport | None = None,
 ) -> Iterator[TokenBlock]:
-    """Pack formatted sentence pairs with per-pair direction randomization."""
+    """Pack formatted sentence pairs with per-pair direction randomization.
+
+    The pairs come one by one or, from ``corpus.pair_runs``, in runs."""
     code = language(sea_lang).code
     report = report if report is not None else PackReport()
-    records = _pair_records(pairs, code, seed, label_style, report)
+    records = _rendered(pairs, code, seed, label_style, report)
     return _pack(records, BlockKind.parallel(code), spec, report)
 
 
@@ -368,33 +455,51 @@ def split_sentences(text: str) -> list[str]:
 
 
 def _substituted(
-    pairs: Iterable[SentencePair],
+    pairs: Iterable[SentencePair | PairRun],
     sea_docs: Iterable[Document],
     code: str,
     spec: TokenizerSpec,
+    seed: int,
+    label_style: str,
     report: PackReport,
-) -> Iterator[SentencePair]:
-    """Each pair with its SEA side swapped for the next unused sentence."""
+) -> Iterator[Run]:
+    """Replacement records, a run of one per pair, rendered as ``_rendered``
+    renders them with the SEA side swapped for the next unused sentence.
+
+    A pair is committed on its run before its sentence is pulled, the order
+    in which a pair-by-pair reader reads them, and is taken as it is pulled.
+    """
+    en_label = EN.label(label_style)
+    sea_label = language(code).label(label_style)
+    coins = rng.coins(seed, "direction", code)
     supply = (sentence for doc in sea_docs for sentence in split_sentences(doc.text))
-    for index, pair in enumerate(pairs):
-        try:
-            substitute = next(supply)
-        except StopIteration:
-            raise ShortfallError(
-                f"replacement text for {code} exhausted after {index} pairs",
-                {"pairs_substituted": index},
-            ) from None
-        report.replacement_token_delta += count_tokens(substitute, spec) - count_tokens(
-            pair.sea_text, spec
-        )
-        # split_sentences strips its sentences and drops empty ones
-        yield SentencePair._checked(
-            pair.en_text, substitute, pair.sea_language, pair.source_id, pair.ordinal
-        )
+    index = 0
+    for run in _runs_in(pairs, code):
+        source_id = run.source_id
+        for taken, (en_text, sea_text, ordinal) in enumerate(
+            zip(run.en, run.sea, run.ordinals), 1
+        ):
+            run.commit(taken)
+            try:
+                substitute = next(supply)
+            except StopIteration:
+                raise ShortfallError(
+                    f"replacement text for {code} exhausted after {index} pairs",
+                    {"pairs_substituted": index},
+                ) from None
+            report.replacement_token_delta += count_tokens(substitute, spec) - count_tokens(
+                sea_text, spec
+            )
+            index += 1
+            bit = next(coins)
+            report.en_first += 1 - bit
+            # split_sentences strips its sentences and drops empty ones
+            text = _pair_texts([en_text], [substitute], [bit], en_label, sea_label)
+            yield text, source_id, [ordinal], None
 
 
 def pack_replacement(
-    pairs: Iterable[SentencePair],
+    pairs: Iterable[SentencePair | PairRun],
     sea_docs: Iterable[Document],
     sea_lang: str | LanguageTag,
     spec: TokenizerSpec,
@@ -411,6 +516,5 @@ def pack_replacement(
     """
     code = language(sea_lang).code
     report = report if report is not None else PackReport()
-    swapped = _substituted(pairs, sea_docs, code, spec, report)
-    records = _pair_records(swapped, code, seed, label_style, report)
+    records = _substituted(pairs, sea_docs, code, spec, seed, label_style, report)
     return _pack(records, BlockKind.replacement(code), spec, report)

@@ -6,12 +6,17 @@ whichever stream the schedule demands. Per-language monolingual and replay
 data are drawn token-uniformly across their source files; parallel files
 for one language are concatenated in configuration order.
 
-Every reader gets a ``ReadCounter`` and every sampled group keeps its
-``SampleReport``. ``write_shards`` takes one generator of the schedule's
-blocks, which after the last one pulls no stream again and puts the pack
-reports and these counts into the manifest's ``metadata`` (``discards`` and
-``sources``), before ``write_shards`` writes the manifest. A replacement
-stream's ``sources`` list its parallel files, then its monolingual files.
+Parallel and replacement streams read their pair files through
+``corpus.pair_runs``, one row loop per file, in line runs that the packer
+takes and commits as it needs them: a stream stops reading, counting and
+warning at the record that completes its last block, as a record-by-record
+reader would. Every reader gets a ``ReadCounter`` and every sampled group
+keeps its ``SampleReport``. ``write_shards`` takes one generator of the
+schedule's blocks, which after the last one pulls no stream again and puts
+the pack reports and these counts into the manifest's ``metadata``
+(``discards`` and ``sources``), before ``write_shards`` writes the
+manifest. A replacement stream's ``sources`` list its parallel files, then
+its monolingual files.
 The packers only build blocks: ``write_shards`` hashes and writes each one
 on its writer thread while this thread packs the next.
 
@@ -32,11 +37,12 @@ from .corpus import (
     ReadCounter,
     SampleReport,
     load_corpus_config,
+    pair_runs,
     read_monolingual,
-    read_parallel,
     sample_uniform,
     sort_codes,
 )
+from .corpus import read_parallel  # noqa: F401  the benchmark's tracer looks it up here
 from .packing import (
     BLOCK_TOKENS,
     PackReport,
@@ -223,12 +229,12 @@ def compile_corpus(
             )
         elif kind_name == "parallel":
             streams[key] = pack_parallel(
-                _chained(read_parallel, parallel[lang], lang, stream_reads), lang, spec,
+                _chained(pair_runs, parallel[lang], lang, stream_reads), lang, spec,
                 seed, label_style, report,
             )
         else:  # replacement
             streams[key] = pack_replacement(
-                _chained(read_parallel, parallel[lang], lang, stream_reads),
+                _chained(pair_runs, parallel[lang], lang, stream_reads),
                 _chained(read_monolingual, mono[lang], lang, stream_reads),
                 lang, spec, seed, label_style, report,
             )

@@ -1,6 +1,8 @@
 """Small factories shared across test modules."""
 
 import hashlib
+import json
+import logging
 import unicodedata
 from collections import Counter
 from pathlib import Path
@@ -8,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from currikit import evaluate, packing, rng, schedule
-from currikit.corpus import EN, Document, SentencePair, language
+from currikit.corpus import EN, MAX_ROW_WARNINGS, Document, ReadCounter, SentencePair, language
 from currikit.rng import hash64
 from currikit.tokenizer import EOT_TEXT, TokenizerError, encode
 
@@ -139,8 +141,71 @@ def reference_pack(records, kind, spec, report):
             span_first = ordinal  # the record's rest opens the next block's span
 
 
+def record_runs(records):
+    """``(text, source_id, ordinal)`` records as the runs ``packing._pack``
+    takes, one record each, pulled as they are needed."""
+    for text, source_id, ordinal in records:
+        yield [text], source_id, [ordinal], None
+
+
+def reference_pair_rows(path):
+    """The pair row rules, one line at a time: per line, its ordinal and its
+    stripped ``(en, sea)`` sides, or the warning a malformed row logs. A TSV
+    row needs two tab-separated fields, a JSONL row string ``"en"`` and
+    ``"sea"`` fields, and neither side may strip to nothing."""
+    jsonl = str(path).endswith(".jsonl")
+    with open(path, encoding="utf-8") as fh:
+        for ordinal, line in enumerate(fh):
+            if jsonl:
+                try:
+                    obj = json.loads(line)
+                    sides = obj["en"], obj["sea"]
+                except (json.JSONDecodeError, KeyError, TypeError):
+                    yield ordinal, f"row {ordinal} is malformed"
+                    continue
+                if not all(isinstance(side, str) for side in sides):
+                    yield ordinal, f"row {ordinal} has non-string sides"
+                    continue
+            else:
+                sides = line.rstrip("\n").split("\t")
+                if len(sides) != 2:
+                    yield ordinal, f"row {ordinal} has {len(sides)} fields (want 2)"
+                    continue
+            en, sea = (side.strip() for side in sides)
+            if not en or not sea:
+                yield ordinal, f"row {ordinal} has an empty side"
+                continue
+            yield ordinal, (en, sea)
+
+
+def reference_read_parallel(path, code, counter=None, source_id=None):
+    """Reference for ``corpus.read_parallel``: a pair-at-a-time reader. Each
+    row is counted, and a malformed one logged, as it is read; the total of
+    malformed rows past the first ``MAX_ROW_WARNINGS`` is logged when the
+    read ends, at the file's end or when the reader is closed."""
+    log = logging.getLogger("currikit.corpus")
+    counter = counter if counter is not None else ReadCounter()
+    source_id = source_id if source_id is not None else str(path)
+    tag = language(code)
+    malformed = 0
+    try:
+        for ordinal, sides in reference_pair_rows(path):
+            if isinstance(sides, str):
+                counter.skipped += 1
+                malformed += 1
+                if malformed <= MAX_ROW_WARNINGS:
+                    log.warning("%s: %s, skipping", source_id, sides)
+                continue
+            counter.emitted += 1
+            yield SentencePair(*sides, tag, source_id, ordinal)
+    finally:
+        if malformed > MAX_ROW_WARNINGS:
+            log.warning("%s: skipped %d malformed rows, the first %d logged",
+                        source_id, malformed, MAX_ROW_WARNINGS)
+
+
 def reference_pair_records(pairs, code, seed, label_style, report):
-    """Reference for ``packing._pair_records``: pair ``i`` draws its side
+    """Reference for ``packing._rendered``: pair ``i`` draws its side
     order from ``coin(seed, "direction", code, i)`` (0 is English first) and
     renders as two ``label: sentence`` lines."""
     en_label = EN.label(label_style)

@@ -109,3 +109,23 @@ def test_a_traced_compile_opens_every_span_on_the_calling_thread(
     assert set(threads) == {threading.current_thread()}
     assert "shards.write" in tracer.names
     assert "packing.checksum" not in tracer.names
+
+
+@pytest.mark.parametrize("workload", ["compile-mixed-bytes", "compile-replacement-bpe"])
+def test_compile_workload_matches_its_pinned_blocks(perfbench, tmp_path, workload):
+    """Seed 0 of each compile workload, with the benchmark's own inputs,
+    argv and check: a change to the token stream fails here before the
+    benchmark reports its outputs incorrect."""
+    _, workloads = perfbench
+    pins = json.loads((PERFBENCH / "pins.json").read_text(encoding="utf-8"))
+    spec = workloads.WORKLOADS[workload]
+    spec.build_inputs(tmp_path / "inputs", 0)
+    ctx = workloads.Context(
+        seed=0, inputs=tmp_path / "inputs", work=tmp_path / "work",
+        refs=workloads.References(pins[workload]["0"]),
+    )
+    compile_op = spec.make_ops(ctx)[0]
+    compile_op.prepare()
+    state = {}
+    compile_op.check(state, compile_op.run(state))
+    assert state["compiled"]

@@ -32,6 +32,7 @@ from helpers import (
     make_doc,
     make_pair,
     parse_segment,
+    record_runs,
     reference_pack,
     reference_pair_records,
 )
@@ -358,10 +359,60 @@ def test_pack_matches_reference_packer(plans, spec, block_tokens, take):
         kind = BlockKind.replay()
         report, reference_report = PackReport(), PackReport()
         _assert_same_blocks(
-            packing._pack(iter(records), kind, spec, report),
+            packing._pack(record_runs(records), kind, spec, report),
             reference_pack(iter(records), kind, spec, reference_report),
             report, reference_report, take,
         )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    plans=RECORD_PLANS,
+    cuts=st.lists(st.booleans(), max_size=40),
+    spec=st.sampled_from([BYTE_FALLBACK, ORACLE_BPE]),
+    block_tokens=st.sampled_from([1, 2, 5, 64]),
+    run_chars=st.sampled_from([1, 4, 16, packing.RUN_CHARS]),
+    take=st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
+)
+def test_runs_of_many_records_match_reference_packer(
+    plans, cuts, spec, block_tokens, run_chars, take
+):
+    """Records handed over in runs of one source: the same blocks, spans and
+    counts as one record at a time. Each run is pulled only when a record of
+    it is needed, its commits never step back, and the records committed
+    are exactly those the reference pulls."""
+    with mock.patch.multiple(packing, BLOCK_TOKENS=block_tokens, RUN_CHARS=run_chars):
+        records = _planned_records(plans, block_tokens, spec)
+        groups = []
+        for i, record in enumerate(records):
+            if not groups or groups[-1][-1][1] != record[1] or (i < len(cuts) and cuts[i]):
+                groups.append([])
+            groups[-1].append(record)
+        committed = []  # per run pulled: its records committed
+
+        def runs():
+            for group in groups:
+                committed.append(0)
+
+                def commit(n, index=len(committed) - 1):
+                    assert n >= committed[index]
+                    committed[index] = n
+
+                yield [text for text, _, _ in group], group[0][1], [o for *_, o in group], commit
+
+        kind = BlockKind.replay()
+        report, reference_report, reference_pulls = PackReport(), PackReport(), []
+        _assert_same_blocks(
+            packing._pack(runs(), kind, spec, report),
+            reference_pack(_pulled(records, reference_pulls, False), kind, spec, reference_report),
+            report, reference_report, take,
+        )
+    assert sum(committed) == len(reference_pulls)
+    assert all(committed)
+    runs_needed = next(
+        (k for k in range(len(groups) + 1) if sum(map(len, groups[:k])) >= len(reference_pulls)),
+    )
+    assert len(committed) == runs_needed
 
 
 # --- runs: the packer against the same reference ------------------------------
@@ -438,7 +489,7 @@ def test_run_packer_matches_reference_packer(data, spec, block_tokens, run_chars
     pulls, reference_pulls = [], []
     with mock.patch.multiple(packing, BLOCK_TOKENS=block_tokens, RUN_CHARS=run_chars):
         blocks, error = _outcome(
-            packing._pack(_pulled(given_ids, pulls, fail), kind, spec, report), take
+            packing._pack(record_runs(_pulled(given_ids, pulls, fail)), kind, spec, report), take
         )
         reference = reference_pack(
             _pulled(records, reference_pulls, fail), kind, spec, reference_report
