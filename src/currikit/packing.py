@@ -6,14 +6,16 @@ record is encoded and its ids, then one end-of-text separator, are appended
 to the stream's byte accumulator (one byte per id for ``byte_fallback``,
 whose separator is 0xFF, a byte UTF-8 never holds, rewritten to ``eot_id``
 when the block is built; four bytes per id for ``bpe_file``). Records reach
-the loop in runs: a document is a run of one, and a pair file's rows come
-in the line runs of ``corpus.pair_runs``. The loop takes records in rounds,
-each encoded by one call (``encode_run`` for ``bpe_file``), which raises the
-error of the first record that cannot be encoded. A round ends at the
-record that could bring the accumulator to a block's worth of ids, found by
-a cumulative sum of the run's text lengths, so that record yields its
-blocks at once, and the rest of it carries over into a fresh accumulator:
-records may straddle sequence and block boundaries.
+the loop in runs: a document is a run of one, a pair file's rows come in
+the line runs of ``corpus.pair_runs``, and a replacement stream's pairs in
+runs that also end where a document's sentences end. The loop takes
+records in rounds, each encoded by one call (``encode_run`` for
+``bpe_file``), which raises the error of the first record that cannot be
+encoded. A round ends at the record that could bring the accumulator to a
+block's worth of ids, found by a cumulative sum of the run's text lengths,
+so that record yields its blocks at once, and the rest of it carries over
+into a fresh accumulator: records may straddle sequence and block
+boundaries.
 
 A run is read and rendered ahead of its use, so it carries a commit: the
 loop commits the records it takes, before it yields a block, and a record
@@ -52,7 +54,7 @@ import numpy as np
 
 from . import rng
 from .corpus import EN, Document, LanguageTag, PairRun, SentencePair, ShortfallError, language
-from .tokenizer import TokenizerSpec, count_tokens, encode_run
+from .tokenizer import TokenizerError, TokenizerSpec, count_tokens, encode_run
 from .tokenizer import encode  # noqa: F401  the benchmark's tracer looks up packing.encode
 
 SEQUENCE_LENGTH = 4_096
@@ -296,22 +298,14 @@ def _pack(
                         break
                     texts, source_id, run_ordinals, commit = run
                     first = 0
-                    if len(texts) == 1:  # a record alone: its ids, or a text with no sum
-                        record = texts[0]
+                    if not isinstance(texts[0], str):  # a record's ids, alone in its run
+                        ids = texts[0]
                         first = 1
                         sources.append(source_id)
                         ordinals.append(run_ordinals[0])
                         if commit is not None:
                             commit(1)
-                        if not isinstance(record, str):
-                            ids = record
-                            break
-                        taken.append(record)
-                        room -= most_ids * len(record) + 1
-                        chars += len(record)
-                        if room <= 0 or chars >= run_chars:
-                            break
-                        continue
+                        break
                     chars_to = list(accumulate(map(len, texts)))
                 before = chars_to[first - 1] if first else 0
                 # the first record at which the round reaches RUN_CHARS characters,
@@ -454,48 +448,83 @@ def split_sentences(text: str) -> list[str]:
     return [s.strip() for s in _SENTENCE_END.split(text) if s.strip()]
 
 
+class _Swapped(PairRun):
+    """Pairs of a source run, from its pair ``start`` on, with their SEA
+    sides swapped: committing them commits the pairs they were made from
+    and counts their token deltas."""
+
+    __slots__ = ("_source", "_start", "_deltas", "_report")
+
+    def __init__(
+        self, source: PairRun, start: int, substitutes: list[str], deltas: list[int],
+        report: PackReport,
+    ):
+        stop = start + len(substitutes)
+        super().__init__(source.sea_language, source.source_id, source.en[start:stop],
+                         substitutes, source.ordinals[start:stop])
+        self._source = source
+        self._start = start
+        self._deltas = deltas
+        self._report = report
+
+    def commit(self, n: int) -> None:
+        if n <= self.taken:
+            return
+        self._source.commit(self._start + n)
+        self._report.replacement_token_delta += sum(self._deltas[self.taken : n])
+        self.taken = n
+
+
 def _substituted(
     pairs: Iterable[SentencePair | PairRun],
     sea_docs: Iterable[Document],
     code: str,
     spec: TokenizerSpec,
-    seed: int,
-    label_style: str,
     report: PackReport,
-) -> Iterator[Run]:
-    """Replacement records, a run of one per pair, rendered as ``_rendered``
-    renders them with the SEA side swapped for the next unused sentence.
+) -> Iterator[PairRun]:
+    """Replacement pairs, each with its SEA side swapped for the next unused
+    sentence, in runs that end where a source run or a document's sentences
+    end.
 
-    A pair is committed on its run before its sentence is pulled, the order
-    in which a pair-by-pair reader reads them, and is taken as it is pulled.
+    A pair is committed on its source run before its sentence is pulled, so
+    a run's first pair is committed as the run is made: a document is pulled,
+    and the supply found exhausted, where a pair-by-pair reader meets them.
+    Each pair's token delta is measured as its run is made and counted as it
+    is committed; a run ends before a pair whose sides cannot be measured, so
+    that the pair's error is raised when the run after it is made.
     """
-    en_label = EN.label(label_style)
-    sea_label = language(code).label(label_style)
-    coins = rng.coins(seed, "direction", code)
-    supply = (sentence for doc in sea_docs for sentence in split_sentences(doc.text))
+    docs = iter(sea_docs)
+    sentences: list[str] = []  # the current document's, of which ``used`` are used
+    used = 0
     index = 0
     for run in _runs_in(pairs, code):
-        source_id = run.source_id
-        for taken, (en_text, sea_text, ordinal) in enumerate(
-            zip(run.en, run.sea, run.ordinals), 1
-        ):
-            run.commit(taken)
-            try:
-                substitute = next(supply)
-            except StopIteration:
-                raise ShortfallError(
-                    f"replacement text for {code} exhausted after {index} pairs",
-                    {"pairs_substituted": index},
-                ) from None
-            report.replacement_token_delta += count_tokens(substitute, spec) - count_tokens(
-                sea_text, spec
-            )
-            index += 1
-            bit = next(coins)
-            report.en_first += 1 - bit
-            # split_sentences strips its sentences and drops empty ones
-            text = _pair_texts([en_text], [substitute], [bit], en_label, sea_label)
-            yield text, source_id, [ordinal], None
+        start = 0
+        while start < len(run.en):
+            run.commit(start + 1)
+            while used == len(sentences):
+                doc = next(docs, None)
+                if doc is None:
+                    raise ShortfallError(
+                        f"replacement text for {code} exhausted after {index} pairs",
+                        {"pairs_substituted": index},
+                    )
+                # split_sentences strips its sentences and drops empty ones
+                sentences = split_sentences(doc.text)
+                used = 0
+            substitutes = sentences[used : used + len(run.en) - start]
+            deltas: list[int] = []
+            replaced = run.sea[start : start + len(substitutes)]
+            for substitute, sea_text in zip(substitutes, replaced):
+                try:
+                    deltas.append(count_tokens(substitute, spec) - count_tokens(sea_text, spec))
+                except TokenizerError:
+                    if not deltas:
+                        raise
+                    break
+            yield _Swapped(run, start, substitutes[: len(deltas)], deltas, report)
+            start += len(deltas)
+            used += len(deltas)
+            index += len(deltas)
 
 
 def pack_replacement(
@@ -516,5 +545,6 @@ def pack_replacement(
     """
     code = language(sea_lang).code
     report = report if report is not None else PackReport()
-    records = _substituted(pairs, sea_docs, code, spec, seed, label_style, report)
+    substituted = _substituted(pairs, sea_docs, code, spec, report)
+    records = _rendered(substituted, code, seed, label_style, report)
     return _pack(records, BlockKind.replacement(code), spec, report)

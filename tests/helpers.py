@@ -1,5 +1,6 @@
 """Small factories shared across test modules."""
 
+import dataclasses
 import hashlib
 import json
 import logging
@@ -10,7 +11,15 @@ from pathlib import Path
 import numpy as np
 
 from currikit import evaluate, packing, rng, schedule
-from currikit.corpus import EN, MAX_ROW_WARNINGS, Document, ReadCounter, SentencePair, language
+from currikit.corpus import (
+    EN,
+    MAX_ROW_WARNINGS,
+    Document,
+    ReadCounter,
+    SentencePair,
+    ShortfallError,
+    language,
+)
 from currikit.rng import hash64
 from currikit.tokenizer import EOT_TEXT, TokenizerError, encode
 
@@ -217,6 +226,23 @@ def reference_pair_records(pairs, code, seed, label_style, report):
         else:
             text = f"{sea_label}: {pair.sea_text}\n{en_label}: {pair.en_text}"
         yield text, pair.source_id, pair.ordinal
+
+
+def reference_substituted(pairs, docs, code, spec, report):
+    """Reference for ``packing._substituted``: pair by pair, the pair is
+    pulled, then the next sentence of the documents; the pair's token delta
+    is counted and it is yielded with that sentence as its SEA side."""
+    supply = (sentence for doc in docs for sentence in packing.split_sentences(doc.text))
+    for index, pair in enumerate(pairs):
+        substitute = next(supply, None)
+        if substitute is None:
+            raise ShortfallError(
+                f"replacement text for {code} exhausted after {index} pairs",
+                {"pairs_substituted": index},
+            )
+        delta = len(encode(substitute, spec)) - len(encode(pair.sea_text, spec))
+        report.replacement_token_delta += delta
+        yield dataclasses.replace(pair, sea_text=substitute)
 
 
 _MASK64 = (1 << 64) - 1

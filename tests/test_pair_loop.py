@@ -21,16 +21,17 @@ import numpy as np
 import pytest
 
 from currikit import corpus, packing, pipeline
-from currikit.corpus import CorpusSource, ReadCounter, read_parallel
-from currikit.packing import BlockKind, PackReport, pack_parallel
+from currikit.corpus import CorpusSource, ReadCounter, ShortfallError, read_parallel
+from currikit.packing import BlockKind, PackReport, pack_parallel, pack_replacement
 from currikit.pipeline import compile_corpus
 from currikit.synthetic import write_corpus
-from currikit.tokenizer import BYTE_FALLBACK, TokenizerSpec
+from currikit.tokenizer import BYTE_FALLBACK, TokenizerError, TokenizerSpec
 from helpers import (
     reference_pack,
     reference_pair_records,
     reference_pair_rows,
     reference_read_parallel,
+    reference_substituted,
     tree_digest,
 )
 
@@ -56,6 +57,9 @@ BAD_JSONL = [
     json.dumps({"en": "\u3000", "sea": "x"}) + "\n",
     json.dumps({"en": "x", "sea": "\x1c"}) + "\n",
 ]
+
+
+UNCOVERED = "\u2603"  # in a document file, never in a test vocabulary
 
 
 def _good(code, i, jsonl):
@@ -101,16 +105,18 @@ def pair_files(tmp_path):
     return files
 
 
-def _vocab(files):
+def _vocab(*file_groups):
     """A ``bpe_file`` vocabulary covering every character of the files and
-    the labels, with some longer pieces."""
+    the labels but ``UNCOVERED``, with some longer pieces."""
     chars = {"\n", ":", " "}
-    for sources in files.values():
-        for source in sources:
-            with open(source.path, encoding="utf-8") as fh:
-                chars.update(fh.read())
+    for files in file_groups:
+        for sources in files.values():
+            for source in sources:
+                with open(source.path, encoding="utf-8") as fh:
+                    chars.update(fh.read())
     for label in ("English", "Indonesian", "Thai"):
         chars.update(label)
+    chars.discard(UNCOVERED)
     pieces = sorted(chars) + ["English: ", "Indonesian", "kalimat ", " kata", "english "]
     return TokenizerSpec(
         id="pairs-bpe", vocab_size=len(pieces) + 1, eot_id=len(pieces), kind="bpe_file",
@@ -198,30 +204,41 @@ def test_bytes_that_are_not_utf8_stop_read_parallel_where_a_line_reader_stops(
 
 
 class _Stream:
-    """One parallel stream, pulled a block at a time, with what each pull
-    logged. ``runs`` picks the row loop in runs or one pair at a time."""
+    """One parallel stream, or with ``docs`` a replacement stream, pulled a
+    block at a time, with what each pull logged and the error it raised.
+    ``runs`` picks the row loop in runs or one pair at a time."""
 
-    def __init__(self, sources, code, spec, seed, label_style, runs):
+    def __init__(self, sources, code, spec, seed, label_style, runs, docs=None):
         self.reads = []
         self.report = PackReport()
-        if runs:
-            self.blocks = pack_parallel(
-                pipeline._chained(corpus.pair_runs, sources, code, self.reads), code, spec,
-                seed, label_style, self.report,
+        reader = corpus.pair_runs if runs else reference_read_parallel
+        pairs = pipeline._chained(reader, sources, code, self.reads)
+        if docs is not None:
+            supply = pipeline._chained(corpus.read_monolingual, docs, code, self.reads)
+        if runs and docs is None:
+            self.blocks = pack_parallel(pairs, code, spec, seed, label_style, self.report)
+        elif runs:
+            self.blocks = pack_replacement(
+                pairs, supply, code, spec, seed, label_style, self.report
             )
         else:
+            kind = BlockKind.parallel(code)
+            if docs is not None:
+                pairs = reference_substituted(pairs, supply, code, spec, self.report)
+                kind = BlockKind.replacement(code)
             self.blocks = reference_pack(
-                reference_pair_records(
-                    pipeline._chained(reference_read_parallel, sources, code, self.reads), code,
-                    seed, label_style, self.report,
-                ),
-                BlockKind.parallel(code), spec, self.report,
+                reference_pair_records(pairs, code, seed, label_style, self.report),
+                kind, spec, self.report,
             )
 
     def pull(self, caplog):
         before = len(caplog.records)
-        block = next(self.blocks, None)
-        return block, _logged_since(caplog, before)
+        try:
+            block, error = next(self.blocks, None), None
+        except (ShortfallError, TokenizerError) as exc:
+            block, error = None, f"{type(exc).__name__}: {exc}"
+        self.error = error
+        return block, error, _logged_since(caplog, before)
 
     def close(self, caplog):
         before = len(caplog.records)
@@ -233,8 +250,9 @@ class _Stream:
 
 
 def _assert_same_pull(new, ref, caplog):
-    block, logged = new.pull(caplog)
-    want, want_logged = ref.pull(caplog)
+    block, error, logged = new.pull(caplog)
+    want, want_error, want_logged = ref.pull(caplog)
+    assert error == want_error
     assert logged == want_logged
     assert (block is None) == (want is None)
     if block is not None:
@@ -276,6 +294,72 @@ def test_pair_runs_pack_as_pairs_one_at_a_time(
             stops = {0, len(emitted) // 3, len(emitted) - 1, *at_file_end[-1:]}
             for stop in sorted(s for s in stops if s >= 0):
                 new, ref = _Stream(*args, runs=True), _Stream(*args, runs=False)
+                for _ in range(stop + 1):
+                    _assert_same_pull(new, ref, caplog)
+                assert new.close(caplog) == ref.close(caplog)
+                assert new.state() == ref.state()
+
+
+def _write_docs(path, code, n_docs):
+    """A JSONL document file, dirty like the pair files: documents of one to
+    five sentences, with malformed and empty rows among them. The seventh
+    Indonesian document holds a character no test vocabulary covers."""
+    rows = []
+    for i in range(n_docs):
+        if i % 5 == 2:
+            rows.append(("{oops\n", '{"text": " \\u3000 "}\n', "[]\n")[i % 3])
+        sentences = [
+            f"{code} teks {i} {k}" + " kata" * ((i + k) % 4) + "." for k in range(1 + i % 5)
+        ]
+        if i == 6 and code == "id":
+            sentences[-1] = f"{UNCOVERED} {sentences[-1]}"
+        rows.append(json.dumps({"text": "  ".join(sentences)}, ensure_ascii=False) + "\n")
+    path.write_text("".join(rows), encoding="utf-8")
+    return path
+
+
+@pytest.fixture
+def doc_files(tmp_path):
+    """Per language, a document file: more sentences than the Indonesian
+    pair files have pairs, fewer than the Thai ones."""
+    return {
+        code: [
+            CorpusSource(path=str(_write_docs(tmp_path / f"docs_{code}.jsonl", code, n_docs)),
+                         kind="monolingual", language=code, source_id=f"{code}/docs")
+        ]
+        for code, n_docs in (("id", 20), ("th", 8))
+    }
+
+
+@pytest.mark.parametrize("line_run_chars", [1, corpus.LINE_RUN_CHARS])
+@pytest.mark.parametrize("block_tokens", [1, 7, 64, 4096])
+@pytest.mark.parametrize("tokenizer", ["byte_fallback", "bpe_file"])
+def test_replacement_runs_pack_as_pairs_one_at_a_time(
+    pair_files, doc_files, line_run_chars, block_tokens, tokenizer, caplog
+):
+    """A replacement stream takes its pairs in runs cut where a document's
+    sentences end. After every block, and when abandoned, it has pulled the
+    pairs and documents, counted the token deltas and logged the warnings of
+    a pair-by-pair stream. The Thai stream runs out of sentences; with the
+    ``bpe_file`` vocabulary the Indonesian one meets a sentence it cannot
+    measure, mid-run. Each fails at the reference's pull, with its error."""
+    spec = BYTE_FALLBACK if tokenizer == "byte_fallback" else _vocab(pair_files, doc_files)
+    caplog.set_level(logging.WARNING, logger="currikit.corpus")
+    failure = {"th": "ShortfallError", "id": None if spec is BYTE_FALLBACK else "TokenizerError"}
+    with mock.patch.object(corpus, "LINE_RUN_CHARS", line_run_chars), \
+            mock.patch.object(packing, "BLOCK_TOKENS", block_tokens):
+        for code, sources in pair_files.items():
+            args = (sources, code, spec, 3, "name")
+            new, ref = (_Stream(*args, runs=runs, docs=doc_files[code]) for runs in (True, False))
+            pulls = 1
+            while _assert_same_pull(new, ref, caplog) is not None:
+                pulls += 1
+            assert new.close(caplog) == ref.close(caplog) == []
+            assert (new.error and new.error.partition(":")[0]) == failure[code]
+            for stop in sorted({0, pulls // 3, pulls // 2, max(pulls - 2, 0)}):
+                new, ref = (
+                    _Stream(*args, runs=runs, docs=doc_files[code]) for runs in (True, False)
+                )
                 for _ in range(stop + 1):
                     _assert_same_pull(new, ref, caplog)
                 assert new.close(caplog) == ref.close(caplog)
