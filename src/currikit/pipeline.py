@@ -266,5 +266,12 @@ def compile_corpus(
             for key, stream_reads in sorted(reads.items())
         }
 
-    layout = write_shards(block_stream(), manifest, out_dir)
+    try:
+        layout = write_shards(block_stream(), manifest, out_dir)
+    except BaseException:
+        # The exception's traceback keeps the streams alive; close them now,
+        # so each logs its malformed-row total before the error is reported.
+        for stream in streams.values():
+            stream.close()
+        raise
     return CompileResult(layout=layout, manifest=manifest, reports=reports)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from typing import Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -77,6 +77,24 @@ def coins(*key: object) -> Iterator[int]:
         yield h.digest()[0] & 1
 
 
+def _steps(n: int) -> Iterator[tuple[int, bytes]]:
+    """Per Fisher-Yates step ``i`` from ``n - 1`` down to 1: its draw bound
+    ``i + 1`` and ``i`` as ``_absorbed`` spells an integer part."""
+    return zip(range(n, 1, -1), map(b"%d\x1f".__mod__, range(n - 1, 0, -1)))
+
+
+def _draws(state: hashlib._Hash, steps: Iterable[tuple[int, bytes]]) -> Iterator[int]:
+    """The draw ``j`` of each step of ``_steps``, for a state that has
+    absorbed the key: the state is copied, the step's ``i`` absorbed into
+    the copy, and the digest taken modulo ``i + 1``."""
+    copy = state.copy
+    from_bytes = int.from_bytes
+    for bound, tag in steps:
+        h = copy()
+        h.update(tag)
+        yield from_bytes(h.digest(), "little") % bound
+
+
 def swaps(n: int, *key: object) -> Iterator[tuple[int, int]]:
     """The Fisher-Yates steps ``(i, j)`` of a keyed shuffle of ``n`` items.
 
@@ -86,11 +104,22 @@ def swaps(n: int, *key: object) -> Iterator[tuple[int, int]]:
     is final once its step is taken, so a caller may stop early without
     changing any draw.
     """
+    return zip(range(n - 1, 0, -1), _draws(_absorbed(key), _steps(n)))
+
+
+def attempts(n: int, *key: object) -> Iterator[Iterator[int]]:
+    """For ``a = 0, 1, 2, ...`` without end: the draws ``j`` of ``swaps(n, *key, a)``.
+
+    A caller that redraws a shuffle until one passes pulls one attempt at a
+    time and may stop any attempt early. The key is absorbed once per call
+    and ``a`` once per attempt, which gives the digests of ``swaps``.
+    """
     prefix = _absorbed(key)
-    for i in range(n - 1, 0, -1):
-        h = prefix.copy()
-        h.update(b"%d\x1f" % i)
-        yield i, int.from_bytes(h.digest(), "little") % (i + 1)
+    steps = list(_steps(n))
+    for attempt in itertools.count():
+        state = prefix.copy()
+        state.update(b"%d\x1f" % attempt)
+        yield _draws(state, steps)
 
 
 def shuffled(items: Sequence[T], *key: object) -> list[T]:

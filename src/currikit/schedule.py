@@ -5,13 +5,19 @@ strategy schedules and in which phase order; building and validation both
 read it. A schedule is built batch by batch. Every batch holds exactly one
 replay block per four blocks, the remaining slots are filled from a global
 strategy-specific kind sequence, and the order inside each batch is
-randomized with keyed draws. For the mixed strategy, permutations are
-redrawn (bounded, then a constructive fallback) until every run of
-non-replay blocks between two replay blocks contains at least one
-monolingual and one parallel block, measured on the final order across
-batch boundaries. A redraw is abandoned as soon as the settled tail of its
-Fisher-Yates pass closes such a short run; every attempt has its own key,
-so cutting one short changes no later draw and no accepted order.
+randomized with keyed draws. Each kind key has one ``BlockKind`` and one
+``ScheduleEntry``, shared by all its blocks.
+
+For the mixed strategy, permutations are redrawn (bounded, then a
+constructive fallback) until every run of non-replay blocks between two
+replay blocks contains at least one monolingual and one parallel block,
+measured on the final order across batch boundaries. A redraw shuffles the
+batch's replay / monolingual / parallel class codes, not its blocks, and is
+abandoned as soon as the blocks its Fisher-Yates pass has not yet settled
+can no longer fill every run still open: this cut is exact, so it rejects
+only passes the full check would reject too. Every attempt has its own
+key, so cutting one short changes no later draw and no accepted order; the
+accepted attempt's shuffle is applied to the batch's entries once.
 
 Budgets are floored to whole batches; leftover tokens are reported on the
 manifest, never padded.
@@ -44,6 +50,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -160,10 +167,7 @@ class CurriculumManifest:
             yield self.entries[start : start + b]
 
     def kind_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for e in self.entries:
-            counts[e.kind.key()] = counts.get(e.kind.key(), 0) + 1
-        return counts
+        return dict(Counter(e.kind.key() for e in self.entries))
 
     def to_json(self) -> str:
         """Stable serialization: identical manifests are byte-identical."""
@@ -313,19 +317,25 @@ def _checksums(checksums: list | None, n_blocks: int) -> list[str] | None:
     return checksums
 
 
-def _non_replay_kinds(strategy: Strategy, total: int, langs: Sequence[str]) -> list[BlockKind]:
-    """The global, pre-shuffle sequence of non-replay kinds.
+def _non_replay_entries(
+    strategy: Strategy, total: int, langs: Sequence[str]
+) -> list[ScheduleEntry]:
+    """The global, pre-shuffle sequence of non-replay entries.
 
     Each kind name takes its languages round-robin from its own counter.
+    Every kind key has one ``BlockKind`` and one ``ScheduleEntry``, shared
+    by all its blocks.
     """
     names = STRATEGY_KINDS[strategy]
-    if strategy is Strategy.MIXED:
-        sequence = [names[j % 2] for j in range(total)]
-    else:
-        head = (total + 1) // 2 if len(names) == 2 else total
-        sequence = [names[0]] * head + [names[-1]] * (total - head)
-    languages = {name: itertools.cycle(langs) for name in names}
-    return [BlockKind(name, next(languages[name])) for name in sequence]
+    first = (total + 1) // 2 if len(names) == 2 else total
+    runs = []  # per kind name, its blocks in order
+    for name, count in zip(names, (first, total - first)):
+        entries = [ScheduleEntry(BlockKind(name, code)) for code in langs]
+        runs.append(list(itertools.islice(itertools.cycle(entries), count)))
+    sequence = [entry for run in runs for entry in run]
+    if strategy is Strategy.MIXED:  # the two names alternate, the first first
+        sequence[0::2], sequence[1::2] = runs
+    return sequence
 
 
 def _short_runs(kinds: Iterable[BlockKind]) -> Iterator[tuple[int, int, int, int]]:
@@ -348,16 +358,16 @@ def _short_runs(kinds: Iterable[BlockKind]) -> Iterator[tuple[int, int, int, int
             par += 1
 
 
-def _mixed_fallback(base: Sequence[BlockKind], batch_index: int) -> list[BlockKind]:
+def _mixed_fallback(base: Sequence[ScheduleEntry], batch_index: int) -> list[ScheduleEntry]:
     """Deterministic batch order that always satisfies the run constraint.
 
     Lays the batch out as replay-terminated groups of three non-replay
     blocks, seeding every group with one monolingual and one parallel
     block, which also heals whatever open run was carried in.
     """
-    monos = [k for k in base if k.name == "monolingual"]
-    pars = [k for k in base if k.name == "parallel"]
-    replays = [k for k in base if k.name == "replay"]
+    monos = [e for e in base if e.kind.name == "monolingual"]
+    pars = [e for e in base if e.kind.name == "parallel"]
+    replays = [e for e in base if e.kind.name == "replay"]
     group_size = len(base) // len(replays) - 1 if replays else len(base)
     if replays and (len(monos) < len(replays) or len(pars) < len(replays)):
         raise ConstraintError(
@@ -366,52 +376,111 @@ def _mixed_fallback(base: Sequence[BlockKind], batch_index: int) -> list[BlockKi
             f"for {len(replays)} replay slots",
             batch_index,
         )
-    order: list[BlockKind] = []
-    for _ in replays:
+    order: list[ScheduleEntry] = []
+    for replay in replays:
         group = [monos.pop(0), pars.pop(0)]
         while len(group) < group_size and (monos or pars):
             group.append(monos.pop(0) if len(monos) >= len(pars) else pars.pop(0))
         order.extend(group)
-        order.append(BlockKind.replay())
+        order.append(replay)
     # any remainder (no replays in batch, or uneven groups) goes at the end
     order.extend(monos)
     order.extend(pars)
     return order
 
 
+# The class codes a mixed redraw shuffles in place of the blocks.
+_REPLAY, _MONO, _PAR = 0, 1, 2
+_CLASS = {"replay": _REPLAY, "monolingual": _MONO, "parallel": _PAR}
+
+
+def _passing_attempt(
+    codes: list[int], carried: Sequence[int], attempts: Iterable[Iterable[int]]
+) -> int | None:
+    """The index of the first attempt whose shuffle of ``codes`` has no short run.
+
+    ``codes`` holds the class code of each of the batch's blocks and
+    ``carried`` those of the run carried in (empty, or a replay block and
+    every block after it); attempt ``a`` of ``attempts`` gives the draws of
+    its Fisher-Yates steps. Returns ``None`` after
+    ``MAX_PERMUTATION_ATTEMPTS`` rejections, or before any draw when no
+    order of ``codes`` passes.
+
+    The cut: after a step, the unsettled prefix holds R replay, M
+    monolingual and P parallel blocks, and the runs still open are the
+    R - 1 runs between its own replay blocks, the run joined to the
+    carried run and, once a replay block has settled, the run joined to
+    the settled head (the settled blocks left of the leftmost settled
+    replay). The prefix can be ordered freely, so it can fill them iff
+    ``M - (R - 1) - lack >= 0``, where ``lack`` counts the carried run and
+    the head if they hold no monolingual block, and likewise for P (with
+    R = 0 they are one run, and the same sum decides). Settling a replay
+    block leaves this slack as it is, once the run that block closes is
+    checked; settling a block into a head that already holds its kind
+    spends one. A pass is abandoned as soon as a closed run is short or a
+    slack is negative, which is exactly when no order of the prefix
+    passes, so the cut changes no accepted attempt.
+    """
+    replays = codes.count(_REPLAY)
+    mono_slack = codes.count(_MONO) - replays + 1 - (bool(carried) and _MONO not in carried)
+    par_slack = codes.count(_PAR) - replays + 1 - (bool(carried) and _PAR not in carried)
+    if mono_slack < 0 or par_slack < 0:
+        return None
+    n = len(codes)
+    for attempt, draws in zip(range(MAX_PERMUTATION_ATTEMPTS), attempts):
+        order = codes.copy()
+        mono, par = mono_slack, par_slack
+        # The settled head holds (or, before a replay block settles, need
+        # not hold) a monolingual / a parallel block.
+        head_mono = head_par = True
+        i = n
+        for j in draws:
+            i -= 1
+            code = order[j]  # settles at i, which no later step reads
+            order[j] = order[i]
+            if code == _REPLAY:
+                if not (head_mono and head_par):
+                    break
+                head_mono = head_par = False
+            elif code == _MONO:
+                if head_mono:
+                    mono -= 1
+                    if mono < 0:
+                        break
+                head_mono = True
+            else:
+                if head_par:
+                    par -= 1
+                    if par < 0:
+                        break
+                head_par = True
+        else:
+            return attempt
+    return None
+
+
 def _mixed_order(
-    base: list[BlockKind], open_run: list[BlockKind], seed: int, batch_index: int
-) -> list[BlockKind]:
+    base: list[ScheduleEntry], open_run: list[ScheduleEntry], seed: int, batch_index: int
+) -> list[ScheduleEntry]:
     """The first keyed shuffle of ``base`` whose runs all hold both kinds.
 
     Attempt ``a`` is the Fisher-Yates shuffle keyed ``(seed, "batch",
     batch_index, a)``, accepted when ``open_run + order`` has no short run.
-    A pass is abandoned as soon as its settled tail closes a short run
-    between two of the batch's own replay blocks, which the full check
-    would reject too; the full check still decides every surviving pass,
-    including the run carried in as ``open_run``. After
+    Attempts are judged on class codes by ``_passing_attempt``, which
+    abandons a pass as soon as no order of its unsettled blocks can pass,
+    an exact cut that rejects only passes the full check would reject; the
+    accepted attempt's shuffle is then applied to ``base`` once. After
     ``MAX_PERMUTATION_ATTEMPTS`` rejections ``_mixed_fallback`` decides.
     """
-    for attempt in range(MAX_PERMUTATION_ATTEMPTS):
-        order = list(base)
-        closed = False  # a replay block is settled to the right of position i
-        mono = par = 0  # blocks settled since the nearest such replay block
-        for i, j in rng.swaps(len(order), seed, "batch", batch_index, attempt):
-            order[i], order[j] = order[j], order[i]
-            name = order[i].name
-            if name == "replay":
-                if closed and not (mono and par):
-                    break
-                closed, mono, par = True, 0, 0
-            elif name == "monolingual":
-                mono += 1
-            else:
-                par += 1
-        else:
-            if next(_short_runs(open_run + order), None) is None:
-                return order
+    attempt = _passing_attempt(
+        [_CLASS[e.kind.name] for e in base],
+        [_CLASS[e.kind.name] for e in open_run],
+        rng.attempts(len(base), seed, "batch", batch_index),
+    )
+    if attempt is not None:
+        return rng.shuffled(base, seed, "batch", batch_index, attempt)
     order = _mixed_fallback(base, batch_index)
-    if next(_short_runs(open_run + order), None) is not None:
+    if next(_short_runs(e.kind for e in open_run + order), None) is not None:
         raise ConstraintError(
             f"batch {batch_index} fallback violates the interleave constraint", batch_index
         )
@@ -453,20 +522,21 @@ def build_schedule(
     n_batches = n_blocks // batch_size_blocks
     replay_per_batch = batch_size_blocks // REPLAY_DIVISOR
     non_replay_per_batch = batch_size_blocks - replay_per_batch
-    kinds = _non_replay_kinds(strategy, n_batches * non_replay_per_batch, langs)
+    sequence = _non_replay_entries(strategy, n_batches * non_replay_per_batch, langs)
+    replay = ScheduleEntry(BlockKind.replay())
 
     entries: list[ScheduleEntry] = []
-    open_run: list[BlockKind] = []  # mixed: the last replay block and all after it
+    open_run: list[ScheduleEntry] = []  # mixed: the last replay block and all after it
     for b in range(n_batches):
-        chunk = kinds[b * non_replay_per_batch : (b + 1) * non_replay_per_batch]
-        base = [BlockKind.replay()] * replay_per_batch + chunk
+        base = [replay] * replay_per_batch
+        base += sequence[b * non_replay_per_batch : (b + 1) * non_replay_per_batch]
         if strategy is Strategy.MIXED:
             order = _mixed_order(base, open_run, seed, b)
-            last_replay = max(i for i, k in enumerate(order) if k.name == "replay")
+            last_replay = max(i for i, e in enumerate(order) if e is replay)
             open_run = order[last_replay:]
         else:
             order = rng.shuffled(base, seed, "batch", b, 0)
-        entries.extend(ScheduleEntry(k) for k in order)
+        entries += order
 
     return CurriculumManifest(
         strategy=strategy,
@@ -483,12 +553,17 @@ def validate_schedule(manifest: CurriculumManifest) -> list[Violation]:
     """Audit a manifest against every strategy postcondition.
 
     Returns an empty list iff the schedule is valid; violations name the
-    broken rule and the positions involved.
+    broken rule and the positions involved. One pass over the entries
+    gathers what every rule needs; the violations are then listed rule by
+    rule, each rule's in position order.
     """
     v: list[Violation] = []
     entries = manifest.entries
     batch = manifest.batch_size_blocks
     strategy = manifest.strategy
+    allowed = STRATEGY_KINDS[strategy]
+    phased = strategy in (Strategy.PARALLEL_FIRST, Strategy.PARALLEL_LAST)
+    early, late = allowed if phased else ("", "")
 
     if len(entries) % batch:
         v.append(
@@ -499,44 +574,76 @@ def validate_schedule(manifest: CurriculumManifest) -> list[Violation]:
             )
         )
 
+    replays = [0] * -(-len(entries) // batch)  # per batch
+    domain: list[Violation] = []
+    totals = {"monolingual": 0, "parallel": 0}
+    per_language: dict[str, dict[str, int]] = {}  # blocks per language, per kind name
+    runs: list[tuple[int, int, int, int]] = []  # interleave: short runs, as _short_runs
+    opening: int | None = None
+    mono = par = 0
+    last_early_batch = -1
+    first_late_batch: int | None = None
+    for i, e in enumerate(entries):
+        kind = e.kind
+        name = kind.name
+        if name == "replay":
+            replays[i // batch] += 1
+            if opening is not None and (mono == 0 or par == 0):
+                runs.append((opening, i, mono, par))
+            opening, mono, par = i, 0, 0
+            continue
+        if name == "monolingual":
+            mono += 1
+        else:
+            par += 1
+        if name in totals:
+            totals[name] += 1
+        if name not in allowed:
+            domain.append(
+                Violation("kind-domain", (i,), f"{kind.key()} not allowed in {strategy.value}")
+            )
+        language = kind.language
+        if language is not None:
+            if language not in manifest.language_set:
+                domain.append(
+                    Violation(
+                        "language-domain",
+                        (i,),
+                        f"{language} not in the manifest language set",
+                    )
+                )
+            counts = per_language.get(name)
+            if counts is None:
+                counts = per_language[name] = dict.fromkeys(manifest.language_set, 0)
+            counts[language] = counts.get(language, 0) + 1
+        if name == early:
+            last_early_batch = i // batch
+        elif name == late and first_late_batch is None:
+            first_late_batch = i // batch
+
     want_replay = batch // REPLAY_DIVISOR
-    for b, group in enumerate(manifest.batches()):
-        got = sum(1 for e in group if e.kind.name == "replay")
+    for b, got in enumerate(replays):
         if got != want_replay:
             v.append(
                 Violation(
                     "replay-ratio",
-                    tuple(range(b * batch, b * batch + len(group))),
+                    tuple(range(b * batch, min((b + 1) * batch, len(entries)))),
                     f"batch {b} has {got} replay blocks, want {want_replay}",
                 )
             )
+    v.extend(domain)
 
-    allowed = STRATEGY_KINDS[strategy]
-    for i, e in enumerate(entries):
-        if e.kind.name != "replay" and e.kind.name not in allowed:
-            v.append(
-                Violation("kind-domain", (i,), f"{e.kind.key()} not allowed in {strategy.value}")
-            )
-        if e.kind.language is not None and e.kind.language not in manifest.language_set:
-            v.append(
-                Violation(
-                    "language-domain",
-                    (i,),
-                    f"{e.kind.language} not in the manifest language set",
-                )
-            )
-
-    mono = sum(1 for e in entries if e.kind.name == "monolingual")
-    par = sum(1 for e in entries if e.kind.name == "parallel")
-    if len(allowed) == 2 and abs(mono - par) > 1:
+    if len(allowed) == 2 and abs(totals["monolingual"] - totals["parallel"]) > 1:
         v.append(
             Violation(
-                "equal-ratio", (), f"{mono} monolingual vs {par} parallel blocks"
+                "equal-ratio",
+                (),
+                f"{totals['monolingual']} monolingual vs {totals['parallel']} parallel blocks",
             )
         )
 
     if strategy is Strategy.MIXED:
-        for opening, closing, run_mono, run_par in _short_runs(e.kind for e in entries):
+        for opening, closing, run_mono, run_par in runs:
             v.append(
                 Violation(
                     "interleave",
@@ -545,50 +652,24 @@ def validate_schedule(manifest: CurriculumManifest) -> list[Violation]:
                     f"{run_mono} monolingual and {run_par} parallel blocks",
                 )
             )
-    if strategy in (Strategy.PARALLEL_FIRST, Strategy.PARALLEL_LAST):
-        v.extend(_phase_violations(manifest))
-    v.extend(_language_balance_violations(manifest))
-    return v
-
-
-def _phase_violations(manifest: CurriculumManifest) -> list[Violation]:
-    early, late = STRATEGY_KINDS[manifest.strategy]
-    last_early_batch = -1
-    first_late_batch = None
-    for b, group in enumerate(manifest.batches()):
-        names = {e.kind.name for e in group}
-        if early in names:
-            last_early_batch = b
-        if late in names and first_late_batch is None:
-            first_late_batch = b
     if first_late_batch is not None and last_early_batch > first_late_batch:
-        return [
+        v.append(
             Violation(
                 "phase-order",
-                (first_late_batch * manifest.batch_size_blocks,),
+                (first_late_batch * batch,),
                 f"{early} blocks appear after batch {first_late_batch} "
                 f"(up to batch {last_early_batch}); at most one transition "
                 f"batch may hold both",
             )
-        ]
-    return []
-
-
-def _language_balance_violations(manifest: CurriculumManifest) -> list[Violation]:
-    out = []
+        )
     for name in ("monolingual", "parallel", "replacement"):
-        counts: dict[str, int] = {code: 0 for code in manifest.language_set}
-        seen = False
-        for e in manifest.entries:
-            if e.kind.name == name and e.kind.language is not None:
-                counts[e.kind.language] = counts.get(e.kind.language, 0) + 1
-                seen = True
-        if seen and max(counts.values()) - min(counts.values()) > 1:
-            out.append(
+        counts = per_language.get(name)
+        if counts and max(counts.values()) - min(counts.values()) > 1:
+            v.append(
                 Violation(
                     "language-balance",
                     (),
                     f"{name} blocks per language are uneven: {counts}",
                 )
             )
-    return out
+    return v

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import logging
 import unicodedata
@@ -19,6 +20,7 @@ from currikit.corpus import (
     SentencePair,
     ShortfallError,
     language,
+    sort_codes,
 )
 from currikit.rng import hash64
 from currikit.tokenizer import EOT_TEXT, TokenizerError, encode
@@ -278,19 +280,111 @@ def scalar_swaps(n, *key):
 def whole_shuffle_mixed_order(base, open_run, seed, batch_index):
     """Reference for ``schedule._mixed_order``: whole shuffles, full check.
 
-    Each attempt is a complete ``rng.shuffled`` pass judged by
-    ``_short_runs`` over the carried run and the new order, with the same
-    fallback after ``MAX_PERMUTATION_ATTEMPTS``. Returns ``(attempt,
-    order)``; ``attempt`` is None when the fallback decided.
+    Each attempt is a complete ``rng.shuffled`` pass of the batch's entries
+    judged by ``_short_runs`` over the carried run and the new order, with
+    the same fallback after ``MAX_PERMUTATION_ATTEMPTS``. Returns
+    ``(attempt, order)``; ``attempt`` is None when the fallback decided.
     """
+    def passes(order):
+        return next(schedule._short_runs(e.kind for e in open_run + order), None) is None
+
     for attempt in range(schedule.MAX_PERMUTATION_ATTEMPTS):
         order = rng.shuffled(base, seed, "batch", batch_index, attempt)
-        if next(schedule._short_runs(open_run + order), None) is None:
+        if passes(order):
             return attempt, order
     order = schedule._mixed_fallback(base, batch_index)
-    if next(schedule._short_runs(open_run + order), None) is not None:
+    if not passes(order):
         raise schedule.ConstraintError("fallback violates the interleave constraint", batch_index)
     return None, order
+
+
+def reference_schedule(strategy, n_batches, language_set, batch, seed):
+    """Reference for the entries of ``schedule.build_schedule``: a fresh
+    ``BlockKind`` and ``ScheduleEntry`` per block, kind names laid out one
+    block at a time, and ``whole_shuffle_mixed_order`` for mixed."""
+    strategy = schedule.Strategy(strategy)
+    names = schedule.STRATEGY_KINDS[strategy]
+    replays = batch // schedule.REPLAY_DIVISOR
+    per_batch = batch - replays
+    total = n_batches * per_batch
+    if strategy is schedule.Strategy.MIXED:
+        sequence = [names[j % 2] for j in range(total)]
+    else:
+        head = (total + 1) // 2 if len(names) == 2 else total
+        sequence = [names[0]] * head + [names[-1]] * (total - head)
+    languages = {name: itertools.cycle(sort_codes(language_set)) for name in names}
+    kinds = [packing.BlockKind(name, next(languages[name])) for name in sequence]
+    entries, open_run = [], []
+    for b in range(n_batches):
+        base = [schedule.ScheduleEntry(packing.BlockKind.replay()) for _ in range(replays)]
+        base += [schedule.ScheduleEntry(k) for k in kinds[b * per_batch : (b + 1) * per_batch]]
+        if strategy is schedule.Strategy.MIXED:
+            _, order = whole_shuffle_mixed_order(base, open_run, seed, b)
+            last_replay = max(i for i, e in enumerate(order) if e.kind.name == "replay")
+            open_run = order[last_replay:]
+        else:
+            order = rng.shuffled(base, seed, "batch", b, 0)
+        entries += order
+    return entries
+
+
+def reference_validate(manifest):
+    """Reference for ``schedule.validate_schedule``: one pass over the
+    entries per rule, the violations listed rule by rule in this order."""
+    V = schedule.Violation
+    v = []
+    entries = manifest.entries
+    batch = manifest.batch_size_blocks
+    strategy = manifest.strategy
+    if len(entries) % batch:
+        v.append(V("batch-multiple", (),
+                   f"{len(entries)} entries not a multiple of batch {batch}"))
+    want_replay = batch // schedule.REPLAY_DIVISOR
+    for b, group in enumerate(manifest.batches()):
+        got = sum(1 for e in group if e.kind.name == "replay")
+        if got != want_replay:
+            v.append(V("replay-ratio", tuple(range(b * batch, b * batch + len(group))),
+                       f"batch {b} has {got} replay blocks, want {want_replay}"))
+    allowed = schedule.STRATEGY_KINDS[strategy]
+    for i, e in enumerate(entries):
+        if e.kind.name != "replay" and e.kind.name not in allowed:
+            v.append(V("kind-domain", (i,), f"{e.kind.key()} not allowed in {strategy.value}"))
+        if e.kind.language is not None and e.kind.language not in manifest.language_set:
+            v.append(V("language-domain", (i,),
+                       f"{e.kind.language} not in the manifest language set"))
+    mono = sum(1 for e in entries if e.kind.name == "monolingual")
+    par = sum(1 for e in entries if e.kind.name == "parallel")
+    if len(allowed) == 2 and abs(mono - par) > 1:
+        v.append(V("equal-ratio", (), f"{mono} monolingual vs {par} parallel blocks"))
+    if strategy is schedule.Strategy.MIXED:
+        for opening, closing, run_mono, run_par in schedule._short_runs(e.kind for e in entries):
+            v.append(V("interleave", (opening + 1, closing),
+                       f"run before position {closing} has "
+                       f"{run_mono} monolingual and {run_par} parallel blocks"))
+    if strategy in (schedule.Strategy.PARALLEL_FIRST, schedule.Strategy.PARALLEL_LAST):
+        early, late = allowed
+        last_early_batch, first_late_batch = -1, None
+        for b, group in enumerate(manifest.batches()):
+            names = {e.kind.name for e in group}
+            if early in names:
+                last_early_batch = b
+            if late in names and first_late_batch is None:
+                first_late_batch = b
+        if first_late_batch is not None and last_early_batch > first_late_batch:
+            v.append(V("phase-order", (first_late_batch * batch,),
+                       f"{early} blocks appear after batch {first_late_batch} "
+                       f"(up to batch {last_early_batch}); at most one transition "
+                       f"batch may hold both"))
+    for name in ("monolingual", "parallel", "replacement"):
+        counts = {code: 0 for code in manifest.language_set}
+        seen = False
+        for e in entries:
+            if e.kind.name == name and e.kind.language is not None:
+                counts[e.kind.language] = counts.get(e.kind.language, 0) + 1
+                seen = True
+        if seen and max(counts.values()) - min(counts.values()) > 1:
+            v.append(V("language-balance", (), f"{name} blocks per language are uneven: {counts}"))
+    return v
 
 
 def _is_cjk(ch):

@@ -11,10 +11,12 @@ when it runs dry.
 """
 
 import dataclasses
-import gc
 import json
 import logging
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -408,8 +410,6 @@ def _compile_both_ways(config, strategy, blocks, tmp_path, caplog):
                 error = None
             except (pipeline.CompileError, UnicodeDecodeError) as exc:
                 error = str(exc)
-            # a failed compile's streams close, and log, when its traceback is collected
-            gc.collect()
         outcomes.append((error, tree_digest(out), [r.getMessage() for r in caplog.records]))
     assert outcomes[0] == outcomes[1]
     return outcomes[0]
@@ -445,3 +445,23 @@ def test_bytes_that_are_not_utf8_stop_a_compile_where_a_line_reader_stops(
     )
     assert error.startswith("'utf-8' codec can't decode byte 0xff")
     assert any(line.startswith("pairs_th.tsv: skipped") for line in logged)
+
+
+def test_failed_compile_logs_row_totals_before_its_error_line(dirty_config, tmp_path):
+    """A compile whose pair streams run dry closes every stream before it
+    fails, so the malformed-row totals of the streams it abandons come
+    before the ``error:`` line and nothing follows that line."""
+    src = str(Path(pipeline.__file__).resolve().parent.parent)
+    argv = ["compile", "--config", str(dirty_config), "--strategy", "parallel-only",
+            "--budget-tokens", str(12 * packing.BLOCK_TOKENS), "--batch-blocks", "4",
+            "--seed", "5", "--out", str(tmp_path / "out")]
+    result = subprocess.run(
+        [sys.executable, "-I", "-c",
+         f"import sys; sys.path.insert(0, {src!r}); from currikit import cli; "
+         f"sys.exit(cli.main({argv!r}))"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 1
+    lines = result.stderr.splitlines()
+    assert lines[-1].startswith("error: parallel:")
+    assert any(line.startswith("pairs_th.tsv: skipped") for line in lines[:-1])

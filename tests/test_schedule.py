@@ -1,9 +1,11 @@
 import dataclasses
+import functools
+import itertools
 import json
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from currikit import rng, schedule
@@ -12,12 +14,13 @@ from currikit.schedule import (
     MANIFEST_FORMAT,
     ConstraintError,
     CurriculumManifest,
+    ScheduleEntry,
     SizingError,
     Strategy,
     build_schedule,
     validate_schedule,
 )
-from helpers import whole_shuffle_mixed_order
+from helpers import reference_schedule, reference_validate, whole_shuffle_mixed_order
 
 ALL_STRATEGIES = list(Strategy)
 LANGS = ["id", "km", "lo", "ms", "my", "ta", "th", "tl", "vi", "zh"]
@@ -327,7 +330,8 @@ def test_mixed_fallback_unsatisfiable_batch():
     # The builder never produces this, so drive the fallback directly.
     from currikit.schedule import _mixed_fallback
 
-    base = [BlockKind.replay()] * 2 + [BlockKind.monolingual("id")] * 6
+    replay, mono = ScheduleEntry(BlockKind.replay()), ScheduleEntry(BlockKind.monolingual("id"))
+    base = [replay] * 2 + [mono] * 6
     with pytest.raises(ConstraintError) as err:
         _mixed_fallback(base, batch_index=5)
     assert err.value.batch_index == 5
@@ -336,13 +340,17 @@ def test_mixed_fallback_unsatisfiable_batch():
 def test_mixed_fallback_closes_the_carried_run():
     from currikit.schedule import _mixed_fallback, _short_runs
 
-    mono, par, replay = BlockKind.monolingual("id"), BlockKind.parallel("id"), BlockKind.replay()
+    mono, par, replay = (
+        ScheduleEntry(BlockKind.monolingual("id")),
+        ScheduleEntry(BlockKind.parallel("id")),
+        ScheduleEntry(BlockKind.replay()),
+    )
     open_run = [replay, mono, mono]  # no parallel block since the last replay
     base = [replay] * 2 + [mono, par] * 3
-    assert next(_short_runs(open_run + base)) == (0, 3, 2, 0)
+    assert next(_short_runs(e.kind for e in open_run + base)) == (0, 3, 2, 0)
     order = _mixed_fallback(base, batch_index=0)
-    assert sorted(order, key=BlockKind.key) == sorted(base, key=BlockKind.key)
-    assert list(_short_runs(open_run + order)) == []
+    assert sorted(order, key=lambda e: e.kind.key()) == sorted(base, key=lambda e: e.kind.key())
+    assert list(_short_runs(e.kind for e in open_run + order)) == []
 
 
 @pytest.mark.parametrize("attempts", [0, 1])
@@ -369,14 +377,23 @@ NON_REPLAY = st.builds(
 def test_mixed_order_matches_whole_shuffle_reference(batch, data, carried, seed):
     replays = batch // 4
     chunk = data.draw(st.lists(NON_REPLAY, min_size=batch - replays, max_size=batch - replays))
-    base = [BlockKind.replay()] * replays + chunk
-    open_run = [] if carried is None else [BlockKind.replay(), *carried]
+    replay = ScheduleEntry(BlockKind.replay())
+    base = [replay] * replays + [ScheduleEntry(k) for k in chunk]
+    open_run = [] if carried is None else [replay, *map(ScheduleEntry, carried)]
     try:
         want = whole_shuffle_mixed_order(base, open_run, seed, 9)
     except ConstraintError:
         want = None
+    keys = []  # the key of every attempt drawn, in order
+    attempts = rng.attempts
+
+    def recorded_attempts(n, *key):
+        for attempt, draws in enumerate(attempts(n, *key)):
+            keys.append((n, *key, attempt))
+            yield draws
+
     with (
-        mock.patch.object(rng, "swaps", wraps=rng.swaps) as swaps,
+        mock.patch.object(rng, "attempts", recorded_attempts),
         mock.patch.object(schedule, "_mixed_fallback", wraps=schedule._mixed_fallback) as fallback,
     ):
         try:
@@ -390,11 +407,117 @@ def test_mixed_order_matches_whole_shuffle_reference(batch, data, carried, seed)
     assert order == want_order
     if attempt is None:
         assert fallback.call_count == 1
-        assert swaps.call_count == schedule.MAX_PERMUTATION_ATTEMPTS
+        drawn = schedule.MAX_PERMUTATION_ATTEMPTS
     else:
         assert fallback.call_count == 0
-        assert swaps.call_count == attempt + 1
-        assert swaps.call_args.args == (batch, seed, "batch", 9, attempt)
+        drawn = attempt + 1
+    assert keys == [(batch, seed, "batch", 9, a) for a in range(drawn)]
+
+
+_CODE_KINDS = (BlockKind.replay(), BlockKind.monolingual("id"), BlockKind.parallel("id"))
+
+
+def _orders(codes):
+    """Every distinct order of a multiset of class codes."""
+    if not codes:
+        yield ()
+        return
+    for code in sorted(set(codes)):
+        rest = list(codes)
+        rest.remove(code)
+        for tail in _orders(rest):
+            yield (code, *tail)
+
+
+@functools.cache
+def _fillable(prefix, settled, carried):
+    """Whether some order of ``prefix`` (a sorted tuple of class codes)
+    gives ``carried + order + settled`` no short run."""
+    return any(
+        next(schedule._short_runs(_CODE_KINDS[c] for c in carried + order + settled), None) is None
+        for order in _orders(prefix)
+    )
+
+
+def test_mixed_cut_is_exact_by_brute_force():
+    # Identity draws settle a class sequence from its end, one block per
+    # step, so the step at which a pass is abandoned shows the cut: it must
+    # come at the first step after which no order of the unsettled prefix
+    # passes, and never while one does. A batch no order of which passes is
+    # refused before any draw.
+    outcomes = {"refused": 0, "cut": 0, "accepted": 0}
+    for n in range(2, 9):
+        for seq in itertools.product(range(3), repeat=n):
+            for carried in ((), (0,), (0, 1), (0, 2), (0, 1, 2)):
+                pulled = []  # identity draws, recorded as the pass takes them
+                draws = (pulled.append(i) or i for i in range(n - 1, 0, -1))
+                got = schedule._passing_attempt(list(seq), carried, [draws])
+                if not _fillable(tuple(sorted(seq)), (), carried):
+                    assert (got, pulled) == (None, []), (seq, carried)
+                    outcomes["refused"] += 1
+                    continue
+                cut = next(
+                    (i for i in range(n - 1, 0, -1)
+                     if not _fillable(tuple(sorted(seq[:i])), seq[i:], carried)),
+                    None,
+                )
+                if cut is None:
+                    assert (got, len(pulled)) == (0, n - 1), (seq, carried)
+                    outcomes["accepted"] += 1
+                else:
+                    assert (got, len(pulled)) == (None, n - cut), (seq, carried)
+                    outcomes["cut"] += 1
+    assert min(outcomes.values()) > 1_000, outcomes
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    strategy=st.sampled_from(ALL_STRATEGIES),
+    batches=st.integers(min_value=1, max_value=40),
+    batch=st.sampled_from(range(4, 33, 4)),
+    langs=st.sampled_from([1, 2, 10]).flatmap(
+        lambda k: st.permutations(LANGS).map(lambda codes: codes[:k])
+    ),
+    seed=st.integers(min_value=0, max_value=2**32),
+    attempts=st.sampled_from([0, 1, 3, schedule.MAX_PERMUTATION_ATTEMPTS]),
+)
+# Paper-like geometries: redraws that run out and fall back between
+# accepted batches (3 attempts at batch 32), and long redraw chains.
+@example(Strategy.MIXED, 40, 32, LANGS, 7, 3)
+@example(Strategy.MIXED, 40, 16, ["th"], 5, schedule.MAX_PERMUTATION_ATTEMPTS)
+@example(Strategy.MIXED, 40, 8, ["id", "th"], 2, 1)
+@example(Strategy.PARALLEL_FIRST, 40, 32, LANGS, 3, schedule.MAX_PERMUTATION_ATTEMPTS)
+def test_build_schedule_matches_reference_builder(strategy, batches, batch, langs, seed, attempts):
+    with mock.patch.object(schedule, "MAX_PERMUTATION_ATTEMPTS", attempts):
+        m = build_schedule(strategy, blocks_budget(batches * batch), langs, batch, seed=seed)
+        want = reference_schedule(strategy, batches, langs, batch, seed)
+    assert m.entries == want
+    assert len({id(e) for e in m.entries}) == len(m.kind_counts())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    strategy=st.sampled_from(ALL_STRATEGIES),
+    batches=st.integers(min_value=1, max_value=6),
+    batch=st.sampled_from([4, 8]),
+    data=st.data(),
+)
+def test_validate_matches_reference_on_mutated_schedules(strategy, batches, batch, data):
+    m = build_schedule(strategy, blocks_budget(batches * batch), ["id", "th"], batch, seed=1)
+    kinds = st.sampled_from([
+        BlockKind.replay(), *(
+            BlockKind(name, code)
+            for name in ("monolingual", "parallel", "replacement")
+            for code in ("id", "th", "km")
+        ),
+    ])
+    for position, kind in data.draw(
+        st.lists(st.tuples(st.integers(0, m.n_blocks - 1), kinds), max_size=6)
+    ):
+        m = _mutate(m, position, kind)
+    if data.draw(st.booleans()):
+        m = dataclasses.replace(m, entries=m.entries[: data.draw(st.integers(0, m.n_blocks))])
+    assert validate_schedule(m) == reference_validate(m)
 
 
 @settings(max_examples=30, deadline=None)
