@@ -15,6 +15,15 @@ id and its last token, ``np.unique`` counts each (sentence, side, n-gram)
 key, and a hypothesis count is clipped at the reference's count of the same
 n-gram. ``tests/helpers.py`` keeps the per-character tokenizer and the
 ``Counter``-based statistics as the scalar reference.
+
+The bootstrap resamples ``max(1, BOOTSTRAP_CHUNK // n)`` samples of n
+sentences at once with a fixed number of numpy calls: their keyed index
+draws in one ``rng.index_rows`` matrix, the draw counts of every sample in
+one offset ``bincount``, and each sample's exact integer totals from one
+float64 matrix-vector product per statistic. Each sample's two scores come
+from ``_bleu``, the scalar arithmetic ``bleu`` uses, so every p-value is
+the one a sample-by-sample loop over the drawn rows gives
+(``tests/helpers.reference_bootstrap``).
 """
 
 from __future__ import annotations
@@ -41,9 +50,11 @@ STATS_WIDTH = 2 * MAX_NGRAM + 2
 # counting arrays grow with the block, not with the corpus.
 STATS_BLOCK = 64
 
-# Bootstrap samples resampled together: one (BOOTSTRAP_CHUNK, n) int64 weight
-# matrix at a time, 512 KiB for 1,000 sentences.
-BOOTSTRAP_CHUNK = 64
+# Index draws per bootstrap chunk: a chunk resamples max(1, BOOTSTRAP_CHUNK // n)
+# samples of n sentences at once, so each of its (samples, n) arrays holds
+# about 2**15 eight-byte values (256 KiB), whatever the corpus size. 2**16
+# resamples no faster and adds about a MiB to the peak resident set.
+BOOTSTRAP_CHUNK = 1 << 15
 
 TOKENIZATION_MODES = ("default", "zh")
 
@@ -149,11 +160,13 @@ def _block_stats(
     """``_corpus_stats`` rows of the sentences in ``block``.
 
     Slot s is sentence ``block[s // sides]`` of side ``s % sides``, the
-    reference being side 0. Tokens get dense ids; an n-gram's id is its
-    (n-1)-gram prefix's id times the vocabulary size plus its last token,
-    made dense again. One ``np.unique`` counts every (slot, n-gram) key that
-    does not cross a sentence end, and a hypothesis count is clipped at the
-    count of the same n-gram in its sentence's reference slot.
+    reference being side 0. Tokens get dense ids below the vocabulary size
+    V; an n-gram's id is its (n-1)-gram prefix's id times V plus its last
+    token, below ``width`` = V**n. Only when ``slots * width`` would not fit
+    in int64 are the prefix ids made dense again first. One ``np.unique``
+    counts every ``slot * width + gram`` key that does not cross a sentence
+    end, and a hypothesis count is clipped at the count of the same n-gram
+    in its sentence's reference slot.
     """
     sentences = []
     for i in block:
@@ -173,11 +186,14 @@ def _block_stats(
     # Tokens left in each token's sentence, counting itself.
     room = np.repeat(np.cumsum(lens), lens) - np.arange(len(tokens))
     correct = np.empty((len(lens), MAX_NGRAM), dtype=np.int64)
-    gram, width = tokens, len(vocab)
+    gram, width, v = tokens, len(vocab), len(vocab)
     for n in range(1, MAX_NGRAM + 1):
         if n > 1:
-            uniq, gram = np.unique(gram[:-1] * width + tokens[n - 1 :], return_inverse=True)
-            width = len(uniq)
+            if len(lens) * width * v >= 1 << 63:
+                uniq, gram = np.unique(gram, return_inverse=True)
+                width = len(uniq)
+            gram = gram[:-1] * v + tokens[n - 1 :]
+            width *= v
         inside = room[: len(gram)] >= n
         keys, counts = np.unique(
             slot[: len(gram)][inside] * width + gram[inside], return_counts=True
@@ -195,14 +211,15 @@ def _block_stats(
     return rows.reshape(len(block), sides * STATS_WIDTH)[:, STATS_WIDTH:]
 
 
-def _score_from_totals(totals: Sequence[int], mode: str) -> BleuScore:
-    correct = totals[:MAX_NGRAM]
-    total = totals[MAX_NGRAM : 2 * MAX_NGRAM]
-    hyp_len = int(totals[-2])
-    ref_len = int(totals[-1])
-    precisions = tuple(
-        (correct[n] / total[n]) if total[n] > 0 else 0.0 for n in range(MAX_NGRAM)
-    )
+def _bleu(totals: Sequence[float]) -> tuple[float, list[float], float]:
+    """``(score, precisions, brevity_penalty)`` of one system's summed
+    ``_corpus_stats`` row, ints or integer-valued floats alike: a quotient
+    of two integers below 2**53 rounds the same either way."""
+    precisions = [
+        c / t if t > 0 else 0.0
+        for c, t in zip(totals[:MAX_NGRAM], totals[MAX_NGRAM : 2 * MAX_NGRAM])
+    ]
+    hyp_len, ref_len = totals[-2], totals[-1]
     if hyp_len >= ref_len:
         bp = 1.0
     elif hyp_len == 0:
@@ -210,15 +227,20 @@ def _score_from_totals(totals: Sequence[int], mode: str) -> BleuScore:
     else:
         bp = math.exp(1.0 - ref_len / hyp_len)
     if min(precisions) > 0.0:
-        score = bp * 100.0 * math.exp(sum(math.log(p) for p in precisions) / MAX_NGRAM)
+        score = bp * 100.0 * math.exp(sum(map(math.log, precisions)) / MAX_NGRAM)
     else:
         score = 0.0
+    return score, precisions, bp
+
+
+def _score_from_totals(totals: Sequence[int], mode: str) -> BleuScore:
+    score, precisions, bp = _bleu(totals)
     return BleuScore(
         score=score,
-        precisions=precisions,  # type: ignore[arg-type]
+        precisions=tuple(precisions),  # type: ignore[arg-type]
         brevity_penalty=bp,
-        hyp_len=hyp_len,
-        ref_len=ref_len,
+        hyp_len=int(totals[-2]),
+        ref_len=int(totals[-1]),
         mode=mode,
     )
 
@@ -275,25 +297,30 @@ def paired_bootstrap(
         raise ValueError("paired bootstrap needs at least 2 sentences")
     stats = _corpus_stats(references, mode, hyps_a, hyps_b)
     n = len(references)
-
-    def scores(totals: list[int]) -> tuple[float, float]:
-        return (
-            _score_from_totals(totals[:STATS_WIDTH], mode).score,
-            _score_from_totals(totals[STATS_WIDTH:], mode).score,
-        )
-
-    score_a, score_b = scores(stats.sum(axis=0).tolist())
+    full = stats.sum(axis=0).tolist()
+    score_a, score_b = _bleu(full[:STATS_WIDTH])[0], _bleu(full[STATS_WIDTH:])[0]
+    # A sample's totals are its draw counts times stats. Every product and
+    # partial sum is an integer no larger than n * stats.max(), so float64
+    # matrix-vector products give them exactly below 2**53. One product per
+    # statistic: a float matrix-matrix product would leave BLAS threads
+    # spinning after it returns.
+    if n * int(stats.max()) >= 1 << 53:
+        raise ValueError(f"{n} sentences are too many for exact bootstrap totals")
+    columns = np.ascontiguousarray(stats.T, dtype=np.float64)
+    rows = max(1, BOOTSTRAP_CHUNK // n)
     worse_or_tied = 0
-    # Row r of a chunk counts how often each sentence is drawn in sample
-    # start + r, so chunk @ stats is each sample's integer totals for both
-    # systems. One buffer serves every chunk.
-    weights = np.empty((min(BOOTSTRAP_CHUNK, n_samples), n), dtype=np.int64)
-    for start in range(0, n_samples, BOOTSTRAP_CHUNK):
-        chunk = weights[: n_samples - start]
-        for s, row in enumerate(chunk, start):
-            idx = rng.indices_with_replacement(n, n, seed, "bootstrap", s)
-            row[:] = np.bincount(idx, minlength=n)
-        worse_or_tied += sum(a <= b for a, b in map(scores, (chunk @ stats).tolist()))
+    for start in range(0, n_samples, rows):
+        samples = range(start, min(start + rows, n_samples))
+        idx = rng.index_rows(n, n, [rng.hash64(seed, "bootstrap", s) for s in samples])
+        # Offset row r's indices by r * n, so one bincount counts every row.
+        idx += np.arange(0, len(samples) * n, n)[:, None]
+        counts = np.bincount(idx.ravel(), minlength=len(samples) * n)
+        del idx  # so that a chunk holds at most two of its arrays at once
+        weights = counts.reshape(-1, n).astype(np.float64)
+        totals = np.array([weights @ column for column in columns]).T.tolist()
+        worse_or_tied += sum(
+            _bleu(t[:STATS_WIDTH])[0] <= _bleu(t[STATS_WIDTH:])[0] for t in totals
+        )
     return SignificanceResult(
         delta=score_a - score_b,
         p_value=(1 + worse_or_tied) / (n_samples + 1),

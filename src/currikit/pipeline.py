@@ -241,7 +241,7 @@ def compile_corpus(
 
     def block_stream() -> Iterator[TokenBlock]:
         for position, entry in enumerate(manifest.entries):
-            key = entry.kind.key()
+            key = entry.key
             try:
                 yield next(streams[key])
             except StopIteration:

@@ -38,24 +38,31 @@ def hash64(*key: object) -> int:
     return int.from_bytes(_absorbed(key).digest(), "little")
 
 
-def draws64(count: int, *key: object) -> np.ndarray:
-    """The first ``count`` 64-bit draws of the key's splitmix64 stream.
+def _splitmix_rows(states: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` 64-bit draws of the splitmix64 stream of each state.
 
-    Draw i is ``mix(h + (i + 1) * GAMMA)`` modulo 2**64 with ``h = hash64(key)``:
-    a pure function of the key and the counter, computed for all i at once
-    (``uint64`` arithmetic wraps, which is the modulus).
+    Row r, column i is ``mix(states[r] + (i + 1) * GAMMA)`` modulo 2**64: a
+    pure function of the state and the counter, computed for the whole
+    (rows x count) counter matrix at once (``uint64`` arithmetic wraps,
+    which is the modulus).
     """
     if count < 0:
         raise ValueError(f"cannot draw a negative count ({count})")
     z = np.arange(1, count + 1, dtype=np.uint64)
     z *= GAMMA
-    z += np.uint64(hash64(*key))
+    z = z + states[:, None]
     z ^= z >> np.uint64(30)
     z *= _MIX1
     z ^= z >> np.uint64(27)
     z *= _MIX2
     z ^= z >> np.uint64(31)
     return z
+
+
+def draws64(count: int, *key: object) -> np.ndarray:
+    """The first ``count`` 64-bit draws of the key's splitmix64 stream, whose
+    state starts at ``hash64(key)`` (see ``_splitmix_rows``)."""
+    return _splitmix_rows(np.array([hash64(*key)], dtype=np.uint64), count)[0]
 
 
 def coin(*key: object) -> int:
@@ -133,10 +140,28 @@ def shuffled(items: Sequence[T], *key: object) -> list[T]:
 def indices_with_replacement(n: int, count: int, *key: object) -> np.ndarray:
     """Draw `count` indices in [0, n) with replacement for the key.
 
-    Index i is draw i of the key's stream modulo n, as an ``intp`` array.
+    Index i is draw i of the key's stream modulo n, as an ``intp`` array:
+    the one-row case of ``index_rows``.
+    """
+    return index_rows(n, count, [hash64(*key)])[0]
+
+
+def index_rows(n: int, count: int, states: Sequence[int]) -> np.ndarray:
+    """``count`` indices in [0, n) with replacement for each stream state.
+
+    Row r holds draws 0 .. count - 1 of the splitmix64 stream that starts at
+    ``states[r]`` (``hash64`` of the row's key), each modulo n, as an
+    ``intp`` array of shape ``(len(states), count)``.
     """
     if n <= 0:
         raise ValueError("cannot draw indices from an empty range")
     if n >= 1 << 63:
         raise ValueError(f"cannot draw indices from a range of {n} (limit 2**63 - 1)")
-    return (draws64(count, *key) % np.uint64(n)).astype(np.intp)
+    z = _splitmix_rows(np.array(states, dtype=np.uint64), count)
+    # z - z // n * n is z % n: numpy divides by a scalar through a
+    # precomputed reciprocal, but takes % one hardware division at a time.
+    q = z // np.uint64(n)
+    q *= np.uint64(n)
+    z -= q
+    # Every index is below 2**63, so the int64 view reads the same values.
+    return z.view(np.int64).astype(np.intp, copy=False)

@@ -110,6 +110,12 @@ class ScheduleEntry:
     entries and its batch is that index floored by ``batch_size_blocks``."""
 
     kind: BlockKind
+    # The kind's canonical key, formatted once per entry object: a built or
+    # parsed manifest shares one entry per key, so its blocks share the key.
+    key: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", self.kind.key())
 
 
 @dataclass
@@ -167,7 +173,7 @@ class CurriculumManifest:
             yield self.entries[start : start + b]
 
     def kind_counts(self) -> dict[str, int]:
-        return dict(Counter(e.kind.key() for e in self.entries))
+        return dict(Counter(e.key for e in self.entries))
 
     def to_json(self) -> str:
         """Stable serialization: identical manifests are byte-identical."""
@@ -183,7 +189,7 @@ class CurriculumManifest:
             "tokenizer_id": self.tokenizer_id,
             "label_style": self.label_style,
             "block_tokens": BLOCK_TOKENS,
-            "entries": [e.kind.key() for e in self.entries],
+            "entries": [e.key for e in self.entries],
             "checksums": self.checksums,
             "provenance_checksum": self.provenance_checksum,
             "metadata": self.metadata,

@@ -452,3 +452,37 @@ def scalar_corpus_stats(references, mode, *systems):
             for value in scalar_sentence_stats(scalar_tokenize(hypotheses[i], mode), ref_tokens)
         ])
     return rows
+
+
+def reference_bootstrap(hyps_a, hyps_b, references, n_samples, seed, mode="default"):
+    """Reference for ``evaluate.paired_bootstrap``, one sample at a time.
+
+    Sample s draws its indices with ``rng.indices_with_replacement`` under
+    the key ``(seed, "bootstrap", s)``, sums those rows of
+    ``scalar_corpus_stats`` as Python ints and compares the two systems'
+    ``_score_from_totals`` scores; ties count against A.
+    """
+    rows = scalar_corpus_stats(references, mode, hyps_a, hyps_b)
+    n, width = len(references), evaluate.STATS_WIDTH
+
+    def scores(totals):
+        return (
+            evaluate._score_from_totals(totals[:width], mode).score,
+            evaluate._score_from_totals(totals[width:], mode).score,
+        )
+
+    score_a, score_b = scores([sum(column) for column in zip(*rows)])
+    worse_or_tied = 0
+    for s in range(n_samples):
+        idx = rng.indices_with_replacement(n, n, seed, "bootstrap", s).tolist()
+        a, b = scores([sum(column) for column in zip(*(rows[i] for i in idx))])
+        worse_or_tied += a <= b
+    return evaluate.SignificanceResult(
+        delta=score_a - score_b,
+        p_value=(1 + worse_or_tied) / (n_samples + 1),
+        n_samples=n_samples,
+        seed=seed,
+        score_a=score_a,
+        score_b=score_b,
+        mode=mode,
+    )

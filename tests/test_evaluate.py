@@ -1,5 +1,7 @@
 import math
 import random
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +24,13 @@ from currikit.evaluate import (
 )
 from currikit.packing import Direction, format_pair
 from bleu_oracle import oracle_bleu
-from helpers import make_pair, parse_segment, scalar_corpus_stats, scalar_tokenize
+from helpers import (
+    make_pair,
+    parse_segment,
+    reference_bootstrap,
+    scalar_corpus_stats,
+    scalar_tokenize,
+)
 
 
 def test_tokenize_separates_punctuation():
@@ -100,6 +108,28 @@ def test_corpus_stats_match_scalar_reference_across_blocks(mode):
     assert _corpus_stats(refs, mode, *systems).tolist() == scalar_corpus_stats(
         refs, mode, *systems
     )
+
+
+def test_corpus_stats_match_scalar_reference_when_four_grams_are_made_dense():
+    # One zh-mode block of distinct characters: references from the CJK
+    # Unified block, each hypothesis keeps every other reference character
+    # and fills the gaps from Extension A (system A) or from unused Unified
+    # characters (system B). Its vocabulary is so large that
+    # slots * V**4 overflows int64, so the 3-gram ids are made dense again
+    # before the 4-grams are counted.
+    m, width = STATS_BLOCK, 150
+    unified = iter(map(chr, range(0x4E00, 0xA000)))
+    extension_a = iter(map(chr, range(0x3400, 0x4DC0)))
+    refs = ["".join(next(unified) for _ in range(width)) for _ in range(m)]
+
+    def keep_half(ref, fill):
+        return "".join(ch if j % 2 else next(fill) for j, ch in enumerate(ref))
+
+    a = [keep_half(ref, extension_a) for ref in refs]
+    b = [keep_half(ref, unified) for ref in refs]
+    vocab = len(set("".join(refs + a + b)))
+    assert 3 * m * vocab**4 > 2**63 - 1 >= 3 * m * vocab**3
+    assert _corpus_stats(refs, "zh", a, b).tolist() == scalar_corpus_stats(refs, "zh", a, b)
 
 
 def test_each_sentence_is_tokenized_once_through_the_module_function(monkeypatch):
@@ -298,8 +328,8 @@ def _close_systems(n=40):
 
 
 # (seed, n_samples) -> #{BLEU_A <= BLEU_B}, recorded with one stats[idx].sum()
-# per sample and one splitmix step per drawn index. 65 is not a multiple of
-# the resampling chunk.
+# per sample and one splitmix step per drawn index. 1,000 samples of these 40
+# sentences take two resampling chunks, 819 samples and 181.
 PINNED_WORSE_OR_TIED = {
     (0, 1): 1, (1, 1): 0, (7, 1): 1,
     (0, 65): 9, (7, 65): 8,
@@ -325,6 +355,95 @@ def test_bootstrap_input_errors():
         paired_bootstrap(a, b, refs, n_samples=0)
     with pytest.raises(ValueError):
         paired_bootstrap(["x"], ["y"], ["z"])
+
+
+@st.composite
+def _bootstrap_cases(draw):
+    """A corpus of 2 to 6 sentences (B is sometimes A itself), a sample
+    count around the chunk sizes drawn with it, a seed and a mode."""
+    n = draw(st.integers(2, 6))
+    refs = draw(st.lists(_REF_TEXT, min_size=n, max_size=n))
+    a = draw(st.lists(_HYP_TEXT, min_size=n, max_size=n))
+    b = draw(st.one_of(st.just(a), st.lists(_HYP_TEXT, min_size=n, max_size=n)))
+    n_samples = draw(st.sampled_from((1, 63, 64, 65, 130)))
+    seed = draw(st.integers(0, 2**64))
+    return refs, a, b, n_samples, seed, draw(st.sampled_from(TOKENIZATION_MODES))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bootstrap_cases(), st.sampled_from((1, 64, currikit.evaluate.BOOTSTRAP_CHUNK)))
+def test_bootstrap_matches_per_sample_reference(case, chunk):
+    # With 64 draws a chunk holds 10 to 32 samples, so the sample counts
+    # cross chunk boundaries; with 1 every chunk is one sample.
+    refs, a, b, n_samples, seed, mode = case
+    with mock.patch.object(currikit.evaluate, "BOOTSTRAP_CHUNK", chunk):
+        result = paired_bootstrap(a, b, refs, n_samples=n_samples, seed=seed, mode=mode)
+    assert result == reference_bootstrap(a, b, refs, n_samples, seed, mode)
+
+
+def _identical_systems():
+    refs, a, _ = _close_systems()
+    return refs, a, a
+
+
+def _two_sentences():
+    refs = ["the boat came in at dawn .", "rain fell on the old road ."]
+    return refs, ["the boat came at dawn .", "rain fell on the road ."], refs[::-1]
+
+
+def _no_four_gram_overlap():
+    refs, a, _ = _dominant_corpus(6)
+    # Every third token of B is "x", so none of its 4-grams is in its reference.
+    b = [" ".join(w if j % 3 else "x" for j, w in enumerate(r.split())) for r in refs]
+    return refs, a, b
+
+
+@pytest.mark.parametrize("n_samples", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize(
+    "corpus, expect",
+    [
+        (_identical_systems, lambda r: r.p_value == 1.0),
+        (_no_four_gram_overlap, lambda r: r.score_b == 0.0 and r.score_a == 100.0),
+        (_two_sentences, lambda r: r.score_a > r.score_b == 0.0),
+    ],
+    ids=["identical", "no-4-gram-overlap", "two-sentences"],
+)
+def test_bootstrap_matches_reference_on_edge_cases(corpus, expect, n_samples):
+    refs, a, b = corpus()
+    result = paired_bootstrap(a, b, refs, n_samples=n_samples, seed=5)
+    assert result == reference_bootstrap(a, b, refs, n_samples, 5)
+    assert expect(result)
+
+
+@pytest.mark.parametrize("seed, n_samples", [(0, 65), (7, 130), (40, 1000)])
+def test_one_sample_chunks_give_the_default_result(monkeypatch, seed, n_samples):
+    refs, a, b = _close_systems()
+    default = paired_bootstrap(a, b, refs, n_samples=n_samples, seed=seed)
+    monkeypatch.setattr(currikit.evaluate, "BOOTSTRAP_CHUNK", 1)
+    assert paired_bootstrap(a, b, refs, n_samples=n_samples, seed=seed) == default
+
+
+def test_bootstrap_refuses_totals_float64_cannot_hold_exactly(monkeypatch):
+    # n times the largest statistic bounds every sample total; from 2**53 up
+    # a float64 product could round it.
+    stats = np.zeros((4, 2 * currikit.evaluate.STATS_WIDTH), dtype=np.int64)
+    stats[:, -1] = 2**51
+    monkeypatch.setattr(currikit.evaluate, "_corpus_stats", lambda *args: stats)
+    with pytest.raises(ValueError, match="4 sentences are too many"):
+        paired_bootstrap(["a"] * 4, ["a"] * 4, ["a"] * 4)
+    stats[:, -1] -= 1
+    assert paired_bootstrap(["a"] * 4, ["a"] * 4, ["a"] * 4).p_value == 1.0
+
+
+def test_bootstrap_leaves_no_thread_spinning():
+    # A float matrix-matrix product would leave the BLAS worker threads
+    # busy-waiting for a while after it returns: about 0.13 CPU-s over this
+    # sleep on a 2-vCPU host, where each matrix-vector product leaves none.
+    refs, a, b = _close_systems(1000)
+    paired_bootstrap(a, b, refs, n_samples=200, seed=0)
+    before = time.process_time()
+    time.sleep(0.3)
+    assert time.process_time() - before < 0.03
 
 
 # --- prompts ------------------------------------------------------------------

@@ -67,6 +67,19 @@ def test_indices_are_draws_modulo_n(n, count, key):
     assert idx.tolist() == [d % n for d in splitmix_draws(count, *key)]
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=2**63 - 1),
+    count=st.integers(min_value=0, max_value=50),
+    keys=st.lists(st.lists(KEY_PART, max_size=3), max_size=4),
+)
+def test_index_rows_are_per_key_indices(n, count, keys):
+    rows = rng.index_rows(n, count, [rng.hash64(*key) for key in keys])
+    assert rows.dtype == np.intp
+    assert rows.shape == (len(keys), count)
+    assert rows.tolist() == [[d % n for d in splitmix_draws(count, *key)] for key in keys]
+
+
 @pytest.mark.parametrize(
     "n, count, message",
     [
