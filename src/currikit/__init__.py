@@ -13,6 +13,7 @@ from .corpus import (
     ShortfallError,
     corpus_stats,
     load_corpus_config,
+    pair_runs,
     read_monolingual,
     read_parallel,
     sample_uniform,
@@ -33,7 +34,6 @@ from .packing import (
     SEQUENCE_LENGTH,
     SEQUENCES_PER_BLOCK,
     BlockKind,
-    Direction,
     PackReport,
     TokenBlock,
     format_pair,

@@ -259,7 +259,7 @@ class PairRun:
 
     ``commit(n)`` marks the first ``n`` pairs as pulled. For a run that
     ``pair_runs`` read, that counts them as emitted and counts and logs the
-    malformed rows before the last of them; a run of pairs given one by one
+    malformed rows before the last of them; a run made without a counter
     counts nothing.
     """
 
@@ -279,12 +279,6 @@ class PairRun:
         self.taken = 0  # pairs committed so far
         self._counter = counter
         self._rows = rows
-
-    @classmethod
-    def of(cls, pair: SentencePair) -> "PairRun":
-        """The run of one given pair."""
-        return cls(pair.sea_language, pair.source_id, [pair.en_text], [pair.sea_text],
-                   [pair.ordinal])
 
     def commit(self, n: int) -> None:
         if n <= self.taken:

@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import rng
-from .corpus import SEA_CODES, LanguageTag, SentencePair, language
+from .corpus import EN, SEA_CODES, LanguageTag, SentencePair, language
 
 MAX_NGRAM = 4
 
@@ -356,18 +356,6 @@ class PromptSet:
         ]
 
 
-def _pair_sides(pair: SentencePair, src: LanguageTag, tgt: LanguageTag) -> tuple[str, str]:
-    sea = src if src.code != "en" else tgt
-    if pair.sea_language.code != sea.code:
-        raise ValueError(
-            f"pair language {pair.sea_language.code} does not match direction "
-            f"{src.code}-{tgt.code}"
-        )
-    if src.code == "en":
-        return pair.en_text, pair.sea_text
-    return pair.sea_text, pair.en_text
-
-
 def build_prompts(
     dev_pairs: Sequence[SentencePair],
     test_pairs: Sequence[SentencePair],
@@ -375,12 +363,15 @@ def build_prompts(
     k: int = 5,
     label_style: str = "name",
 ) -> PromptSet:
-    """Fixed few-shot prompts mirroring the training segment template.
+    """Fixed few-shot prompts in the training segment template.
 
     The first k dev pairs (in file order) are the exemplars for every test
-    item, rendered "{Source}: {src}\\n{Target}: {tgt}" and blank-line
-    separated; the final item stops after "{Target}:".
+    item, rendered as the packer renders a pair with the source side first,
+    "{Source}: {src}\\n{Target}: {tgt}", and blank-line separated; the final
+    item is its test pair rendered so and cut after "{Target}:".
     """
+    from .packing import _pair_texts
+
     src, tgt = language(direction[0]), language(direction[1])
     if (src.code == "en") == (tgt.code == "en"):
         raise ValueError("direction must pair English with a SEA language")
@@ -388,16 +379,23 @@ def build_prompts(
         raise ValueError("k must be non-negative")
     if len(dev_pairs) < k:
         raise ValueError(f"need {k} dev pairs for exemplars, have {len(dev_pairs)}")
-    src_label, tgt_label = src.label(label_style), tgt.label(label_style)
-    shots = []
-    for pair in dev_pairs[:k]:
-        s, t = _pair_sides(pair, src, tgt)
-        shots.append(f"{src_label}: {s}\n{tgt_label}: {t}\n\n")
-    prefix = "".join(shots)
+    sea = tgt if src.code == "en" else src
+    sea_first = int(sea is src)
+    pairs = [*dev_pairs[:k], *test_pairs]
+    for pair in pairs:
+        if pair.sea_language.code != sea.code:
+            raise ValueError(
+                f"pair language {pair.sea_language.code} does not match direction "
+                f"{src.code}-{tgt.code}"
+            )
+    texts = _pair_texts([p.en_text for p in pairs], [p.sea_text for p in pairs],
+                        [sea_first] * len(pairs), EN.label(label_style), sea.label(label_style))
+    prefix = "".join(f"{shot}\n\n" for shot in texts[:k])
     items = []
-    for pair in test_pairs:
-        s, t = _pair_sides(pair, src, tgt)
-        items.append(PromptItem(prompt=f"{prefix}{src_label}: {s}\n{tgt_label}:", reference=t))
+    for pair, text in zip(test_pairs, texts[k:]):
+        reference = pair.en_text if sea_first else pair.sea_text
+        # the rendered pair without its last " {tgt}"
+        items.append(PromptItem(prompt=prefix + text[: -len(reference) - 1], reference=reference))
     return PromptSet(items=items, source=src.code, target=tgt.code, k=k)
 
 

@@ -46,7 +46,6 @@ import hashlib
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from enum import Enum
 from itertools import accumulate, islice, repeat
 from typing import Callable, Iterable, Iterator
 
@@ -109,11 +108,6 @@ class BlockKind:
     def from_key(cls, key: str) -> "BlockKind":
         name, _, lang = key.partition(":")
         return cls(name, lang or None)
-
-
-class Direction(Enum):
-    EN_FIRST = "en_first"
-    SEA_FIRST = "sea_first"
 
 
 FNV_OFFSET = 0xCBF29CE484222325
@@ -188,8 +182,9 @@ class PackReport:
 def _pair_texts(
     en: list[str], sea: list[str], bits: list[int], en_label: str, sea_label: str
 ) -> list[str]:
-    """The pair format: each ``(english, sea)`` pair as two labeled lines,
-    English first where its bit is 0 and the SEA side first where it is 1."""
+    """The pair format, spelled here only: each ``(english, sea)`` pair as
+    two labeled lines, English first where its bit is 0 and the SEA side
+    first where it is 1. Training segments and prompt exemplars both use it."""
     return [
         f"{sea_label}: {sea_text}\n{en_label}: {en_text}" if bit
         else f"{en_label}: {en_text}\n{sea_label}: {sea_text}"
@@ -197,11 +192,11 @@ def _pair_texts(
     ]
 
 
-def format_pair(pair: SentencePair, direction: Direction, label_style: str = "name") -> str:
-    """Render one aligned pair as two labeled lines (no trailing marker)."""
-    bit = int(direction is Direction.SEA_FIRST)
+def format_pair(pair: SentencePair, sea_first: int, label_style: str = "name") -> str:
+    """One aligned pair as two labeled lines (no trailing marker), the SEA
+    side first where ``sea_first`` is 1."""
     return _pair_texts(
-        [pair.en_text], [pair.sea_text], [bit],
+        [pair.en_text], [pair.sea_text], [sea_first],
         EN.label(label_style), pair.sea_language.label(label_style),
     )[0]
 
@@ -387,22 +382,18 @@ def pack_replay(
     return _pack(_documents(docs, None, spec), BlockKind.replay(), spec, report)
 
 
-def _runs_in(pairs: Iterable[SentencePair | PairRun], code: str) -> Iterator[PairRun]:
-    """Pairs given one by one or in runs, as runs, each checked to be in ``code``."""
-    for run in pairs:
-        if not isinstance(run, PairRun):
-            run = PairRun.of(run)
+def _runs_in(runs: Iterable[PairRun], code: str) -> Iterator[PairRun]:
+    """The runs, each checked to be in ``code``."""
+    for run in runs:
         if run.sea_language.code != code:
             raise ValueError(f"pair language {run.sea_language.code} in a {code} stream")
         yield run
 
 
 def _rendered(
-    pairs: Iterable[SentencePair | PairRun], code: str, seed: int, label_style: str,
-    report: PackReport,
+    runs: Iterable[PairRun], code: str, seed: int, label_style: str, report: PackReport
 ) -> Iterator[Run]:
-    """Packer runs of pairs, given one by one or in ``PairRun``s, rendered in
-    their drawn side order.
+    """Packer runs of the ``PairRun``s' pairs, rendered in their drawn side order.
 
     Pair ``i`` of the stream renders English first when ``coin(seed,
     "direction", code, i)`` is 0: a keyed draw, independent of chunking. A
@@ -412,7 +403,7 @@ def _rendered(
     en_label = EN.label(label_style)
     sea_label = language(code).label(label_style)
     coins = rng.coins(seed, "direction", code)
-    for run in _runs_in(pairs, code):
+    for run in _runs_in(runs, code):
         bits = list(islice(coins, len(run.en)))
 
         def commit(n: int, run: PairRun = run, bits: list[int] = bits) -> None:
@@ -424,19 +415,18 @@ def _rendered(
 
 
 def pack_parallel(
-    pairs: Iterable[SentencePair | PairRun],
+    runs: Iterable[PairRun],
     sea_lang: str | LanguageTag,
     spec: TokenizerSpec,
     seed: int,
     label_style: str = "name",
     report: PackReport | None = None,
 ) -> Iterator[TokenBlock]:
-    """Pack formatted sentence pairs with per-pair direction randomization.
-
-    The pairs come one by one or, from ``corpus.pair_runs``, in runs."""
+    """Pack formatted sentence pairs, in the runs ``corpus.pair_runs``
+    reads, with per-pair direction randomization."""
     code = language(sea_lang).code
     report = report if report is not None else PackReport()
-    records = _rendered(pairs, code, seed, label_style, report)
+    records = _rendered(runs, code, seed, label_style, report)
     return _pack(records, BlockKind.parallel(code), spec, report)
 
 
@@ -476,7 +466,7 @@ class _Swapped(PairRun):
 
 
 def _substituted(
-    pairs: Iterable[SentencePair | PairRun],
+    runs: Iterable[PairRun],
     sea_docs: Iterable[Document],
     code: str,
     spec: TokenizerSpec,
@@ -497,7 +487,7 @@ def _substituted(
     sentences: list[str] = []  # the current document's, of which ``used`` are used
     used = 0
     index = 0
-    for run in _runs_in(pairs, code):
+    for run in _runs_in(runs, code):
         start = 0
         while start < len(run.en):
             run.commit(start + 1)
@@ -528,7 +518,7 @@ def _substituted(
 
 
 def pack_replacement(
-    pairs: Iterable[SentencePair | PairRun],
+    runs: Iterable[PairRun],
     sea_docs: Iterable[Document],
     sea_lang: str | LanguageTag,
     spec: TokenizerSpec,
@@ -536,15 +526,16 @@ def pack_replacement(
     label_style: str = "name",
     report: PackReport | None = None,
 ) -> Iterator[TokenBlock]:
-    """Ablation packer: the SEA side of each pair is swapped for the next
-    unused sentence of unaligned SEA text; the English side, the format, and
-    the direction draw sequence are exactly those of ``pack_parallel``.
+    """Ablation packer: the SEA side of each pair of the runs, which
+    ``corpus.pair_runs`` reads, is swapped for the next unused sentence of
+    unaligned SEA text; the English side, the format, and the direction draw
+    sequence are exactly those of ``pack_parallel``.
 
     Substitution is sentence-for-sentence with no length matching; the
     resulting SEA-side token delta is recorded in the report.
     """
     code = language(sea_lang).code
     report = report if report is not None else PackReport()
-    substituted = _substituted(pairs, sea_docs, code, spec, report)
+    substituted = _substituted(runs, sea_docs, code, spec, report)
     records = _rendered(substituted, code, seed, label_style, report)
     return _pack(records, BlockKind.replacement(code), spec, report)

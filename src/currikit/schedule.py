@@ -40,9 +40,11 @@ file still echoes ``leftover_tokens``, ``sequences_per_step`` and
 ``curriculum-manifest-vN`` is refused with one line that asks for a
 recompile, and so is any text a compile could not have written: a repeated
 fact that disagrees with the computed one, an integer field holding
-another JSON type, a kind key that is not canonical, an unknown label
-style, an entry count that is not a positive multiple of the batch, or a
-leftover outside ``[0, batch_size_blocks * BLOCK_TOKENS)``.
+another JSON type, a kind key that is not canonical, a language set that
+``build_schedule`` would not write back unchanged, a tokenizer id that is
+not a string, an unknown label style, an entry count that is not a
+positive multiple of the batch, or a leftover outside
+``[0, batch_size_blocks * BLOCK_TOKENS)``.
 """
 
 from __future__ import annotations
@@ -167,11 +169,6 @@ class CurriculumManifest:
         """Budget tokens below one whole batch, reported and never padded."""
         return self.token_budget - self.total_tokens
 
-    def batches(self) -> Iterable[list[ScheduleEntry]]:
-        b = self.batch_size_blocks
-        for start in range(0, len(self.entries), b):
-            yield self.entries[start : start + b]
-
     def kind_counts(self) -> dict[str, int]:
         return dict(Counter(e.key for e in self.entries))
 
@@ -242,12 +239,24 @@ class CurriculumManifest:
                     f"malformed curriculum manifest: {len(entries)} entries, "
                     f"not a positive multiple of batch_size_blocks={batch}"
                 )
+            strategy = Strategy(doc["strategy"])
+            language_set = doc["language_set"]
+            try:
+                canonical = _language_set(strategy, language_set)
+            except ValueError:
+                canonical = None
+            if canonical != language_set:
+                raise ValueError(f"malformed curriculum manifest: language_set={language_set!r} "
+                                 f"is not a compile's: known codes in canonical order, once each")
+            if type(doc["tokenizer_id"]) is not str:
+                raise ValueError(f"malformed curriculum manifest: tokenizer_id="
+                                 f"{doc['tokenizer_id']!r} is not a string")
             manifest = cls(
-                strategy=Strategy(doc["strategy"]),
+                strategy=strategy,
                 seed=_manifest_int(doc, "seed"),
                 batch_size_blocks=batch,
                 entries=entries,
-                language_set=list(doc["language_set"]),
+                language_set=canonical,
                 token_budget=_manifest_int(doc, "token_budget"),
                 tokenizer_id=doc["tokenizer_id"],
                 metadata=metadata,
@@ -493,6 +502,16 @@ def _mixed_order(
     return order
 
 
+def _language_set(strategy: Strategy, codes: Iterable[str]) -> list[str]:
+    """What a ``strategy`` schedule records of ``codes``: canonical order, once each."""
+    langs = sort_codes(codes)
+    if not langs:
+        raise ValueError("language_set must not be empty")
+    if "en" in langs and STRATEGY_KINDS[strategy] != ("monolingual",):
+        raise ValueError("English is implicit; language_set lists SEA languages")
+    return langs
+
+
 def build_schedule(
     strategy: Strategy | str,
     token_budget: int,
@@ -508,11 +527,7 @@ def build_schedule(
     code order, independently per kind.
     """
     strategy = Strategy(strategy)
-    langs = sort_codes(language_set)
-    if not langs:
-        raise ValueError("language_set must not be empty")
-    if "en" in langs and STRATEGY_KINDS[strategy] != ("monolingual",):
-        raise ValueError("English is implicit; language_set lists SEA languages")
+    langs = _language_set(strategy, language_set)
     if batch_size_blocks < REPLAY_DIVISOR or batch_size_blocks % REPLAY_DIVISOR:
         raise SizingError(
             f"batch_size_blocks must be a positive multiple of {REPLAY_DIVISOR}, "

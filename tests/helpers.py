@@ -16,6 +16,7 @@ from currikit.corpus import (
     EN,
     MAX_ROW_WARNINGS,
     Document,
+    PairRun,
     ReadCounter,
     SentencePair,
     ShortfallError,
@@ -35,6 +36,21 @@ def make_pair(en, sea, code="id", source="synthetic", ordinal=0):
         en_text=en, sea_text=sea, sea_language=language(code),
         source_id=source, ordinal=ordinal,
     )
+
+
+def runs_of(pairs):
+    """Pairs as the ``PairRun``s the packers take, one pair each, made as the
+    packer pulls them; committing one counts nothing."""
+    for pair in pairs:
+        yield PairRun(pair.sea_language, pair.source_id, [pair.en_text], [pair.sea_text],
+                      [pair.ordinal])
+
+
+def batches(manifest):
+    """A manifest's entries, a batch at a time."""
+    b = manifest.batch_size_blocks
+    for start in range(0, len(manifest.entries), b):
+        yield manifest.entries[start : start + b]
 
 
 def decode_segments(blocks, spec):
@@ -215,6 +231,12 @@ def reference_read_parallel(path, code, counter=None, source_id=None):
                         source_id, malformed, MAX_ROW_WARNINGS)
 
 
+def reference_pair_runs(path, code, counter=None, source_id=None):
+    """``reference_read_parallel``'s pairs as runs of one, each counted as
+    it is pulled: what a compile reads with it in place of ``pair_runs``."""
+    return runs_of(reference_read_parallel(path, code, counter, source_id))
+
+
 def reference_pair_records(pairs, code, seed, label_style, report):
     """Reference for ``packing._rendered``: pair ``i`` draws its side
     order from ``coin(seed, "direction", code, i)`` (0 is English first) and
@@ -340,7 +362,7 @@ def reference_validate(manifest):
         v.append(V("batch-multiple", (),
                    f"{len(entries)} entries not a multiple of batch {batch}"))
     want_replay = batch // schedule.REPLAY_DIVISOR
-    for b, group in enumerate(manifest.batches()):
+    for b, group in enumerate(batches(manifest)):
         got = sum(1 for e in group if e.kind.name == "replay")
         if got != want_replay:
             v.append(V("replay-ratio", tuple(range(b * batch, b * batch + len(group))),
@@ -364,7 +386,7 @@ def reference_validate(manifest):
     if strategy in (schedule.Strategy.PARALLEL_FIRST, schedule.Strategy.PARALLEL_LAST):
         early, late = allowed
         last_early_batch, first_late_batch = -1, None
-        for b, group in enumerate(manifest.batches()):
+        for b, group in enumerate(batches(manifest)):
             names = {e.kind.name for e in group}
             if early in names:
                 last_early_batch = b

@@ -26,7 +26,15 @@ from currikit.shards import BLOCK_BYTES, audit_shards
 from currikit.synthetic import write_corpus
 from currikit.tokenizer import BYTE_FALLBACK
 from bleu_oracle import oracle_bleu
-from helpers import decode_segments, make_doc, make_pair, parse_segment, tree_digest
+from helpers import (
+    batches,
+    decode_segments,
+    make_doc,
+    make_pair,
+    parse_segment,
+    runs_of,
+    tree_digest,
+)
 
 
 def _pass(number, name):
@@ -63,7 +71,7 @@ def test_c01_block_geometry(tmp_path):
 def test_c02_replay_exactness(strategy, batch):
     """Every batch holds exactly batch/4 replay entries; global fraction 25%."""
     m = build_schedule(strategy, batch * 6 * BLOCK_TOKENS, ["id", "th"], batch, seed=5)
-    for group in m.batches():
+    for group in batches(m):
         assert sum(1 for e in group if e.kind.name == "replay") == batch // 4
     total_replay = sum(1 for e in m.entries if e.kind.name == "replay")
     assert total_replay * 4 == m.n_blocks
@@ -101,7 +109,7 @@ def test_c04_ordering_monotonicity_100_seeds():
             m = build_schedule(strategy, 40 * BLOCK_TOKENS, ["id", "th"], 8, seed=seed)
             saw_late_only = False
             transitions = 0
-            for group in m.batches():
+            for group in batches(m):
                 names = {e.kind.name for e in group if e.kind.name != "replay"}
                 if names == {early, late}:
                     transitions += 1
@@ -135,8 +143,8 @@ def test_c05_compilation_determinism(tmp_path):
     )
     m1 = build_schedule(seed=21, **schedule_kwargs)
     m2 = build_schedule(seed=22, **schedule_kwargs)
-    orders1 = [[e.kind.key() for e in batch] for batch in m1.batches()]
-    orders2 = [[e.kind.key() for e in batch] for batch in m2.batches()]
+    orders1 = [[e.kind.key() for e in batch] for batch in batches(m1)]
+    orders2 = [[e.kind.key() for e in batch] for batch in batches(m2)]
     assert orders1 != orders2
     _pass(5, "determinism (byte-identical trees; seed changes batch order)")
 
@@ -146,7 +154,7 @@ def test_c06_direction_balance():
     [0.485, 0.515] (binomial 3-sigma for p = 1/2)."""
     pairs = [make_pair(f"en side {i}.", f"sea side {i}.", ordinal=i) for i in range(10_000)]
     report = PackReport()
-    list(pack_parallel(pairs, "id", BYTE_FALLBACK, seed=7, report=report))
+    list(pack_parallel(runs_of(pairs), "id", BYTE_FALLBACK, seed=7, report=report))
     assert report.records == 10_000
     fraction = report.en_first / report.records
     assert 0.485 <= fraction <= 0.515, fraction
@@ -251,9 +259,9 @@ def test_c11_replacement_ablation_fidelity():
     supply = [make_doc(" ".join(supply_sentences), code="id")]
 
     rep_par, rep_rep = PackReport(), PackReport()
-    blocks_par = list(pack_parallel(pairs, "id", BYTE_FALLBACK, seed=13, report=rep_par))
+    blocks_par = list(pack_parallel(runs_of(pairs), "id", BYTE_FALLBACK, seed=13, report=rep_par))
     blocks_rep = list(
-        pack_replacement(pairs, supply, "id", BYTE_FALLBACK, seed=13, report=rep_rep)
+        pack_replacement(runs_of(pairs), supply, "id", BYTE_FALLBACK, seed=13, report=rep_rep)
     )
     assert len(blocks_par) == len(blocks_rep) >= 2
 

@@ -8,15 +8,18 @@ fail here.
 
 import importlib
 import json
+import re
 import threading
 from pathlib import Path
 
 import pytest
 
+import currikit
 from currikit.corpus import SEA_CODES, ReadCounter, read_monolingual, read_parallel
 from currikit.schedule import build_schedule
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PACKAGE = Path(currikit.__file__).resolve().parent
 
 
 @pytest.fixture
@@ -32,6 +35,23 @@ def test_tracer_finds_every_target(perfbench):
         assert tracer.install() == []
     finally:
         tracer.uninstall()
+
+
+def test_tracer_only_imports_are_still_traced(perfbench):
+    """A name the package imports only so that the tracer can wrap it there
+    goes once the tracer no longer looks it up."""
+    spans, _ = perfbench
+    targets = {(module, name) for module, name, _ in spans.FUNCTION_TARGETS}
+    kept = [
+        (f"currikit.{path.stem}", name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in re.findall(
+            r"^from \.\w+ import (\w+)  # noqa: F401  the benchmark's tracer looks",
+            path.read_text(encoding="utf-8"), re.MULTILINE,
+        )
+    ]
+    for module, name in kept:
+        assert (module, name) in targets, f"{module}.{name} is traced no more: drop its import"
 
 
 def test_kind_digest_matches_the_pinned_paper_schedule(perfbench):

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import shutil
@@ -224,7 +225,8 @@ def _drop_last(count):
 # One field of the compiled (12-block, batch 4) manifest edited, and the
 # text the error line must hold. Each passed audit while the manifest
 # stored the field unchecked, compared it with ``!=`` (which equates true
-# with 1 and 2.0 with 2) or did not bound the leftover by one batch.
+# with 1 and 2.0 with 2) or did not bound the leftover by one batch; the
+# language set out of order failed it only as a schedule violation.
 _TAMPERED = {
     **{
         f"format v{n}": (
@@ -248,6 +250,13 @@ _TAMPERED = {
         lambda doc: doc["checksums"].__setitem__(0, "z" * 16), "lowercase hex"
     ),
     "metadata not an object": (lambda doc: doc.update(metadata=[]), "metadata is a list"),
+    "language_set out of order": (
+        lambda doc: doc.update(language_set=["th", "id"]), "language_set=['th', 'id']"
+    ),
+    "language_set with a repeat": (
+        lambda doc: doc.update(language_set=["id", "id"]), "language_set=['id', 'id']"
+    ),
+    "tokenizer_id not a string": (lambda doc: doc.update(tokenizer_id=7), "tokenizer_id=7"),
 }
 
 
@@ -522,6 +531,35 @@ def test_prompts_subcommand(tmp_path, capsys):
     assert records[0]["direction"] == "en-th"
     assert records[0]["prompt"].count("English:") == 6
     assert records[0]["prompt"].endswith("Thai:")
+
+
+# sha256 of prompts.jsonl for the pair files below, per direction, label style and -k.
+_PROMPT_PINS = {
+    ("en-th", "name", 0): "a88fead50e29b9ffe8f63e0c128437fa8b8bf4084eab3f37a5eb470fe9210c73",
+    ("en-th", "name", 5): "59e486b7107a99e3327b298b0960e676b99ff76fabd2d9e50ea3a7f000658a36",
+    ("en-th", "code", 0): "b06f2c0d6a3bd24105d8ffb54c73d3ba00432a2c8f02865136bf782436fe66d4",
+    ("en-th", "code", 5): "272a38efea8b4ed452dd28336eedc0a834c28d22d8e4c25cc872c61fe01d8246",
+    ("th-en", "name", 0): "5c14929763008e156bf9164fa9939bf90ff087595d648f1831a32cfa9d4dbe5e",
+    ("th-en", "name", 5): "388b18f7abbb538cdb23bb27395d2eba9acd8716eeb06d6948219107d437b02b",
+    ("th-en", "code", 0): "23223d25e49da678ca183f227e92c1d6bae5081657aabf120345cc962ccc24bc",
+    ("th-en", "code", 5): "62969944b7fc70e14cc55653925dd9397211b3986e0921e6d96a1cece7cc08e4",
+}
+
+
+@pytest.mark.parametrize("direction, labels, k", sorted(_PROMPT_PINS))
+def test_prompts_bytes_are_pinned(tmp_path, capsys, direction, labels, k):
+    dev = tmp_path / "dev.tsv"
+    test = tmp_path / "test.tsv"
+    dev.write_text("".join(f"dev en {i}.\tdev th {i} ภาษาไทย.\n" for i in range(6)),
+                   encoding="utf-8")
+    test.write_text("test en 0.\ttest th 0.\nbad row\n  test en 2. \t test th 2.  \n",
+                    encoding="utf-8")
+    source, target = direction.split("-")
+    out = tmp_path / "prompts.jsonl"
+    assert main(["prompts", "--dev", str(dev), "--test", str(test), "--source-lang", source,
+                 "--target-lang", target, "-k", str(k), "--labels", labels,
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _PROMPT_PINS[direction, labels, k]
 
 
 def test_aggregate_subcommand_inline(capsys):

@@ -14,7 +14,6 @@ from currikit.corpus import SampleReport, ShortfallError, sample_uniform
 from currikit.packing import (
     BLOCK_TOKENS,
     BlockKind,
-    Direction,
     PackReport,
     block_checksum,
     fnv1a64,
@@ -35,6 +34,7 @@ from helpers import (
     record_runs,
     reference_pack,
     reference_pair_records,
+    runs_of,
 )
 
 SPEC = BYTE_FALLBACK
@@ -72,13 +72,13 @@ def test_block_checksum_reference_values():
 
 def test_format_pair_both_directions():
     pair = make_pair("Hello.", "Halo.", code="id")
-    assert format_pair(pair, Direction.EN_FIRST) == "English: Hello.\nIndonesian: Halo."
-    assert format_pair(pair, Direction.SEA_FIRST) == "Indonesian: Halo.\nEnglish: Hello."
+    assert format_pair(pair, 0) == "English: Hello.\nIndonesian: Halo."
+    assert format_pair(pair, 1) == "Indonesian: Halo.\nEnglish: Hello."
 
 
 def test_format_pair_code_labels():
     pair = make_pair("Hello.", "Halo.", code="id")
-    assert format_pair(pair, Direction.EN_FIRST, "code") == "en: Hello.\nid: Halo."
+    assert format_pair(pair, 0, "code") == "en: Hello.\nid: Halo."
 
 
 @settings(max_examples=200)
@@ -92,11 +92,11 @@ def test_format_pair_code_labels():
         min_size=1,
     ).filter(lambda s: s.strip()),
     st.sampled_from(["id", "km", "th", "zh"]),
-    st.sampled_from([Direction.EN_FIRST, Direction.SEA_FIRST]),
+    st.sampled_from([0, 1]),
 )
-def test_format_pair_parse_back(en, sea, code, direction):
+def test_format_pair_parse_back(en, sea, code, sea_first):
     pair = make_pair(en, sea, code=code)
-    (label_a, text_a), (label_b, text_b) = parse_segment(format_pair(pair, direction))
+    (label_a, text_a), (label_b, text_b) = parse_segment(format_pair(pair, sea_first))
     recovered = {label_a: text_a, label_b: text_b}
     assert recovered["English"] == en
     assert recovered[pair.sea_language.display_name] == sea
@@ -113,14 +113,14 @@ def _sized_pair(i, segment_ids, code="id"):
 def test_sized_pair_arithmetic():
     for i, n in ((0, 128), (3, 129), (9, 64)):
         pair = _sized_pair(i, n)
-        for d in Direction:
-            assert len(format_pair(pair, d)) + 1 == n
+        for sea_first in (0, 1):
+            assert len(format_pair(pair, sea_first)) + 1 == n
 
 
 def test_pack_parallel_exact_fill():
     pairs = [_sized_pair(i, 128) for i in range(4096)]  # 4096 * 128 = 2 blocks
     report = PackReport()
-    blocks = list(pack_parallel(pairs, "id", SPEC, seed=7, report=report))
+    blocks = list(pack_parallel(runs_of(pairs), "id", SPEC, seed=7, report=report))
     assert len(blocks) == 2
     assert all(len(b.ids) == BLOCK_TOKENS for b in blocks)
     assert report.unused_tokens == 0
@@ -130,7 +130,7 @@ def test_pack_parallel_exact_fill():
 def test_pack_parallel_boundary_carry():
     pairs = [_sized_pair(i, 128) for i in range(2047)] + [_sized_pair(2047, 129)]
     report = PackReport()
-    blocks = list(pack_parallel(pairs, "id", SPEC, seed=7, report=report))
+    blocks = list(pack_parallel(runs_of(pairs), "id", SPEC, seed=7, report=report))
     assert len(blocks) == 1
     assert report.tokens_in == BLOCK_TOKENS + 1
     assert report.unused_tokens == 1
@@ -139,7 +139,7 @@ def test_pack_parallel_boundary_carry():
 def test_pack_parallel_direction_balance_10k():
     pairs = [make_pair(f"en {i}.", f"sea {i}.", ordinal=i) for i in range(10_000)]
     report = PackReport()
-    list(pack_parallel(pairs, "id", SPEC, seed=7, report=report))
+    list(pack_parallel(runs_of(pairs), "id", SPEC, seed=7, report=report))
     fraction = report.en_first / report.records
     assert 0.485 <= fraction <= 0.515
 
@@ -147,7 +147,7 @@ def test_pack_parallel_direction_balance_10k():
 def test_pack_parallel_rejects_wrong_language():
     pairs = [make_pair("a", "b", code="th")]
     with pytest.raises(ValueError, match="stream"):
-        list(pack_parallel(pairs, "id", SPEC, seed=0))
+        list(pack_parallel(runs_of(pairs), "id", SPEC, seed=0))
 
 
 def test_pack_monolingual_exact_fill_with_separator():
@@ -271,15 +271,15 @@ def test_unused_tokens_of_stream_abandoned_mid_record():
 
 def test_pack_determinism():
     mk = lambda: [make_pair(f"en {i} words here.", f"sea {i} kata.", ordinal=i) for i in range(9000)]
-    sums_a = [block_checksum(b.ids) for b in pack_parallel(mk(), "id", SPEC, seed=3)]
-    sums_b = [block_checksum(b.ids) for b in pack_parallel(mk(), "id", SPEC, seed=3)]
+    sums_a = [block_checksum(b.ids) for b in pack_parallel(runs_of(mk()), "id", SPEC, seed=3)]
+    sums_b = [block_checksum(b.ids) for b in pack_parallel(runs_of(mk()), "id", SPEC, seed=3)]
     assert sums_a == sums_b and sums_a
 
 
 def test_conservation_accounting():
     pairs = [make_pair(f"en {i}.", f"sea {i}.", ordinal=i) for i in range(30_000)]
     report = PackReport()
-    blocks = list(pack_parallel(pairs, "id", SPEC, seed=1, report=report))
+    blocks = list(pack_parallel(runs_of(pairs), "id", SPEC, seed=1, report=report))
     assert report.tokens_in == report.blocks * BLOCK_TOKENS + report.unused_tokens
     assert 0 <= report.unused_tokens < BLOCK_TOKENS
     assert report.blocks == len(blocks)
@@ -572,7 +572,7 @@ def test_pack_parallel_matches_reference(sides, code, seed, label_style, block_t
         report, reference_report = PackReport(), PackReport()
         records = reference_pair_records(iter(pairs), code, seed, label_style, reference_report)
         _assert_same_blocks(
-            pack_parallel(iter(pairs), code, SPEC, seed, label_style, report),
+            pack_parallel(runs_of(pairs), code, SPEC, seed, label_style, report),
             reference_pack(records, BlockKind.parallel(code), SPEC, reference_report),
             report, reference_report, take,
         )
@@ -592,7 +592,7 @@ def test_replacement_substitution_identity():
     seed = next(s for s in range(100) if rng.coin(s, "direction", "id", 0) == 0)
     supply = [make_doc("XYZ. " * 40_000, code="id", source="supply")]
     pairs = [make_pair("Hello.", "ANYTHING-AT-ALL.", ordinal=i) for i in range(9000)]
-    blocks = list(pack_replacement(pairs, supply, "id", SPEC, seed=seed))
+    blocks = list(pack_replacement(runs_of(pairs), supply, "id", SPEC, seed=seed))
     assert blocks, "expected at least one full block"
     text = "".join(chr(i) if i != 256 else "" for i in blocks[0].ids[:64])
     assert text.startswith("English: Hello.\nIndonesian: XYZ.")
@@ -603,8 +603,8 @@ def test_replacement_direction_draws_match_parallel():
     pairs = [make_pair(f"en number {i}.", f"sea kalimat {i}.", ordinal=i) for i in range(6000)]
     supply = [make_doc("Pengganti kalimat. " * 40_000, code="id")]
     rep_par, rep_rep = PackReport(), PackReport()
-    blocks_par = list(pack_parallel(pairs, "id", SPEC, seed=11, report=rep_par))
-    blocks_rep = list(pack_replacement(pairs, supply, "id", SPEC, seed=11, report=rep_rep))
+    blocks_par = list(pack_parallel(runs_of(pairs), "id", SPEC, seed=11, report=rep_par))
+    blocks_rep = list(pack_replacement(runs_of(pairs), supply, "id", SPEC, seed=11, report=rep_rep))
     assert rep_par.records == rep_rep.records
     assert rep_par.en_first == rep_rep.en_first
     # direction of each segment is observable from its first label
@@ -625,8 +625,8 @@ def test_replacement_preserves_english_token_multiset():
         pairs.append(make_pair(f"english side {i} with words.", sea + ".", ordinal=i))
         supply_sentences.append("c" * len(sea) + ".")  # same length, same terminal
     supply = [make_doc(" ".join(supply_sentences), code="id")]
-    blocks_par = list(pack_parallel(pairs, "id", SPEC, seed=5))
-    blocks_rep = list(pack_replacement(pairs, supply, "id", SPEC, seed=5))
+    blocks_par = list(pack_parallel(runs_of(pairs), "id", SPEC, seed=5))
+    blocks_rep = list(pack_replacement(runs_of(pairs), supply, "id", SPEC, seed=5))
     assert len(blocks_par) == len(blocks_rep) >= 2
 
     def english_sides(blocks):
@@ -646,13 +646,13 @@ def test_replacement_supply_exhaustion_raises():
     pairs = [make_pair(f"en {i}.", f"sea {i}.", ordinal=i) for i in range(100)]
     supply = [make_doc("Only one sentence here.", code="id")]
     with pytest.raises(ShortfallError, match="exhausted after 1 pairs"):
-        list(pack_replacement(pairs, supply, "id", SPEC, seed=0))
+        list(pack_replacement(runs_of(pairs), supply, "id", SPEC, seed=0))
 
 
 def test_replacement_records_token_delta():
     pairs = [make_pair("en words.", "ss.", ordinal=i) for i in range(10)]
     supply = [make_doc("Replacement sentence longer. " * 10, code="id")]
     report = PackReport()
-    list(pack_replacement(pairs, supply, "id", SPEC, seed=0, report=report))
+    list(pack_replacement(runs_of(pairs), supply, "id", SPEC, seed=0, report=report))
     per_pair = len("Replacement sentence longer.") - len("ss.")
     assert report.replacement_token_delta == 10 * per_pair

@@ -32,6 +32,7 @@ from helpers import (
     reference_pack,
     reference_pair_records,
     reference_pair_rows,
+    reference_pair_runs,
     reference_read_parallel,
     reference_substituted,
     tree_digest,
@@ -399,7 +400,7 @@ def _compile_both_ways(config, strategy, blocks, tmp_path, caplog):
     """The error, tree digest and warning lines of a compile that reads its
     pairs through the row loop, then of one that reads them one at a time."""
     outcomes = []
-    for reader in (corpus.pair_runs, reference_read_parallel):
+    for reader in (corpus.pair_runs, reference_pair_runs):
         caplog.clear()
         out = tmp_path / reader.__name__
         with mock.patch.object(pipeline, "pair_runs", reader), \

@@ -20,7 +20,7 @@ from currikit.schedule import (
     build_schedule,
     validate_schedule,
 )
-from helpers import reference_schedule, reference_validate, whole_shuffle_mixed_order
+from helpers import batches, reference_schedule, reference_validate, whole_shuffle_mixed_order
 
 ALL_STRATEGIES = list(Strategy)
 LANGS = ["id", "km", "lo", "ms", "my", "ta", "th", "tl", "vi", "zh"]
@@ -36,7 +36,7 @@ def test_parallel_only_twelve_blocks_example():
     counts = m.kind_counts()
     assert counts["replay"] == 3
     assert counts["parallel:id"] == 9
-    for batch in m.batches():
+    for batch in batches(m):
         assert sum(1 for e in batch if e.kind.name == "replay") == 1
     assert m.leftover_tokens == 1
 
@@ -66,7 +66,7 @@ def test_multilingual_uneven_total_stays_balanced():
 @pytest.mark.parametrize("batch", [4, 8, 16])
 def test_replay_exactness_everywhere(strategy, batch):
     m = build_schedule(strategy, blocks_budget(batch * 6), ["id", "th"], batch, seed=3)
-    for b, group in enumerate(m.batches()):
+    for b, group in enumerate(batches(m)):
         assert sum(1 for e in group if e.kind.name == "replay") == batch // 4, (
             strategy,
             batch,
@@ -88,7 +88,7 @@ def test_equal_ratio_strategies():
 def test_parallel_first_phase_order():
     m = build_schedule(Strategy.PARALLEL_FIRST, blocks_budget(32), ["id"], 8, seed=1)
     batch_kinds = []
-    for group in m.batches():
+    for group in batches(m):
         names = {e.kind.name for e in group if e.kind.name != "replay"}
         batch_kinds.append(names)
     transition = [b for b, names in enumerate(batch_kinds) if len(names) == 2]
@@ -146,8 +146,8 @@ def test_seed_determinism_and_sensitivity():
     b = build_schedule(seed=1, **kwargs)
     assert a.to_json() == b.to_json()
     c = build_schedule(seed=2, **kwargs)
-    orders_a = [[e.kind.key() for e in batch] for batch in a.batches()]
-    orders_c = [[e.kind.key() for e in batch] for batch in c.batches()]
+    orders_a = [[e.kind.key() for e in batch] for batch in batches(a)]
+    orders_c = [[e.kind.key() for e in batch] for batch in batches(c)]
     assert orders_a != orders_c
 
 

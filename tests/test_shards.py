@@ -34,7 +34,7 @@ from currikit.shards import (
 )
 from currikit.synthetic import write_corpus
 from currikit.tokenizer import BYTE_FALLBACK
-from helpers import make_doc, make_pair, tree_digest
+from helpers import make_doc, make_pair, runs_of, tree_digest
 
 
 def _sha256_16(data):
@@ -54,7 +54,7 @@ def _make_stream(name, lang, count, seed):
         make_pair(f"en {i} side.", f"sea {i} side.", code=lang, ordinal=i)
         for i in itertools.count()
     )
-    return pack_parallel(pairs, lang, BYTE_FALLBACK, seed)
+    return pack_parallel(runs_of(pairs), lang, BYTE_FALLBACK, seed)
 
 
 def _block_streams(manifest, seed=0):
