@@ -47,7 +47,7 @@ def positive_int(text: str) -> int:
     return _int_flag(text, lambda v: v >= 1, "a positive integer")
 
 
-def _non_negative_int(text: str) -> int:
+def non_negative_int(text: str) -> int:
     """argparse type for a count that may be 0."""
     return _int_flag(text, lambda v: v >= 0, "a non-negative integer")
 
@@ -68,7 +68,7 @@ def _language_code(text: str) -> str:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _language_codes(text: str) -> list[str]:
+def language_codes(text: str) -> list[str]:
     """argparse type for known ISO codes separated by commas."""
     return [_language_code(code) for code in text.split(",")]
 
@@ -121,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="'byte_fallback' or a vocabulary file path")
     p.add_argument("--labels", choices=("name", "code"), default="name",
                    help="segment label style for parallel formatting")
-    p.add_argument("--languages", type=_language_codes, default=None,
+    p.add_argument("--languages", type=language_codes, default=None,
                    help="comma-separated ISO codes (default: inferred from config)")
 
     p = sub.add_parser("audit", help="re-verify a compiled corpus")
@@ -129,8 +129,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("stats", help="summarize a compiled corpus or raw corpus files")
-    p.add_argument("--dir", help="compiled corpus directory")
-    p.add_argument("--config", help="corpus configuration JSON (raw accounting)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--dir", help="compiled corpus directory")
+    source.add_argument("--config", help="corpus configuration JSON (raw accounting)")
     p.add_argument("--tokenizer", default="byte_fallback")
     p.add_argument("--json", action="store_true")
 
@@ -139,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True, help="bitext file to prompt over")
     p.add_argument("--source-lang", required=True, type=_language_code)
     p.add_argument("--target-lang", required=True, type=_language_code)
-    p.add_argument("-k", "--shots", type=_non_negative_int, default=5)
+    p.add_argument("-k", "--shots", type=non_negative_int, default=5)
     p.add_argument("--labels", choices=("name", "code"), default="name")
     p.add_argument("--out", required=True, help="output JSONL path")
 
@@ -160,9 +161,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("aggregate", help="average per-language scores into a table row")
-    p.add_argument("--scores", type=_inline_scores,
-                   help="inline scores: id=49.48,km=32.92,...")
-    p.add_argument("--scores-json", help="JSON file mapping ISO codes to scores")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--scores", type=_inline_scores,
+                        help="inline scores: id=49.48,km=32.92,...")
+    source.add_argument("--scores-json", help="JSON file mapping ISO codes to scores")
     p.add_argument("--label", default="model")
     p.add_argument("--json", action="store_true")
 
@@ -220,10 +222,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    if bool(args.dir) == bool(args.config):
-        print("error: stats needs exactly one of --dir or --config", file=sys.stderr)
-        return 2
-    if args.dir:
+    if args.dir is not None:
         stats = shard_stats(args.dir)
     else:
         stats = corpus_stats(load_corpus_config(args.config), resolve_spec(args.tokenizer))
@@ -272,11 +271,7 @@ def _cmd_signif(args: argparse.Namespace) -> int:
 
 
 def _cmd_aggregate(args: argparse.Namespace) -> int:
-    if bool(args.scores) == bool(args.scores_json):
-        print("error: aggregate needs exactly one of --scores or --scores-json",
-              file=sys.stderr)
-        return 2
-    if args.scores:
+    if args.scores is not None:
         mapping = args.scores
     else:
         with open(args.scores_json, encoding="utf-8") as fh:

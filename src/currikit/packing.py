@@ -8,14 +8,14 @@ whose separator is 0xFF, a byte UTF-8 never holds, rewritten to ``eot_id``
 when the block is built; four bytes per id for ``bpe_file``). Records reach
 the loop in runs: a document is a run of one, a pair file's rows come in
 the line runs of ``corpus.pair_runs``, and a replacement stream's pairs in
-runs that also end where a document's sentences end. The loop takes
-records in rounds, each encoded by one call (``encode_run`` for
-``bpe_file``), which raises the error of the first record that cannot be
-encoded. A round ends at the record that could bring the accumulator to a
-block's worth of ids, found by a cumulative sum of the run's text lengths,
-so that record yields its blocks at once, and the rest of it carries over
-into a fresh accumulator: records may straddle sequence and block
-boundaries.
+runs that also end where a document's sentences end. The loop encodes each
+run with one call as it pulls it (``encode_run`` for ``bpe_file``), which
+also gives each record's end, counted just past its separator. One
+bisection over those ends finds the record that brings the accumulator to
+a block's worth of ids, so the records up to it yield their blocks at once,
+and the rest of that record carries over into a fresh accumulator: records
+may straddle sequence and block boundaries. A record that cannot be
+encoded raises its own error once the records before it are placed.
 
 A run is read and rendered ahead of its use, so it carries a commit: the
 loop commits the records it takes, before it yields a block, and a record
@@ -46,7 +46,8 @@ import hashlib
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, count, islice, repeat
+from operator import add
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -59,7 +60,6 @@ from .tokenizer import encode  # noqa: F401  the benchmark's tracer looks up pac
 SEQUENCE_LENGTH = 4_096
 SEQUENCES_PER_BLOCK = 64
 BLOCK_TOKENS = SEQUENCE_LENGTH * SEQUENCES_PER_BLOCK  # 262,144
-RUN_CHARS = 16_384  # text characters encoded by one call; bounds a run's transient memory
 
 
 KIND_NAMES = ("monolingual", "parallel", "replay", "replacement")
@@ -217,9 +217,11 @@ def _spans(sources: list[str], ordinals: list[int]) -> tuple[ProvenanceSpan, ...
 
 
 # A packer run: consecutive records of one source, as ``(texts, source_id,
-# ordinals, commit)``. A record's text may instead be its ids, in a run of
-# that record alone. ``commit(n)``, when not None, is called once the first
-# ``n`` records of the run are taken.
+# ordinals, commit)``, encoded by one call when the packer pulls it; a pair
+# file's runs hold at most ``corpus.LINE_RUN_CHARS`` characters of lines. A
+# record's text may instead be its ids, in a run of that record alone.
+# ``commit(n)``, when not None, is called once the first ``n`` records of
+# the run are taken.
 Run = tuple[list[str | np.ndarray], str, list[int], Callable[[int], None] | None]
 
 
@@ -234,118 +236,84 @@ def _pack(
     Each record's ids and one end-of-text separator are appended to a byte
     accumulator, one byte per id for ``byte_fallback`` (the separator is
     0xFF, a byte UTF-8 never holds, and becomes ``eot_id`` in the block) and
-    four for ``bpe_file``. Records are taken in rounds and each round's
-    texts are encoded by one call. A round takes another record only while
-    its records could not complete a block even at their most ids (one per
-    character for ``bpe_file``, four UTF-8 bytes for ``byte_fallback``), and
-    at most ``RUN_CHARS`` characters of text, so only its last record may
-    complete blocks. The record that ends a round is found with a cumulative
-    sum over the run's text lengths; the records after it stay in the run for
-    the next round, and the next run is pulled only when a round needs more
-    records. So the records taken, and committed, before a block is yielded
-    are those a record-by-record packer pulls. Blocks are yielded as soon as
-    the round is in, and the rest of the last record, if any, starts a fresh
-    accumulator. A record that is already ids ends its round.
+    four for ``bpe_file``. A run's texts are encoded by one call, which also
+    gives each record's end, counted just past its separator. One bisection
+    over those ends finds the record that fills the block; the records up to
+    it are taken, committed and counted, the blocks they fill are yielded,
+    and the rest of that record starts a fresh accumulator. So the records
+    taken before a block is yielded are those a record-by-record packer
+    pulls, and the next run is pulled only when a record of it is needed.
+    When a run cannot be encoded, its records are encoded one at a time from
+    there, so a record that cannot be encoded raises its own error after the
+    records before it are placed.
     """
     if spec.kind == "byte_fallback":
-        width, separator, most_ids = 1, b"\xff", 4
+        width, separator = 1, b"\xff"
 
-        def encode_texts(texts: list[str]) -> bytes:
-            # the ids are the UTF-8 bytes, which encode would wrap in arrays
-            return b"\xff".join([*map(str.encode, texts), b""])
+        def encode_texts(texts: list[str]) -> tuple[memoryview, list[int]]:
+            # the ids are the UTF-8 bytes, each record's closed by 0xFF: a record
+            # ends past its own and the earlier records' bytes and 0xFFs
+            parts = [*map(str.encode, texts)]
+            ends = list(map(add, accumulate(map(len, parts)), count(1)))
+            return memoryview(b"\xff".join([*parts, b""])), ends
 
     else:
-        width, separator, most_ids = 4, np.uint32(spec.eot_id).tobytes(), 1
+        width, separator = 4, np.uint32(spec.eot_id).tobytes()
 
-        def encode_texts(texts: list[str]) -> np.ndarray:
+        def encode_texts(texts: list[str]) -> tuple[np.ndarray, list[int]]:
             return encode_run(texts, spec)
 
     block_tokens = BLOCK_TOKENS
-    run_chars = RUN_CHARS
     block_bytes = block_tokens * width
     acc = bytearray()
     # The accumulator's records: every one has ids not yet in a block.
     sources: list[str] = []
     ordinals: list[int] = []
-    runs = iter(runs)
-    # The current run, its records taken so far and its text lengths summed.
-    texts: list = []
-    source_id = ""
-    run_ordinals: list[int] = []
-    commit = None
-    first = 0
-    chars_to: list[int] = []
-
-    def cost_to(k: int) -> int:
-        return most_ids * chars_to[k] + k
-
-    while True:
-        taken: list[str] = []
-        ids = None
-        room = block_tokens - len(acc) // width
-        chars = 0
-        pull_error = None
-        try:
-            while True:
-                if first == len(texts):
-                    run = next(runs, None)
-                    if run is None:
-                        break
-                    texts, source_id, run_ordinals, commit = run
-                    first = 0
-                    if not isinstance(texts[0], str):  # a record's ids, alone in its run
-                        ids = texts[0]
-                        first = 1
-                        sources.append(source_id)
-                        ordinals.append(run_ordinals[0])
-                        if commit is not None:
-                            commit(1)
-                        break
-                    chars_to = list(accumulate(map(len, texts)))
-                before = chars_to[first - 1] if first else 0
-                # the first record at which the round reaches RUN_CHARS characters,
-                # or earlier, at which its records could complete a block
-                end = bisect_left(chars_to, run_chars - chars + before, first)
-                end = bisect_left(
-                    range(end), room + most_ids * before + first - 1, first, key=cost_to
-                )
-                stop = min(end + 1, len(texts))
-                taken += texts[first:stop]
-                sources.extend(repeat(source_id, stop - first))
-                ordinals += run_ordinals[first:stop]
-                if commit is not None:
-                    commit(stop)
-                if end < len(texts):
-                    first = stop
-                    break
-                room -= most_ids * (chars_to[-1] - before) + stop - first
-                chars += chars_to[-1] - before
-                first = stop
-        except Exception as exc:  # raised after the round's records, as one at a time
-            pull_error = exc
-        filled = len(acc)
-        if taken:
-            acc.extend(encode_texts(taken))
-        if ids is not None:
-            acc.extend(ids)
-            acc += separator
-        report.records += len(taken) + (ids is not None)
-        report.tokens_in += (len(acc) - filled) // width
-        if pull_error is not None:
-            raise pull_error
-        if not taken and ids is None:
-            return
-        while len(acc) >= block_bytes:
-            if width == 1:
-                block = np.frombuffer(acc, np.uint8, count=block_tokens).astype(np.uint32)
-                block[block == 0xFF] = spec.eot_id
-            else:  # the block views this accumulator, which the stream then drops
-                block = np.frombuffer(acc, np.uint32, count=block_tokens)
-            provenance = _spans(sources, ordinals)
-            acc = acc[block_bytes:]
-            sources, ordinals = (sources[-1:], ordinals[-1:]) if acc else ([], [])
-            report.blocks += 1
-            yield TokenBlock(ids=block, kind=kind, provenance=provenance)
+    for texts, source_id, run_ordinals, commit in runs:
+        taken = 0  # records of the run taken
+        first = start = 0  # the run's index of the first record ``ids`` holds; its ids taken
+        ends: list[int] = []
+        step = len(texts)  # records one call encodes: the rest of the run, or one
+        while taken < len(texts):
+            filled = len(acc)
+            if not isinstance(texts[0], str):  # a record's ids, alone in its run
+                acc.extend(texts[0])
+                acc += separator
+                stop = 1
+            else:
+                if taken == first + len(ends):
+                    try:
+                        ids, ends = encode_texts(texts[taken : taken + step])
+                    except (TokenizerError, UnicodeEncodeError):
+                        if step == 1:
+                            raise
+                        step = 1
+                        continue
+                    first, start = taken, 0
+                # the record whose end fills the block, or else the last one
+                room = block_tokens - filled // width
+                last = bisect_left(ends, start + room, taken - first, len(ends) - 1)
+                acc.extend(ids[start : ends[last]])
+                start = ends[last]
+                stop = first + last + 1
+            sources.extend(repeat(source_id, stop - taken))
+            ordinals += run_ordinals[taken:stop]
+            report.records += stop - taken
+            report.tokens_in += (len(acc) - filled) // width
+            if commit is not None:
+                commit(stop)
+            taken = stop
+            while len(acc) >= block_bytes:
+                if width == 1:
+                    block = np.frombuffer(acc, np.uint8, count=block_tokens).astype(np.uint32)
+                    block[block == 0xFF] = spec.eot_id
+                else:  # the block views this accumulator, which the stream then drops
+                    block = np.frombuffer(acc, np.uint32, count=block_tokens)
+                provenance = _spans(sources, ordinals)
+                acc = acc[block_bytes:]
+                sources, ordinals = (sources[-1:], ordinals[-1:]) if acc else ([], [])
+                report.blocks += 1
+                yield TokenBlock(ids=block, kind=kind, provenance=provenance)
 
 
 def _documents(

@@ -239,7 +239,13 @@ class CurriculumManifest:
                     f"malformed curriculum manifest: {len(entries)} entries, "
                     f"not a positive multiple of batch_size_blocks={batch}"
                 )
-            strategy = Strategy(doc["strategy"])
+            try:
+                strategy = Strategy(doc["strategy"])
+            except ValueError:
+                raise ValueError(
+                    f"malformed curriculum manifest: strategy={doc['strategy']!r}, "
+                    f"want one of {', '.join(s.value for s in Strategy)}"
+                ) from None
             language_set = doc["language_set"]
             try:
                 canonical = _language_set(strategy, language_set)

@@ -98,9 +98,10 @@ def write_corpus(
             pairs = root / f"pairs_en_{code}.tsv"
             write_parallel_tsv(pairs, code, n_pairs, seed)
             entries.append({"path": pairs.name, "kind": "parallel", "language": code})
+    docs = n_docs if replay_docs is None else replay_docs
     for r in range(replay_files):
         replay = root / f"replay_{r}.jsonl"
-        write_replay_jsonl(replay, replay_docs or n_docs, sentences_per_doc, seed + r)
+        write_replay_jsonl(replay, docs, sentences_per_doc, seed + r)
         entries.append({"path": replay.name, "kind": "replay"})
     config = root / "corpus.json"
     config.write_text(json.dumps({"sources": entries}, indent=2) + "\n", encoding="utf-8")

@@ -15,9 +15,10 @@ are loadable, immutable specs. Two kinds are supported:
 ``encode`` returns a 1-D numpy id array (``uint8`` for ``byte_fallback``,
 ``uint32`` for ``bpe_file``), so packers copy it into their block buffers
 without a per-id Python loop. For ``bpe_file``, ``encode_run`` encodes many
-texts, each closed by the end-of-text id, with one match, and raises
-``encode``'s error for the first text that is not covered: packers encode
-their records in runs through it, and ``encode`` is a run of one text. Every
+texts, each closed by the end-of-text id, with one match, reports where
+each text's ids end, and raises ``encode``'s error for the first text that
+is not covered: packers encode their records a run at a time through it,
+and ``encode`` is a run of one text. Every
 id lies in ``[0, 2**32)``, the range of the ``uint32`` block format.
 """
 
@@ -82,6 +83,10 @@ class TokenizerSpec:
                 object.__setattr__(
                     self, "piece_ids", {p: i for i, p in self.pieces.items()}
                 )
+            # encode_run marks record ends with ID_LIMIT, which no piece may have
+            ids = self.piece_ids.values()
+            if min(ids) < 0 or max(ids) >= ID_LIMIT:
+                raise TokenizerError(f"tokenizer {self.id!r} has a token id outside [0, 2**32)")
 
 
 BYTE_FALLBACK = TokenizerSpec(
@@ -93,19 +98,22 @@ def encode(text: str, spec: TokenizerSpec = BYTE_FALLBACK) -> np.ndarray:
     """Encode UTF-8 text to a 1-D id array. Pure and deterministic per spec."""
     if spec.kind == "byte_fallback":
         return np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    return encode_run([text], spec)[:-1]
+    return encode_run([text], spec)[0][:-1]
 
 
-def encode_run(texts: Sequence[str], spec: TokenizerSpec) -> np.ndarray:
+def encode_run(texts: Sequence[str], spec: TokenizerSpec) -> tuple[np.ndarray, list[int]]:
     """``encode`` of each text followed by ``eot_id``, as one ``uint32``
     array, for a ``bpe_file`` spec: the one place ``bpe_file`` text becomes
-    ids.
+    ids. With it comes each text's end in the array, counted just past its
+    end-of-text id.
 
     The texts are joined by the spec's separator, a character no piece
     contains, and matched by one call: no piece spans a separator, so each
-    text gets its own greedy longest-match pieces, and each separator is the
-    end-of-text id. When that match leaves the joined text uncovered or a
-    text holds the separator itself, the texts are counted one by one, and
+    text gets its own greedy longest-match pieces. The separator's id is a
+    sentinel outside ``[0, 2**32)``, so the ends are where it lies, even
+    where a piece of a text has the end-of-text id; each is then written as
+    ``eot_id``. When the match leaves the joined text uncovered or a text
+    holds the separator itself, the texts are counted one by one, and
     ``count_tokens`` raises for the first that is not covered.
     """
     matcher = _matcher(spec)
@@ -115,8 +123,10 @@ def encode_run(texts: Sequence[str], spec: TokenizerSpec) -> np.ndarray:
         for text in texts:
             count_tokens(text, spec)
         raise AssertionError("covered texts joined into an uncovered run")
-    ids = map(matcher.ids.__getitem__, pieces)
-    return np.fromiter(ids, dtype=np.uint32, count=len(pieces))
+    ids = np.fromiter(map(matcher.ids.__getitem__, pieces), dtype=np.int64, count=len(pieces))
+    ends = np.flatnonzero(ids == ID_LIMIT) + 1
+    ids[ends - 1] = spec.eot_id
+    return ids.astype(np.uint32), ends.tolist()
 
 
 def decode(ids: Sequence[int] | np.ndarray, spec: TokenizerSpec = BYTE_FALLBACK) -> str:
@@ -167,7 +177,7 @@ def count_tokens(text: str, spec: TokenizerSpec = BYTE_FALLBACK) -> int:
 class _Matcher(NamedTuple):
     """A ``bpe_file`` spec's longest-match pattern, with its run separator
     as the last alternative, and the piece ids with the separator mapped to
-    the end-of-text id."""
+    ``ID_LIMIT``, which no piece's id can be."""
 
     pattern: re.Pattern[str]
     separator: str
@@ -185,7 +195,7 @@ def _matcher(spec: TokenizerSpec) -> _Matcher:
         matcher = _Matcher(
             re.compile(pattern + "|" + re.escape(separator)),
             separator,
-            {**spec.piece_ids, separator: spec.eot_id},
+            {**spec.piece_ids, separator: ID_LIMIT},
         )
         object.__setattr__(spec, "_matcher", matcher)
     return matcher

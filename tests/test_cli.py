@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from currikit.cli import main
+from currikit.corpus import load_corpus_config
 from currikit.packing import BLOCK_TOKENS
 from currikit.schedule import CurriculumManifest, Strategy
 from currikit.synthetic import write_corpus
@@ -257,6 +258,9 @@ _TAMPERED = {
         lambda doc: doc.update(language_set=["id", "id"]), "language_set=['id', 'id']"
     ),
     "tokenizer_id not a string": (lambda doc: doc.update(tokenizer_id=7), "tokenizer_id=7"),
+    "unknown strategy": (
+        lambda doc: doc.update(strategy="bogus"), "malformed curriculum manifest: strategy='bogus'"
+    ),
 }
 
 
@@ -417,8 +421,32 @@ def test_stats_raw_config(corpus, capsys):
     assert "Parallel data" in out and "Indonesian" in out
 
 
-def test_stats_requires_exactly_one_input(capsys):
-    assert main(["stats"]) == 2
+def _assert_usage_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: currikit {argv[0]} ")
+    assert f"currikit {argv[0]}: error: {message}" in captured.err
+
+
+def test_stats_requires_exactly_one_input(tmp_path, capsys):
+    _assert_usage_error(["stats"], "one of the arguments --dir --config is required", capsys)
+    _assert_usage_error(
+        ["stats", "--dir", str(tmp_path), "--config", str(tmp_path / "corpus.json")],
+        "argument --config: not allowed with argument --dir", capsys,
+    )
+
+
+def test_aggregate_requires_exactly_one_input(tmp_path, capsys):
+    _assert_usage_error(
+        ["aggregate"], "one of the arguments --scores --scores-json is required", capsys
+    )
+    _assert_usage_error(
+        ["aggregate", "--scores", "id=1", "--scores-json", str(tmp_path / "scores.json")],
+        "argument --scores-json: not allowed with argument --scores", capsys,
+    )
 
 
 def test_unknown_flag_exits_2():
@@ -673,10 +701,7 @@ def test_prompts_rejects_bad_flags_before_reading(flags, message, tmp_path, caps
 
 
 def test_compile_all_strategies_rejects_bad_batch_blocks(tmp_path, capsys):
-    path = Path(__file__).resolve().parent.parent / "scripts" / "compile_all_strategies.py"
-    spec = importlib.util.spec_from_file_location("compile_all_strategies", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _script("compile_all_strategies")
     for flags, message in [
         (["--batch-blocks", "6"], "argument --batch-blocks: expected a positive multiple of 4"),
         (["--blocks", "0"], "argument --blocks: expected a positive integer, got '0'"),
@@ -688,6 +713,40 @@ def test_compile_all_strategies_rejects_bad_batch_blocks(tmp_path, capsys):
         assert err.value.code == 2, flags
         assert message in capsys.readouterr().err, flags
         assert not (tmp_path / "out").exists()
+
+
+def _script(name):
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def test_make_synthetic_corpus_rejects_bad_flags(tmp_path, capsys):
+    script = _script("make_synthetic_corpus")
+    root = tmp_path / "corpus"
+    for flags, message in [
+        (["--languages", "xx"], "argument --languages: unknown language code 'xx'"),
+        (["--languages", "en"], "argument --languages: English is implicit; list SEA languages"),
+        (["--languages", "id,th,id"], "a language is listed twice in 'id,th,id'"),
+        (["--pairs", "-1"], "argument --pairs: expected a non-negative integer, got '-1'"),
+        (["--replay-files", "0"], "argument --replay-files: expected a positive integer, got '0'"),
+        (["--replay-docs", "0"], "argument --replay-docs: expected a positive integer, got '0'"),
+        (["--docs", "0"], "--docs 0 leaves the replay files empty; give --replay-docs"),
+        (["--sentences-per-doc", "0"], "argument --sentences-per-doc: expected a positive integer"),
+    ]:
+        with pytest.raises(SystemExit) as err:
+            script.main(["--root", str(root), *flags])
+        assert err.value.code == 2, flags
+        assert message in capsys.readouterr().err, flags
+        assert not root.exists()
+    flags = ["--languages", "th,id", "--pairs", "5", "--docs", "0", "--replay-docs", "3"]
+    script.main(["--root", str(root), *flags])
+    sources = load_corpus_config(root / "corpus.json")
+    assert sorted((s.kind, s.language or "") for s in sources) == [
+        ("parallel", "id"), ("parallel", "th"), ("replay", ""), ("replay", ""),
+    ]
 
 
 def test_compile_rejects_vocab_id_outside_uint32(corpus, tmp_path, capsys):

@@ -371,17 +371,14 @@ def test_pack_matches_reference_packer(plans, spec, block_tokens, take):
     cuts=st.lists(st.booleans(), max_size=40),
     spec=st.sampled_from([BYTE_FALLBACK, ORACLE_BPE]),
     block_tokens=st.sampled_from([1, 2, 5, 64]),
-    run_chars=st.sampled_from([1, 4, 16, packing.RUN_CHARS]),
     take=st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
 )
-def test_runs_of_many_records_match_reference_packer(
-    plans, cuts, spec, block_tokens, run_chars, take
-):
+def test_runs_of_many_records_match_reference_packer(plans, cuts, spec, block_tokens, take):
     """Records handed over in runs of one source: the same blocks, spans and
     counts as one record at a time. Each run is pulled only when a record of
     it is needed, its commits never step back, and the records committed
     are exactly those the reference pulls."""
-    with mock.patch.multiple(packing, BLOCK_TOKENS=block_tokens, RUN_CHARS=run_chars):
+    with mock.patch.object(packing, "BLOCK_TOKENS", block_tokens):
         records = _planned_records(plans, block_tokens, spec)
         groups = []
         for i, record in enumerate(records):
@@ -463,11 +460,10 @@ def _outcome(stream, take):
     data=st.data(),
     spec=st.sampled_from([BYTE_FALLBACK, ORACLE_BPE]),
     block_tokens=st.sampled_from([1, 2, 5, 64]),
-    run_chars=st.sampled_from([1, 4, 16, packing.RUN_CHARS]),
     take=st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
     fail=st.booleans(),
 )
-def test_run_packer_matches_reference_packer(data, spec, block_tokens, run_chars, take, fail):
+def test_run_packer_matches_reference_packer(data, spec, block_tokens, take, fail):
     """Same blocks, the same records pulled and the same counts, with small
     runs and blocks; a text that cannot be encoded raises what it raises one
     record at a time (having pulled the rest of its run), before a failing
@@ -487,7 +483,7 @@ def test_run_packer_matches_reference_packer(data, spec, block_tokens, run_chars
     kind = BlockKind.replay()
     report, reference_report = PackReport(), PackReport()
     pulls, reference_pulls = [], []
-    with mock.patch.multiple(packing, BLOCK_TOKENS=block_tokens, RUN_CHARS=run_chars):
+    with mock.patch.object(packing, "BLOCK_TOKENS", block_tokens):
         blocks, error = _outcome(
             packing._pack(record_runs(_pulled(given_ids, pulls, fail)), kind, spec, report), take
         )
@@ -501,6 +497,48 @@ def test_run_packer_matches_reference_packer(data, spec, block_tokens, run_chars
     assert [block_checksum(b.ids) for b in blocks] == [block_checksum(b.ids) for b in want]
     if error is None or error[0] is PullError:  # a text that fails ends its run early
         assert len(pulls) == len(reference_pulls)
+        assert dataclasses.asdict(report) == dataclasses.asdict(reference_report)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    spec=st.sampled_from([BYTE_FALLBACK, ORACLE_BPE]),
+    block_tokens=st.sampled_from([1, 2, 5, 64]),
+    take=st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
+)
+def test_a_run_holding_a_text_that_cannot_be_encoded_fails_as_its_records_one_by_one(
+    data, spec, block_tokens, take
+):
+    """A text that cannot be encoded, inside a run of several records: the
+    records before it fill the blocks they fill, with their spans, and then
+    it raises the error it raises alone, as the reference does."""
+    texts = data.draw(st.lists(COVERED_TEXTS[spec.kind], min_size=1, max_size=30))
+    failing_at = data.draw(st.integers(0, len(texts)))
+    texts.insert(failing_at, data.draw(FAILING_TEXTS[spec.kind]))
+    cuts = data.draw(st.lists(st.booleans(), min_size=len(texts), max_size=len(texts)))
+    records = [(text, "a.txt", i) for i, text in enumerate(texts)]
+    groups = []  # runs, none of which starts or ends at the failing text
+    for i, record in enumerate(records):
+        if not groups or cuts[i] and i not in (failing_at, failing_at + 1):
+            groups.append([])
+        groups[-1].append(record)
+    runs = (
+        ([text for text, _, _ in group], "a.txt", [o for *_, o in group], None)
+        for group in groups
+    )
+    kind = BlockKind.replay()
+    report, reference_report = PackReport(), PackReport()
+    with mock.patch.object(packing, "BLOCK_TOKENS", block_tokens):
+        blocks, error = _outcome(packing._pack(runs, kind, spec, report), take)
+        want, want_error = _outcome(
+            reference_pack(iter(records), kind, spec, reference_report), take
+        )
+    assert error == want_error
+    assert take is not None or error is not None
+    assert [b.ids.tolist() for b in blocks] == [b.ids.tolist() for b in want]
+    assert [b.provenance for b in blocks] == [b.provenance for b in want]
+    if error is None:
         assert dataclasses.asdict(report) == dataclasses.asdict(reference_report)
 
 

@@ -83,6 +83,12 @@ def test_spec_invariants():
         TokenizerSpec(id="bad", vocab_size=300, eot_id=0, kind="byte_fallback")
     with pytest.raises(TokenizerError):
         TokenizerSpec(id="bad", vocab_size=10, eot_id=0, kind="mystery")
+    for bad_id in (-1, 2**32):
+        with pytest.raises(TokenizerError, match=r"token id outside \[0, 2\*\*32\)"):
+            TokenizerSpec(
+                id="bad", vocab_size=2**32 + 1, eot_id=0, kind="bpe_file",
+                pieces={0: "a", bad_id: "b"},
+            )
 
 
 # --- bpe_file specs ---------------------------------------------------------
@@ -232,13 +238,31 @@ def test_encode_run_is_encode_with_end_of_text_ids():
     spec = bpe_spec(["a", "b", "ab", "ba", "aba"], name="run")
     texts = ["abab", "", "ba", "a"]
     want = [i for text in texts for i in (*greedy_encode(text, spec), spec.eot_id)]
-    run = encode_run(texts, spec)
+    run, ends = encode_run(texts, spec)
     assert run.dtype == np.uint32
     assert run.tolist() == want
+    assert ends == [3, 4, 6, 8]
     assert [encode(text, spec).tolist() for text in texts] == [
         greedy_encode(text, spec) for text in texts
     ]
-    assert encode_run([], spec).tolist() == []
+    ids, ends = encode_run([], spec)
+    assert (ids.tolist(), ends) == ([], [])
+
+
+def test_encode_run_ends_are_exact_where_texts_hold_the_end_of_text_piece(tmp_path):
+    """``load_vocab`` adds ``<|endoftext|>`` as the piece of an eot id the
+    file does not list, so a text may hold ``eot_id``; the ends are still
+    those of the texts, not of every ``eot_id``."""
+    path = tmp_path / "implicit-eot.vocab"
+    path.write_text(
+        'bpe-vocab-v1\neot 0\ntoken 1 "a"\ntoken 2 "b"\ntoken 3 "c"\n', encoding="utf-8"
+    )
+    spec = load_vocab(path)
+    texts = ["ab<|endoftext|>c", "cab", "a<|endoftext|><|endoftext|>b"]
+    ids, ends = encode_run(texts, spec)
+    assert ends == [5, 9, 14]
+    assert (np.flatnonzero(ids == spec.eot_id) + 1).tolist() == [3, 5, 9, 11, 12, 14]
+    assert ids.tolist() == [i for text in texts for i in (*encode(text, spec).tolist(), 0)]
 
 
 def test_encode_run_raises_what_encode_raises():
