@@ -151,6 +151,9 @@ class ShortfallError(RuntimeError):
         super().__init__(message)
         self.deficits = deficits
 
+    def __reduce__(self):
+        return type(self), (self.args[0], self.deficits)
+
 
 def _iter_plain_records(path: str | os.PathLike[str]) -> Iterator[str]:
     """Blank-line-separated records; every record (even empty) is yielded."""

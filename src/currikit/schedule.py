@@ -105,6 +105,9 @@ class ConstraintError(RuntimeError):
         super().__init__(message)
         self.batch_index = batch_index
 
+    def __reduce__(self):
+        return type(self), (self.args[0], self.batch_index)
+
 
 @dataclass(frozen=True)
 class ScheduleEntry:

@@ -53,6 +53,9 @@ class ConsistencyError(RuntimeError):
         super().__init__(message)
         self.position = position
 
+    def __reduce__(self):
+        return type(self), (self.args[0], self.position)
+
 
 class LayoutError(RuntimeError):
     """Directory does not hold a readable compiled corpus."""

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from currikit import pipeline
 from currikit.cli import main
 from currikit.corpus import load_corpus_config
 from currikit.packing import BLOCK_TOKENS
@@ -702,10 +703,16 @@ def test_prompts_rejects_bad_flags_before_reading(flags, message, tmp_path, caps
 
 def test_compile_all_strategies_rejects_bad_batch_blocks(tmp_path, capsys):
     script = _script("compile_all_strategies")
+    not_a_vocab = tmp_path / "not.vocab"
+    not_a_vocab.write_text("name x\n", encoding="utf-8")
     for flags, message in [
         (["--batch-blocks", "6"], "argument --batch-blocks: expected a positive multiple of 4"),
         (["--blocks", "0"], "argument --blocks: expected a positive integer, got '0'"),
         (["--blocks", "2", "--batch-blocks", "4"], "--blocks 2 is below one batch of 4 blocks"),
+        (["--tokenizer", "missing.vocab"],
+         "argument --tokenizer: unknown tokenizer: 'missing.vocab' (not a name or file)"),
+        (["--tokenizer", str(not_a_vocab)],
+         f"argument --tokenizer: {not_a_vocab}: missing 'bpe-vocab-v1' header"),
     ]:
         with pytest.raises(SystemExit) as err:
             script.main(["--config", str(tmp_path / "missing.json"),
@@ -713,6 +720,38 @@ def test_compile_all_strategies_rejects_bad_batch_blocks(tmp_path, capsys):
         assert err.value.code == 2, flags
         assert message in capsys.readouterr().err, flags
         assert not (tmp_path / "out").exists()
+
+
+def test_compile_all_strategies_reports_a_shortfall_as_skipped(tmp_path, capsys, monkeypatch):
+    """A corpus too small for every strategy: each one is reported as
+    skipped, the replacement text's shortfall too, with the vocabulary given."""
+    _script("make_synthetic_corpus").main(
+        ["--root", str(tmp_path / "corpus"), "--languages", "id", "--pairs", "3000",
+         "--docs", "2"])
+    vocab = tmp_path / "ascii.vocab"
+    pieces = [chr(c) for c in range(32, 127)] + ["\n"]
+    vocab.write_text(
+        "bpe-vocab-v1\nname ascii\neot 0\n"
+        + "".join(f"token {i} {json.dumps(p)}\n" for i, p in enumerate(pieces, start=1)),
+        encoding="utf-8",
+    )
+    script = _script("compile_all_strategies")
+    tokenizers = []
+
+    def compile_corpus(**kwargs):
+        tokenizers.append(kwargs["tokenizer_ref"])
+        return pipeline.compile_corpus(**kwargs)
+
+    monkeypatch.setattr(script, "compile_corpus", compile_corpus)
+    capsys.readouterr()
+    script.main(["--config", str(tmp_path / "corpus" / "corpus.json"),
+                 "--out", str(tmp_path / "runs"), "--blocks", "4", "--batch-blocks", "4",
+                 "--tokenizer", str(vocab)])
+    out = capsys.readouterr().out
+    assert tokenizers == [str(vocab)] * 6
+    assert out.count("\nskipped: ") == 6
+    assert "\n=== multilingual-replacement ===\n" \
+        "skipped: replacement text for id exhausted after 80 pairs\n" in out
 
 
 def _script(name):
