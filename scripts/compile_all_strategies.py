@@ -4,7 +4,10 @@
 For each strategy this prints the block composition, the discarded token
 counts, and the audit verdict, which is a quick way to sanity-check a new
 corpus configuration before scaling the budget up. A strategy the corpus
-cannot feed is reported as ``skipped:`` with the reason.
+cannot feed is reported as ``skipped:`` with the reason; one whose compile
+fails otherwise, as ``compile`` would with an ``error:`` line, is reported
+as ``failed:`` with the message, and the script then exits 1 after the
+last strategy.
 
 Example:
     python scripts/make_synthetic_corpus.py --root /tmp/corpus --pairs 20000 --docs 400
@@ -13,6 +16,7 @@ Example:
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 from currikit.cli import batch_blocks, positive_int
@@ -24,7 +28,7 @@ from currikit.shards import audit_shards
 from currikit.tokenizer import resolve_spec
 
 
-def main(argv: list[str] | None = None) -> None:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--config", required=True, help="corpus configuration JSON")
     parser.add_argument("--out", required=True, help="directory for per-strategy runs")
@@ -45,6 +49,7 @@ def main(argv: list[str] | None = None) -> None:
 
     out_root = Path(args.out)
     budget = args.blocks * BLOCK_TOKENS
+    failed = False
     for strategy in Strategy:
         out_dir = out_root / strategy.value
         print(f"\n=== {strategy.value} ===")
@@ -61,6 +66,10 @@ def main(argv: list[str] | None = None) -> None:
         except (CompileError, ShortfallError) as exc:
             print(f"skipped: {exc}")
             continue
+        except (ValueError, RuntimeError, OSError) as exc:  # what ``currikit.cli`` reports
+            print(f"failed: {exc}")
+            failed = True
+            continue
         counts = result.manifest.kind_counts()
         print("blocks:", ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
         discards = result.manifest.metadata.get("discards", {})
@@ -68,7 +77,8 @@ def main(argv: list[str] | None = None) -> None:
         print(f"discarded tokens across streams: {wasted:,}")
         report = audit_shards(out_dir)
         print(report.render().splitlines()[-1])
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -272,18 +272,21 @@ def _cmd_signif(args: argparse.Namespace) -> int:
 
 def _cmd_aggregate(args: argparse.Namespace) -> int:
     if args.scores is not None:
-        mapping = args.scores
+        row = aggregate(args.scores, label=args.label)
     else:
         with open(args.scores_json, encoding="utf-8") as fh:
-            mapping = json.load(fh)
-        if not isinstance(mapping, dict):
-            raise ValueError(f"{args.scores_json}: not a JSON object mapping codes to scores")
-        for code, score in mapping.items():
-            if type(score) not in (int, float):
-                raise ValueError(
-                    f"{args.scores_json}: score of {code!r} is {json.dumps(score)}, not a number"
-                )
-    row = aggregate(mapping, label=args.label)
+            try:
+                mapping = json.load(fh)
+                if not isinstance(mapping, dict):
+                    raise ValueError("not a JSON object mapping codes to scores")
+                for code, score in mapping.items():
+                    if type(score) not in (int, float):
+                        raise ValueError(
+                            f"score of {code!r} is {json.dumps(score)}, not a number"
+                        )
+                row = aggregate(mapping, label=args.label)
+            except ValueError as exc:  # not UTF-8, not JSON, or not scores
+                raise ValueError(f"{args.scores_json}: {exc}") from None
     if args.json:
         print(json.dumps(
             {"label": row.label, "scores": row.scores, "avg": row.average},

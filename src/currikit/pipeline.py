@@ -21,25 +21,23 @@ The packers only build blocks: ``write_shards`` hashes and writes each one
 on its writer thread while this thread packs the next.
 
 Every stream is a function of its sources, tokenizer, labels and seed, so
-a ``bpe_file`` compile, where encoding dominates, packs streams side by
-side in forked processes where ``os.fork`` exists and the process may run
-on two or more CPUs. The kind keys are split among ``min(CPUs, keys)``
-hosts by block count, the largest first, each onto the host with the
-fewest blocks so far. This process is host 0: it builds the spec's
-matcher, so that the workers inherit it, and forks one worker per other
-host before ``write_shards`` starts its thread. A worker builds its keys'
-blocks in schedule order, one block ahead of what host 0 has taken, and
-sends each over a pipe, with the log records made while building it and,
-with a stream's last block, the stream's pack report and reads. Host 0
-takes a remote block when the schedule reaches it, through a generator
-per key that stands in for the stream, and emits the block's records
-then, so the tree and the log are those of one process. While it waits
-for a remote block, host 0 builds its own next block, holding its records
-until the schedule reaches it. Every stream is closed after
-``write_shards``, in creation order; a worker closes its own streams and
-sends their close-time records. A ``byte_fallback`` compile, whose whole
-run costs less than forking, and a host with one CPU or no ``fork``, pack
-every stream in this process.
+a ``bpe_file`` compile, where encoding dominates, packs its streams in
+forked workers where ``os.fork`` exists and the process may run on two or
+more CPUs. The kind keys are split among ``min(CPUs, keys)`` workers by
+block count, the largest first, each onto the worker with the fewest
+blocks so far. This process, host 0, builds the spec's matcher, so that
+the workers inherit it, and forks them before ``write_shards`` starts its
+thread; it packs no block itself. A worker builds its keys' blocks in
+schedule order, one block ahead of what host 0 has taken, and sends each
+over a pipe, with the log records made while building it and, with a
+stream's last block, the stream's pack report and reads. Each key's
+stream is replaced by a ``_Remote`` that takes the key's next block when
+the schedule reaches it and emits the block's records then, so the tree
+and the log are those of one process. Every stream is closed after
+``write_shards``, in creation order; closing a ``_Remote`` stops its
+worker, which closes its own streams and sends their close-time records.
+A ``byte_fallback`` compile, whose whole run costs less than forking, and
+a host with one CPU or no ``fork``, pack every stream in this process.
 
 The tree records each flag once, in the manifest, and no path: the same
 corpus, flags and seed give the same bytes wherever the tree is written.
@@ -190,17 +188,17 @@ def _chained(
     )
 
 
-def _split_keys(counts: dict[str, int], n_hosts: int) -> list[list[str]]:
-    """The kind keys of each host: by block count, the largest first (ties in
-    ``counts`` order), each onto the host with the fewest blocks so far (ties
-    to the lowest host)."""
-    hosts: list[list[str]] = [[] for _ in range(n_hosts)]
-    loads = [0] * n_hosts
+def _split_keys(counts: dict[str, int], n_workers: int) -> list[list[str]]:
+    """The kind keys of each worker: by block count, the largest first (ties
+    in ``counts`` order), each onto the worker with the fewest blocks so far
+    (ties to the lowest worker)."""
+    workers: list[list[str]] = [[] for _ in range(n_workers)]
+    loads = [0] * n_workers
     for key in sorted(counts, key=counts.__getitem__, reverse=True):
-        host = loads.index(min(loads))
-        hosts[host].append(key)
-        loads[host] += counts[key]
-    return hosts
+        worker = loads.index(min(loads))
+        workers[worker].append(key)
+        loads[worker] += counts[key]
+    return workers
 
 
 _GO = b"g"  # build the next block
@@ -209,7 +207,7 @@ _STOP = b"s"  # close the streams, send their close-time records and exit
 
 class _Held(logging.Filter):
     """Holds the log records of this package's loggers, formatted, instead of
-    letting them be handled, so that they can be emitted later or in host 0."""
+    letting them be handled, so that a worker can send them to host 0."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -367,14 +365,6 @@ class _Worker:
     def _fds(self) -> tuple[int, int]:
         return self._commands, self._messages.fileno()
 
-    def ready(self) -> bool:
-        """Whether the next message has begun to arrive."""
-        import select  # only here: importing currikit loads no select module
-
-        poll = select.poll()  # not select.select, which takes no descriptor above 1023
-        poll.register(self._messages, select.POLLIN)
-        return bool(poll.poll(0))
-
     def take(self) -> tuple[str, object, tuple | None, list[logging.LogRecord]]:
         message = self._read()
         self._left -= 1
@@ -433,126 +423,45 @@ class _Worker:
         return CompileError(self.lost)
 
 
-class _Hosts:
-    """The streams of one compile and the hosts that pack them.
+class _Remote:
+    """Stands in for ``key``'s stream, which ``worker`` packs.
 
-    Host 0, this process, packs the first key list of ``split``; entering
-    forks one worker for each other list, and leaving reaps every worker.
-    ``blocks(key)`` is what the schedule pulls ``key``'s blocks from: the
-    stream itself when there is no worker, else a stand-in that takes them
-    from their host. A worker's block comes with the records logged while it
-    was built, emitted as it is taken, and a stream's last block with its
-    report and reads. Before host 0 waits for a remote block, it builds its
-    own next block, unless that is built already: first if the remote block
-    has not begun to arrive, else right after taking it. Its records are
-    held and emitted, and its stream's end or error raised, when the
-    schedule reaches it. Which blocks are built ahead follows from the
-    schedule alone, so a failed compile leaves each stream where every run
-    leaves it.
+    Each ``next`` takes the worker's next message, which is ``key``'s next
+    block, and emits the records logged while it was built; the stream's
+    last block brings its report and reads. ``close`` stops the worker,
+    once for all its keys, and emits ``key``'s close-time records.
     """
 
     def __init__(
         self,
-        streams: dict[str, Iterator[TokenBlock]],
+        worker: _Worker,
+        key: str,
         reports: dict[str, PackReport],
         reads: dict[str, list[_SourceRead]],
-        keys: list[str],
-        split: list[list[str]],
     ):
-        self.streams = streams
+        self._worker = worker
+        self._key = key
         self._reports = reports
         self._reads = reads
-        self._keys = keys
-        self._split = split
-        self._workers: list[_Worker] = []
-        self._owners: dict[str, _Worker] = {}
-        self._own = [key for key in keys if key in split[0]]
-        self._taken = 0  # of ``_own``
-        self._built: tuple[str, object, list[logging.LogRecord]] | None = None
 
-    def __enter__(self) -> "_Hosts":
-        try:
-            for keys in self._split[1:]:
-                order = [key for key in self._keys if key in keys]
-                worker = _Worker.start(
-                    keys, order, self.streams, self._reports, self._reads, self._workers
-                )
-                self._workers.append(worker)
-                self._owners.update(dict.fromkeys(keys, worker))
-        except BaseException:
-            self.__exit__()
-            raise
+    def __iter__(self) -> "_Remote":
         return self
 
-    def __exit__(self, *exc_info) -> None:
-        for worker in self._workers:
-            worker.reap()
-
-    @property
-    def lost(self) -> str | None:
-        """Why the first worker that ended early did so, if one did."""
-        return next((w.lost for w in self._workers if w.lost is not None), None)
-
-    def blocks(self, key: str) -> Iterator[TokenBlock]:
-        if not self._workers:
-            return self.streams[key]
-        return self._stand_in(key)
-
-    def _stand_in(self, key: str) -> Iterator[TokenBlock]:
-        while True:
-            what, payload = self._take(key)
-            if what == "end":
-                return
-            if what == "error":
-                raise payload
-            yield payload
-
-    def _take(self, key: str) -> tuple[str, object]:
-        worker = self._owners.get(key)
-        if worker is None:
-            built, self._built = self._built, None
-            self._taken += 1
-            if built is None:
-                return _next_block(self.streams[key])
-            what, payload, records = built
-            _emit(records)
-            return what, payload
-        if not worker.ready():
-            self._build_ahead()
-        what, payload, final, records = worker.take()
-        self._build_ahead()
+    def __next__(self) -> TokenBlock:
+        what, payload, final, records = self._worker.take()
         _emit(records)
         if final is not None:
-            self._reports[key], self._reads[key] = final
-        return what, payload
+            self._reports[self._key], self._reads[self._key] = final
+        if what == "end":
+            raise StopIteration
+        if what == "error":
+            raise payload
+        return payload
 
-    def _build_ahead(self) -> None:
-        if self._built is not None or self._taken == len(self._own):
-            return
-        held = _Held()
-        loggers = _package_loggers()
-        for logger in loggers:
-            logger.addFilter(held)
-        try:
-            what, payload = _next_block(self.streams[self._own[self._taken]])
-        finally:
-            for logger in loggers:
-                logger.removeFilter(held)
-        self._built = (what, payload, held.records)
-
-    def close(self, stop: bool) -> None:
-        """Close every stream in creation order, which logs each reader's
-        malformed-row total; a remote stream's records come from its worker,
-        which ``stop`` first stops."""
-        if stop:
-            for worker in self._workers:
-                worker.stop()
-        for key, stream in self.streams.items():
-            worker = self._owners.get(key)
-            if worker is None:
-                _close(stream)
-            elif worker.closing is not None:
-                _emit(worker.closing[key])
+    def close(self) -> None:
+        self._worker.stop()
+        if self._worker.closing is not None:
+            _emit(self._worker.closing[self._key])
 
 
 def compile_corpus(
@@ -628,28 +537,37 @@ def compile_corpus(
                 lang, spec, seed, label_style, report,
             )
 
-    n_hosts = 1
-    if spec.kind == "bpe_file" and hasattr(os, "fork"):
-        n_hosts = min(shards._available_cpus(), len(needed))
-        _matcher(spec)  # built once, here, and inherited by every worker
-    keys = [entry.key for entry in manifest.entries]
-    with _Hosts(streams, reports, reads, keys, _split_keys(needed, n_hosts)) as hosts:
-        layout = _write(manifest, hosts, reports, reads, out_dir)
-        if hosts.lost is not None:
-            raise CompileError(hosts.lost)
+    workers: list[_Worker] = []
+    try:
+        if spec.kind == "bpe_file" and hasattr(os, "fork") and shards._available_cpus() >= 2:
+            _matcher(spec)  # built once, here, and inherited by every worker
+            keys = [entry.key for entry in manifest.entries]
+            for worker_keys in _split_keys(needed, min(shards._available_cpus(), len(needed))):
+                order = [key for key in keys if key in worker_keys]
+                workers.append(_Worker.start(worker_keys, order, streams, reports, reads, workers))
+            for worker in workers:
+                for key in worker.keys:
+                    streams[key] = _Remote(worker, key, reports, reads)
+        layout = _write(manifest, streams, reports, reads, out_dir)
+        lost = next((worker.lost for worker in workers if worker.lost is not None), None)
+        if lost is not None:
+            raise CompileError(lost)
+    finally:
+        for worker in workers:
+            worker.reap()
     return CompileResult(layout=layout, manifest=manifest, reports=reports)
 
 
 def _write(
     manifest: CurriculumManifest,
-    hosts: _Hosts,
+    streams: dict[str, Iterator[TokenBlock]],
     reports: dict[str, PackReport],
     reads: dict[str, list[_SourceRead]],
     out_dir: str | os.PathLike[str],
 ) -> ShardLayout:
-    """``write_shards`` of the schedule's blocks, pulled from the hosts; then
-    every stream is closed."""
-    streams = {key: hosts.blocks(key) for key in hosts.streams}
+    """``write_shards`` of the schedule's blocks, pulled from the streams;
+    then every stream is closed in creation order, which logs each reader's
+    malformed-row total."""
 
     def block_stream() -> Iterator[TokenBlock]:
         for position, entry in enumerate(manifest.entries):
@@ -683,8 +601,11 @@ def _write(
     except BaseException as exc:
         # The exception's traceback keeps the streams alive; close them now,
         # so each logs its malformed-row total before the error is reported.
-        # An interrupt stops no worker: leaving ``_Hosts`` kills them.
-        hosts.close(stop=isinstance(exc, Exception))
+        # An interrupt stops no worker: reaping kills them.
+        for stream in streams.values():
+            if isinstance(exc, Exception) or not isinstance(stream, _Remote):
+                _close(stream)
         raise
-    hosts.close(stop=True)
+    for stream in streams.values():
+        _close(stream)
     return layout

@@ -754,6 +754,24 @@ def test_compile_all_strategies_reports_a_shortfall_as_skipped(tmp_path, capsys,
         "skipped: replacement text for id exhausted after 80 pairs\n" in out
 
 
+def test_compile_all_strategies_reports_a_compile_error_and_exits_1(tmp_path, capsys):
+    """A vocabulary that cannot encode the corpus fails every strategy: each
+    is reported as ``failed:`` with the message ``compile`` would print, and
+    the grid goes on to the next."""
+    _script("make_synthetic_corpus").main(
+        ["--root", str(tmp_path / "corpus"), "--languages", "id", "--pairs", "3000",
+         "--docs", "60"])
+    vocab = tmp_path / "a.vocab"
+    vocab.write_text('bpe-vocab-v1\nname a\neot 0\ntoken 1 "a"\n', encoding="utf-8")
+    capsys.readouterr()
+    code = _script("compile_all_strategies").main(
+        ["--config", str(tmp_path / "corpus" / "corpus.json"), "--out", str(tmp_path / "runs"),
+         "--blocks", "4", "--batch-blocks", "4", "--tokenizer", str(vocab)])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert out.count("\nfailed: no token covers ") == len(Strategy)
+
+
 def _script(name):
     path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(name, path)
@@ -936,11 +954,14 @@ def test_malformed_corpus_config_is_one_error_line(tmp_path, capsys, command, co
         ('{"id": [1.0]}', "score of 'id' is [1.0], not a number"),
         ('{"id": "1.0"}', "score of 'id' is \"1.0\", not a number"),
         ('{"id": true}', "score of 'id' is true, not a number"),
+        ('{"id": ', "Expecting value: line 1 column 8 (char 7)"),
+        (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        ('{"id": NaN}', "score of 'id' is nan, not a finite number"),
     ],
 )
 def test_aggregate_rejects_bad_scores_json(tmp_path, capsys, content, wanted):
     scores = tmp_path / "scores.json"
-    scores.write_text(content, encoding="utf-8")
+    scores.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
     assert main(["aggregate", "--scores-json", str(scores)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

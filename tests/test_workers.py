@@ -1,11 +1,12 @@
 """Packing ``bpe_file`` streams in forked workers.
 
-``compile_corpus`` splits the kind keys among ``min(CPUs, keys)`` hosts;
-the tests set the CPU count through ``shards._available_cpus``, and
-``fork`` works on one CPU too. Whatever the host count, a compile writes
-the same tree and logs the same records; a failed one raises the error of
-its lowest failing position after writing the same blocks. No worker
-outlives ``compile_corpus`` and no pipe stays open.
+With two or more CPUs, ``compile_corpus`` splits the kind keys among
+``min(CPUs, keys)`` forked workers and packs no block itself; the tests
+set the CPU count through ``shards._available_cpus``, and ``fork`` works
+on one CPU too. Whatever the CPU count, a compile writes the same tree and
+logs the same records; a failed one raises the error of its lowest failing
+position after writing the same blocks. No worker outlives
+``compile_corpus`` and no pipe stays open.
 """
 
 import importlib
@@ -89,9 +90,9 @@ def dirty(tmp_path_factory):
 @pytest.fixture(scope="module", params=["parallel:th", "parallel:id"])
 def dry(request, dirty):
     """A config for which a 12-block ``parallel-only`` compile at seed 5 runs
-    the ``param`` stream dry: the Thai pairs on a worker, or, without
-    ``pairs_id.tsv``, the Indonesian pairs on host 0, which build the block
-    that runs dry ahead, while they wait for a replay block."""
+    the ``param`` stream dry: the Thai pairs, which share a worker with the
+    replay stream on two CPUs, or, without ``pairs_id.tsv``, the Indonesian
+    pairs, which have the first worker to themselves."""
     config, vocab = dirty
     if request.param == "parallel:th":
         return config, vocab, request.param
@@ -171,9 +172,10 @@ def test_a_stream_that_runs_dry_fails_as_in_one_process(dry, tmp_path, monkeypat
 
 
 def test_a_failed_compile_logs_the_same_lines_on_every_run(dry, tmp_path):
-    """Streams abandoned with a block built ahead have read one block further
-    than in one process, but the log of a failed compile is the same on
-    every run, and ends with the one-process compile's ``error:`` line."""
+    """A stopped worker finishes the block it is building, so an abandoned
+    stream may have read one block further than in one process, but the log
+    of a failed compile is the same on every run, and ends with the
+    one-process compile's ``error:`` line."""
     config, vocab, key = dry
 
     def run(hosts, out):
@@ -237,27 +239,57 @@ def test_a_killed_worker_fails_the_compile_with_one_error_line(
 def test_an_interrupt_reaps_every_worker(dirty, tmp_path, monkeypatch):
     config, vocab = dirty
     monkeypatch.setattr(shards, "_available_cpus", lambda: 3)
-    pulls = []
+    take, takes = pipeline._Worker.take, []
 
-    def interrupted(packer):
+    def interrupted(worker):
+        takes.append(worker)
+        if len(takes) == 2:
+            raise KeyboardInterrupt
+        return take(worker)
+
+    monkeypatch.setattr(pipeline._Worker, "take", interrupted)
+    fds = _open_fds()
+    with pytest.raises(KeyboardInterrupt):
+        compile_corpus(config, "parallel-only", 8 * BLOCK_TOKENS, 4, seed=5,
+                       out_dir=tmp_path / "out", tokenizer_ref=vocab)
+    assert len(takes) == 2
+    _assert_no_worker_left(fds)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_workers_build_every_block_when_they_run(dirty, tmp_path, monkeypatch, cpus):
+    """With two or more CPUs, the calling process builds no block: one
+    worker per CPU builds them all, the schedule's five keys split among
+    them."""
+    config, vocab = dirty
+    monkeypatch.setattr(shards, "_available_cpus", lambda: cpus)
+    builders = tmp_path / "builders"
+    builders.touch()
+
+    def logged(packer):
         def wrapped(*args, **kwargs):
             def blocks():
                 for block in packer(*args, **kwargs):
-                    pulls.append(os.getpid())
-                    if len(pulls) == 2:
-                        raise KeyboardInterrupt
+                    with open(builders, "a") as out:
+                        out.write(f"{os.getpid()}\n")
                     yield block
 
             return blocks()
 
         return wrapped
 
-    monkeypatch.setattr(pipeline, "pack_parallel", interrupted(pipeline.pack_parallel))
-    fds = _open_fds()
-    with pytest.raises(KeyboardInterrupt):
-        compile_corpus(config, "parallel-only", 8 * BLOCK_TOKENS, 4, seed=5,
-                       out_dir=tmp_path / "out", tokenizer_ref=vocab)
-    _assert_no_worker_left(fds)
+    for name in ("pack_replay", "pack_monolingual", "pack_parallel", "pack_replacement"):
+        monkeypatch.setattr(pipeline, name, logged(getattr(pipeline, name)))
+    result = compile_corpus(config, "mixed", 8 * BLOCK_TOKENS, 4, seed=5,
+                            out_dir=tmp_path / "out", tokenizer_ref=vocab)
+    assert len(result.manifest.kind_counts()) == 5
+    pids = [int(line) for line in builders.read_text().split()]
+    assert len(pids) >= 8
+    if cpus == 1:
+        assert set(pids) == {os.getpid()}
+    else:
+        assert os.getpid() not in pids
+        assert len(set(pids)) == cpus
 
 
 def _alive(pid):
